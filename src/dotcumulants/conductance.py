@@ -6,7 +6,9 @@ couples dimension n to n +/- i(beta) through "reduced moments" (exponential
 Bell transforms of second differences across the dimension lattice).  We
 evaluate the lattice at concrete shifted integer dimensions with memoization
 rather than doing symbolic rational-function-of-n arithmetic: simpler, exact,
-and the asymptotics come from the separate limiting recurrences.
+and the asymptotics come from the separate limiting recurrences.  The reduced
+moments are memoised per dimension too and extended by one term per order, so
+a depth-L fill costs O(L^2) Bell terms per dimension rather than O(L^3).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .ensembles import (
     transport_coupling_beta4,
 )
 from .errors import InvalidOrderError, PoleError, UnsupportedBetaError
-from .params import TransportParams
+from .params import TransportParams, lattice_step
 from .rational import rat
 
 
@@ -138,27 +140,32 @@ def _coeff_B(l, i, chi):
 class ConductanceEngine:
     """Memoized cumulant computation across the dimension lattice for a fixed
     (beta, alpha, delta).  Single-threaded per instance; finished sequences
-    are immutable and freely shareable."""
+    are immutable and freely shareable.
 
-    def __init__(self, beta, alpha, delta):
+    ``radius`` records the farthest lattice point visited, in steps from
+    ``center``; a visit beyond ``max_radius`` is an internal error.
+    """
+
+    def __init__(self, beta, alpha, delta, center=None, max_radius=None):
         self.beta = beta
         self.alpha = rat(alpha)
         self.delta = rat(delta)
+        self.step = lattice_step(beta)
         self._kappa = {}  # dimension -> [kappa_1, kappa_2, ...]
-        self._radius = 0
-        self._center = None
-        self._max_radius = None
+        self._reduced = {}  # dimension -> ([r_1, r_2, ...], [mu_0, mu_1, ...])
+        self.radius = 0
+        self._center = center
+        self._max_radius = max_radius
 
     def _note_visit(self, n):
-        if self._center is None:
+        if self._center is None or n == self._center:
             return
-        step = 2 if self.beta == 1 else 1
-        r = abs(n - self._center) // step
+        r = abs(n - self._center) // self.step
         if self._max_radius is not None and r > self._max_radius:
             raise AssertionError(
                 f"lattice visit at dimension {n} exceeds radius bound {self._max_radius}"
             )
-        self._radius = max(self._radius, r)
+        self.radius = max(self.radius, r)
 
     def kappas(self, n, order):
         """kappa_1..kappa_order at dimension n (n=0 yields an empty sum: all zero)."""
@@ -202,28 +209,34 @@ class ConductanceEngine:
         )
         kappa.append(value / A)
 
-    def reduced_cumulants(self, n, order):
-        """r_l = kappa_l(n-i) + kappa_l(n+i) - 2*kappa_l(n), l = 1..order."""
-        if order < 1:
-            return []
-        step = 2 if self.beta == 1 else 1
-        minus = self.kappas(n - step, order)
-        plus = self.kappas(n + step, order)
-        here = self.kappas(n, order)
-        return [minus[j] + plus[j] - 2 * here[j] for j in range(order)]
-
     def reduced_moments(self, n, order):
-        """mu_0..mu_order via the Bell recurrence on the reduced cumulants."""
-        r = self.reduced_cumulants(n, order)
-        return bell_transform(r, order)
+        """mu_0..mu_order at dimension n from the reduced cumulants
+        r_l = kappa_l(n-i) + kappa_l(n+i) - 2*kappa_l(n), l = 1..order.
+
+        Both lists are memoised per dimension and only extended: r_l and mu_l
+        depend on nothing above order l.  The returned list is the memo (it
+        may hold more than order + 1 entries) and must not be modified.
+        """
+        r, mu = self._reduced.setdefault(n, ([], [rat(1)]))
+        if order >= 1:
+            minus = self.kappas(n - self.step, order)
+            plus = self.kappas(n + self.step, order)
+            here = self.kappas(n, order)
+            r.extend(minus[j] + plus[j] - 2 * here[j] for j in range(len(r), order))
+        return bell_transform(r, order, mu)
 
 
-def bell_transform(r, order):
+def bell_transform(r, order, mu=None):
     """mu_0..mu_order from r_1..r_order via
     mu_l = sum_j C(l-1, j) r_{l-j} mu_j, the coefficient form of mu = exp(r)
-    as exponential generating functions."""
-    mu = [rat(1)]
-    for l in range(1, order + 1):
+    as exponential generating functions.
+
+    ``mu``, when given, is a prefix mu_0..mu_m of the result; it is extended
+    in place to order and returned.
+    """
+    if mu is None:
+        mu = [rat(1)]
+    for l in range(len(mu), order + 1):
         acc = rat(0)
         for j in range(l):
             rv = r[l - j - 1]
@@ -237,17 +250,17 @@ def conductance_cumulants(p: TransportParams, max_order) -> CumulantSequence:
     """kappa_1..kappa_L exactly, engaging the dimension lattice when beta != 2."""
     if max_order < 1:
         raise InvalidOrderError("max_order must be >= 1")
-    engine = ConductanceEngine(p.beta, p.alpha, p.delta)
-    engine._center = p.n
-    if p.beta != 2:
-        # order l consumes reduced data to order l-3; each recursion level
-        # drops the needed order, so this radius is a safe ceiling.
-        engine._max_radius = (max(max_order - 3, 0) + 2) // 3 + 1
+    # order l consumes reduced data to order l-3; each recursion level drops
+    # the needed order, so this radius is a safe ceiling.
+    engine = ConductanceEngine(
+        p.beta, p.alpha, p.delta,
+        center=p.n, max_radius=(max(max_order - 3, 0) + 2) // 3 + 1,
+    )
     values = tuple(engine.kappas(p.n, max_order))
     return CumulantSequence(
         params=p,
         values=values,
-        lattice_radius=engine._radius,
+        lattice_radius=engine.radius,
         extended_validity=p.extended_validity,
     )
 

@@ -5,7 +5,9 @@ expresses the (k+1)-column in terms of columns <= k with l shifted up by at
 most 4, so the conductance boundary row is computed to order L + 2K + 4 up
 front.  For beta in {1,4} the right-hand side consumes joint reduced moments,
 i.e. joint tables at the shifted dimensions, recursively with decreasing
-column depth.  Dimension 0 is the empty ensemble (all cumulants zero);
+column depth.  Every entry depends only on (n, l, k), so the memoised table
+at each dimension, and its joint reduced moments, are grown in place when a
+deeper staircase is requested.  Dimension 0 is the empty ensemble (all cumulants zero);
 negative lattice dimensions are evaluated by the same rational continuation
 the conductance row uses.
 """
@@ -15,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conductance import ConductanceEngine, CumulantSequence, bell_transform
-from .ensembles import (
-    transport_coupling_beta1,
-    transport_coupling_beta4,
+from .conductance import (
+    ConductanceEngine,
+    CumulantSequence,
+    _raw_coupling,
+    bell_transform,
 )
 from .errors import (
     BoundaryUnavailableError,
@@ -27,7 +30,7 @@ from .errors import (
     PoleError,
     UnsupportedBetaError,
 )
-from .params import TransportParams
+from .params import TransportParams, lattice_step
 from .rational import rat
 
 
@@ -55,15 +58,6 @@ class JointReducedTable:
     mu: dict
 
 
-def _raw_coupling(beta, alpha, delta, n):
-    """b_n as a rational function of n, evaluated at any integer dimension."""
-    if beta == 2 or n == 0:
-        return rat(0)
-    if beta == 1:
-        return transport_coupling_beta1(alpha, delta, n)
-    return transport_coupling_beta4(alpha, delta, n)
-
-
 class JointEngine:
     """Memoized joint-table computation across the dimension lattice.
 
@@ -73,13 +67,19 @@ class JointEngine:
     the recurrence's leading coefficient vanishes.
     """
 
-    def __init__(self, beta, alpha, delta, boundary_override=None):
+    def __init__(self, beta, alpha, delta, boundary_override=None, center=None):
         self.beta = beta
         self.alpha = rat(alpha)
         self.delta = rat(delta)
-        self.cond = ConductanceEngine(beta, alpha, delta)
+        self.step = lattice_step(beta)
+        self.cond = ConductanceEngine(beta, alpha, delta, center=center)
         self.boundary_override = boundary_override or {}
-        self._tables = {}  # dimension -> {"kappa": dict, "extent": (L, K)}
+        # dimension -> {(l, k): value}, each grown in place; an entry is
+        # stored only once computed, so a failed fill leaves a valid prefix
+        self._kappa = {}
+        self._r = {}
+        self._mu = {}
+        self._mu_row = {}  # dimension -> ([r_{1,0}, ...], [mu_{0,0}, mu_{1,0}, ...])
 
     def _boundary(self, n, order):
         override = self.boundary_override.get(n)
@@ -114,30 +114,26 @@ class JointEngine:
         return self._boundary(n, order)
 
     def table(self, n, max_l, max_k):
-        """kappa_{l,k} at dimension n; column k holds l <= max_l + 2*(max_k-k)."""
-        cached = self._tables.get(n)
-        if (
-            cached is not None
-            and cached["extent"][0] >= max_l
-            and cached["extent"][1] >= max_k
-        ):
-            return cached["kappa"]
+        """kappa_{l,k} at dimension n; column k holds l <= max_l + 2*(max_k-k).
+
+        The returned dict is the memo for dimension n: it may hold more
+        entries, and gains more when a deeper staircase is requested later.
+        """
+        kappa = self._kappa.setdefault(n, {(0, 0): rat(0)})
+        if all((max_l + 2 * (max_k - k), k) in kappa for k in range(max_k + 1)):
+            return kappa
 
         # Column k+1 at index l consumes row entries up to l + 4 with k-1, and
         # l + 2 with k; chasing the extents shows the k=0 row is consumed to
         # exactly L + 2K.  Computing deeper would risk spurious poles at
         # parameters where a higher-order leading coefficient happens to vanish.
         row_order = max_l + 2 * max_k
-        kappa = {(0, 0): rat(0)}
         if n == 0:
             for k in range(max_k + 1):
-                extent = row_order if k == 0 else max_l + 2 * (max_k - k)
-                for l in range(extent + 1):
+                for l in range(max_l + 2 * (max_k - k) + 1):
                     kappa[(l, k)] = rat(0)
         else:
             row = self._boundary(n, row_order)
-            for l in range(1, row_order + 1):
-                kappa[(l, 0)] = row[l - 1]
             c = self.alpha + self.delta / 2 + self.beta * n + 2 - self.beta
             eta = 4 if self.beta == 4 else 1
             bn = _raw_coupling(self.beta, self.alpha, self.delta, n)
@@ -146,9 +142,15 @@ class JointEngine:
                 # the consumed entries mu[(l, k-1)] fit exactly the staircase
                 # profile of a (max_l, max_k - 2) table
                 mu = self._joint_reduced_moments(n, max_l, max_k - 2)
+            # stored only after the recursion above returns, so requests made
+            # inside it find the cache a build from scratch would find
+            for l in range(1, row_order + 1):
+                kappa[(l, 0)] = row[l - 1]
             for k in range(max_k):
                 extent = max_l + 2 * (max_k - k - 1)
                 for l in range(extent + 1):
+                    if (l, k + 1) in kappa:
+                        continue
                     lead = 2 * l + 3 * k + 2
                     if lead == 0:
                         raise PoleError(
@@ -171,7 +173,6 @@ class JointEngine:
                                     double += cki * math.comb(l, j) * x * y
                         acc -= 6 * eta * k * double
                     kappa[(l, k + 1)] = acc / lead
-        self._tables[n] = {"kappa": kappa, "extent": (max_l, max_k)}
         return kappa
 
     def _joint_reduced_moments(self, n, L, K):
@@ -179,22 +180,27 @@ class JointEngine:
 
         Exactly the entries a (L, K)-shaped table provides, so the shifted
         joint tables are requested no deeper than the recurrence consumes.
+        Like ``table``, the result is the memo for dimension n.
         """
-        step = 2 if self.beta == 1 else 1
-        r = self._joint_reduced_cumulants(n, step, L, K)
-        mu = {}
+        step = self.step
+        r = self._joint_reduced_cumulants(n, L, K)
+        mu = self._mu.setdefault(n, {})
+        reduced_row, mu_row = self._mu_row.setdefault(n, ([], [rat(1)]))
         row_len = L + 2 * K
         minus_row = self._row_or_zeros(n - step, row_len)
         plus_row = self._row_or_zeros(n + step, row_len)
         here_row = self._row_or_zeros(n, row_len)
-        reduced_row = [
-            minus_row[j] + plus_row[j] - 2 * here_row[j] for j in range(row_len)
-        ]
-        mu_row = bell_transform(reduced_row, row_len)
+        reduced_row.extend(
+            minus_row[j] + plus_row[j] - 2 * here_row[j]
+            for j in range(len(reduced_row), row_len)
+        )
+        bell_transform(reduced_row, row_len, mu_row)
         for l in range(row_len + 1):
             mu[(l, 0)] = mu_row[l]
         for k in range(1, K + 1):
             for l in range(L + 2 * (K - k) + 1):
+                if (l, k) in mu:
+                    continue
                 acc = rat(0)
                 for i in range(k):
                     cki = math.comb(k - 1, i)
@@ -206,17 +212,15 @@ class JointEngine:
                 mu[(l, k)] = acc
         return mu
 
-    def _joint_reduced_cumulants(self, n, step, L, K):
-        minus = self.table(n - step, L, K)
-        plus = self.table(n + step, L, K)
+    def _joint_reduced_cumulants(self, n, L, K):
+        minus = self.table(n - self.step, L, K)
+        plus = self.table(n + self.step, L, K)
         here = self.table(n, L, K)
-        r = {(0, 0): rat(0)}
+        r = self._r.setdefault(n, {(0, 0): rat(0)})
         for k in range(K + 1):
-            extent = L + 2 * (K - k) if k >= 1 else L + 2 * K
-            for l in range(extent + 1):
-                if (l, k) == (0, 0):
-                    continue
-                r[(l, k)] = minus[(l, k)] + plus[(l, k)] - 2 * here[(l, k)]
+            for l in range(L + 2 * (K - k) + 1):
+                if (l, k) not in r:
+                    r[(l, k)] = minus[(l, k)] + plus[(l, k)] - 2 * here[(l, k)]
         return r
 
 
@@ -228,8 +232,7 @@ def joint_reduced_table(p: TransportParams, max_l, max_k) -> JointReducedTable:
     if p.beta == 2:
         raise UnsupportedBetaError("beta=2 has no dimension lattice")
     engine = JointEngine(p.beta, p.alpha, p.delta)
-    step = p.i_shift
-    r = engine._joint_reduced_cumulants(p.n, step, max_l, max_k)
+    r = engine._joint_reduced_cumulants(p.n, max_l, max_k)
     mu = engine._joint_reduced_moments(p.n, max_l, max_k)
     return JointReducedTable(r=r, mu=mu)
 
@@ -239,8 +242,7 @@ def joint_cumulants(p: TransportParams, max_l, max_k,
     """Exact kappa_{l,k} for the rectangle l <= max_l, k <= max_k."""
     if max_l < 0 or max_k < 0:
         raise InvalidOrderError("orders must be nonnegative")
-    engine = JointEngine(p.beta, p.alpha, p.delta, boundary_override)
-    engine.cond._center = p.n
+    engine = JointEngine(p.beta, p.alpha, p.delta, boundary_override, center=p.n)
     kappa = engine.table(p.n, max_l, max_k)
     values = {
         (l, k): kappa[(l, k)]
@@ -250,7 +252,7 @@ def joint_cumulants(p: TransportParams, max_l, max_k,
     boundary = CumulantSequence(
         params=p,
         values=tuple(engine._boundary(p.n, max(max_l, 1))),
-        lattice_radius=engine.cond._radius,
+        lattice_radius=engine.cond.radius,
         extended_validity=p.extended_validity,
     )
     return JointCumulantTable(

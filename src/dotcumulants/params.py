@@ -16,6 +16,12 @@ from .rational import floor_rational, rat, rational_str
 _ALLOWED_BETA = (1, 2, 4)
 
 
+def lattice_step(beta):
+    """Dimension step i(beta) of the lattice coupling: 1 for beta=4, 2 for
+    beta=1, and None for beta=2, whose recurrences close at a single n."""
+    return {1: 2, 4: 1}.get(beta)
+
+
 @dataclass(frozen=True)
 class TransportParams:
     beta: int
@@ -41,15 +47,7 @@ class TransportParams:
 
     @property
     def i_shift(self):
-        """Dimension step of the lattice coupling: 1 for beta=4, 2 for beta=1.
-
-        Undefined (None) for beta=2, whose recurrences close at a single n.
-        """
-        if self.beta == 4:
-            return 1
-        if self.beta == 1:
-            return 2
-        return None
+        return lattice_step(self.beta)
 
     @property
     def chi12(self):
@@ -116,11 +114,7 @@ class DelayParams:
 
     @property
     def i_shift(self):
-        if self.beta == 4:
-            return 1
-        if self.beta == 1:
-            return 2
-        return None
+        return lattice_step(self.beta)
 
     @property
     def has_default_b(self):

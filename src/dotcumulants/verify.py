@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .conductance import ConductanceEngine
 from .ensembles import b_constant, d_constant
-from .errors import InsufficientOrderError, QuadratureFailureError
+from .errors import InsufficientOrderError, InvalidOrderError, QuadratureFailureError
 from .jointcsn import JointEngine
 from .params import DelayParams, TransportParams
 from .quadrature import moments_to_cumulants, transport_raw_moments
@@ -76,8 +76,16 @@ def _cgf_series(kappas, order):
     return TruncatedSeries(coeffs)
 
 
+def _require_ode_order(order):
+    # the residual to order M takes four derivatives of a series of order
+    # M + 1, which leaves nothing to evaluate below M = 3
+    if order < 3:
+        raise InvalidOrderError(f"ODE residual order must be >= 3, got {order}")
+
+
 def ode_residual_conductance(p: TransportParams, order, perturb=None) -> ResidualReport:
     """Residual series of the fourth-order conductance ODE, exact-zero contract."""
+    _require_ode_order(order)
     M = order
     beta, a, d, n = p.beta, p.alpha, p.delta, p.n
     eta = p.eta14
@@ -298,6 +306,7 @@ def _delay_series(K, beta, order):
 
 def ode_residual_wigner(p: DelayParams, order, perturb=None) -> ResidualReport:
     """Residual series of the fourth-order delay-time ODE, exact-zero contract."""
+    _require_ode_order(order)
     M = order
     if M > p.q - 4:
         raise InsufficientOrderError(

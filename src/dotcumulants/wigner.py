@@ -21,7 +21,7 @@ from .errors import (
     NonexistentCumulantError,
     PoleError,
 )
-from .params import DelayParams
+from .params import DelayParams, lattice_step
 from .rational import rat
 from .series import TruncatedSeries
 
@@ -110,7 +110,9 @@ class DelayEngine:
     def __init__(self, beta, b):
         self.beta = beta
         self.b = rat(b)
+        self.step = lattice_step(beta)
         self._memo = {}  # dimension -> [K_1, ...]
+        self._reduced = {}  # dimension -> ([rho_1, rho_2, ...], [phi_0, phi_1, ...])
         self.visited = []
 
     def q_at(self, n):
@@ -136,7 +138,7 @@ class DelayEngine:
             cached = _initial_three(self.beta, omega, n, min(3, order))
             self._memo[n] = cached
             self.visited.append((n, self.b))
-        while len(cached) < min(3, order):
+        if len(cached) < min(3, order):
             omega = self.b - 2 - self.beta * (n - 1)
             cached[:] = _initial_three(self.beta, omega, n, min(3, order))
         while len(cached) < order:
@@ -172,15 +174,19 @@ class DelayEngine:
         K.append((rhs - beta * l * (2 * l - 1) * K[l - 1] - quad) / A)
 
     def reduced_moments(self, n, order):
-        """phi_0..phi_order from the fixed-b second differences of K."""
+        """phi_0..phi_order from the fixed-b second differences of K.
+
+        Memoised per dimension and only extended, as in
+        ``ConductanceEngine.reduced_moments``; the returned list is the memo.
+        """
         if order < 1:
             return [rat(1)]
-        step = 2 if self.beta == 1 else 1
-        minus = self.cumulants(n - step, order, requester=n)
-        plus = self.cumulants(n + step, order, requester=n)
+        rho, phi = self._reduced.setdefault(n, ([], [rat(1)]))
+        minus = self.cumulants(n - self.step, order, requester=n)
+        plus = self.cumulants(n + self.step, order, requester=n)
         here = self.cumulants(n, order)
-        rho = [minus[j] + plus[j] - 2 * here[j] for j in range(order)]
-        return bell_transform(rho, order)
+        rho.extend(minus[j] + plus[j] - 2 * here[j] for j in range(len(rho), order))
+        return bell_transform(rho, order, phi)
 
 
 def wigner_cumulants(p: DelayParams, max_order) -> DelayCumulants:

@@ -52,6 +52,19 @@ def test_computation_error_exit_code(capsys):
     assert "nonexistent-cumulant" in err
 
 
+@pytest.mark.parametrize("which", [
+    ["--which", "wigner", "--beta", "1", "--n", "30"],
+    ["--which", "conductance", "--beta", "1", "--alpha", "0", "--delta", "0",
+     "--n", "8"],
+])
+def test_verify_ode_order_below_three_is_invalid_order(capsys, which):
+    code = dispatch(["verify", "ode", *which, "--order", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: invalid-order")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         dispatch(["cumulants", "conductance", "--beta", "2"])  # missing required

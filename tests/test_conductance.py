@@ -4,7 +4,9 @@ from itertools import product
 import pytest
 
 from dotcumulants.conductance import (
+    ConductanceEngine,
     CumulantSequence,
+    bell_transform,
     conductance_cumulants,
     conductance_initial,
     fourth_cumulant_closed,
@@ -119,6 +121,40 @@ def test_reduced_moments_partition_sum_oracle():
     r1, r2, r3 = red.r_values
     partitions = r3 + 3 * r1 * r2 + r1**3
     assert red.mu_values[3] == partitions
+
+
+@pytest.mark.parametrize("beta, alpha, n", [(1, COE_HALF, 64), (4, 0, 32)])
+def test_engine_grown_in_rising_orders_equals_fresh(beta, alpha, n):
+    grown = ConductanceEngine(beta, alpha, 0)
+    for order in (8, 20, 40):
+        grown_values = grown.kappas(n, order)
+    fresh = ConductanceEngine(beta, alpha, 0)
+    assert grown_values == fresh.kappas(n, 40)
+    # the memoised reduced moments equal a transform of freshly taken
+    # second differences
+    p = TransportParams(beta, alpha, 0, n)
+    scratch = reduced_moments(p, 30, provider=fresh.kappas)
+    assert grown.reduced_moments(n, 30)[:31] == list(scratch.mu_values)
+
+
+def test_engine_after_failed_fill_equals_fresh():
+    # at n=3 the COE recurrence hits a vanishing leading coefficient at order
+    # 5, so the fill at n=5 fails once it needs order 6 there
+    failed = ConductanceEngine(1, COE_HALF, 0)
+    with pytest.raises(PoleError):
+        failed.kappas(5, 12)
+    fresh = ConductanceEngine(1, COE_HALF, 0)
+    assert failed.kappas(5, 8) == fresh.kappas(5, 8)
+    assert failed.reduced_moments(5, 5) == fresh.reduced_moments(5, 5)
+
+
+def test_bell_transform_extends_prefix():
+    r = [rat(j * j - 3, j + 2) for j in range(1, 13)]
+    for m in (0, 1, 5):
+        prefix = bell_transform(r, m)
+        extended = bell_transform(r, 12, prefix)
+        assert extended is prefix
+        assert extended == bell_transform(r, 12)
 
 
 def test_reduced_moments_rejects_beta2():

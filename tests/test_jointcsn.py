@@ -220,6 +220,23 @@ def test_joint_reduced_table_bell_structure():
         joint_reduced_table(TransportParams(2, 0, 0, 8), 2, 1)
 
 
+@pytest.mark.parametrize("beta, alpha, n", [(1, COE_HALF, 24), (4, 1, 12)])
+def test_table_grown_in_place_equals_fresh(beta, alpha, n):
+    from dotcumulants.jointcsn import JointEngine
+
+    grown = JointEngine(beta, alpha, 0)
+    grown.table(n, 4, 2)
+    deeper = dict(grown.table(n, 4, 6))
+    assert deeper == JointEngine(beta, alpha, 0).table(n, 4, 6)
+    # a staircase neither inside nor around the cached one: more columns,
+    # but a shorter k=0 row
+    wide = JointEngine(beta, alpha, 0)
+    wide.table(n, 8, 2)
+    other = wide.table(n, 2, 4)
+    reference = JointEngine(beta, alpha, 0).table(n, 2, 4)
+    assert all(other[key] == value for key, value in reference.items())
+
+
 def test_column_consistency_under_rebuild():
     p = TransportParams(4, rat(1), 0, 6)
     small = joint_cumulants(p, 3, 2)

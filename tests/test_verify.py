@@ -2,7 +2,11 @@ import math
 
 import pytest
 
-from dotcumulants.errors import InsufficientOrderError, QuadratureFailureError
+from dotcumulants.errors import (
+    InsufficientOrderError,
+    InvalidOrderError,
+    QuadratureFailureError,
+)
 from dotcumulants.exactmoments import exact_transport_cumulants
 from dotcumulants.params import DelayParams, TransportParams
 from dotcumulants.rational import rat
@@ -84,6 +88,19 @@ def test_wigner_ode_residual_detects_fault():
 def test_wigner_ode_order_guard():
     with pytest.raises(InsufficientOrderError):
         ode_residual_wigner(DelayParams(2, 6), 4)
+
+
+@pytest.mark.parametrize("order", [-1, 0, 1, 2])
+def test_ode_residuals_reject_order_below_three(order):
+    with pytest.raises(InvalidOrderError):
+        ode_residual_wigner(DelayParams(1, 30), order)
+    with pytest.raises(InvalidOrderError):
+        ode_residual_conductance(TransportParams(1, COE_HALF, 0, 8), order)
+
+
+def test_ode_residuals_lowest_order():
+    assert ode_residual_wigner(DelayParams(1, 30), 3).passed
+    assert ode_residual_conductance(TransportParams(1, COE_HALF, 0, 8), 3).passed
 
 
 def test_quadrature_oracle_uniform():

@@ -1,5 +1,6 @@
 import pytest
 
+from dotcumulants.conductance import bell_transform
 from dotcumulants.errors import (
     InsufficientOrderError,
     LatticeOrderShortfallError,
@@ -91,6 +92,24 @@ def test_lattice_order_shortfall_names_blocking_point():
     with pytest.raises(LatticeOrderShortfallError) as err:
         engine.cumulants(shifted.n, shifted.q + 1, requester=p.n)
     assert str(shifted.n) in str(err.value)
+
+
+@pytest.mark.parametrize("beta, n", [(1, 256), (4, 128)])
+def test_engine_grown_in_rising_orders_equals_fresh(beta, n):
+    from dotcumulants.wigner import DelayEngine
+
+    b = DelayParams(beta, n).b
+    grown = DelayEngine(beta, b)
+    for order in (8, 20, 40):
+        grown_values = grown.cumulants(n, order)
+    fresh = DelayEngine(beta, b)
+    assert grown_values == fresh.cumulants(n, 40)
+    # the memoised reduced moments equal a transform of freshly taken
+    # second differences
+    step = DelayParams(beta, n).i_shift
+    minus, plus, here = (fresh.cumulants(m, 30) for m in (n - step, n + step, n))
+    rho = [minus[j] + plus[j] - 2 * here[j] for j in range(30)]
+    assert grown.reduced_moments(n, 30)[:31] == bell_transform(rho, 30)
 
 
 def test_variance_asymptotics_residual_order():
