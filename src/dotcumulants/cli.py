@@ -8,13 +8,12 @@ printed verbatim), 2 usage error.  Exact results are JSON (rationals as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import sys
-
-import numpy as np
 
 from .asymptotics import (
     extrapolate_limit,
@@ -30,11 +29,6 @@ from .jointcsn import (
     joint_cumulants,
 )
 from .manifest import atomic_write_text, attach_checksum, build_manifest
-from .montecarlo import (
-    edgeworth_density,
-    sample_delay_times,
-    sample_jacobi_spectrum,
-)
 from .params import DelayParams, TransportParams
 from .rational import parse_rational, rational_str
 from .report import limiting_delay_table
@@ -52,11 +46,35 @@ class _UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _parsing(what):
+    """Reports a value that fails to parse or to validate as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(f"invalid {what}: {exc}") from None
+    except ZeroDivisionError:
+        raise _UsageError(f"invalid {what}: a rational with zero denominator") from None
+
+
+def _int_list(flag, text):
+    with _parsing(flag):
+        return [int(x) for x in text.split(",")]
+
+
 def _load_config(ns):
     merged = {}
     if getattr(ns, "config", None):
-        with open(ns.config) as handle:
-            merged.update(json.load(handle))
+        try:
+            with open(ns.config) as handle:
+                document = json.load(handle)
+        except OSError as exc:
+            raise _UsageError(f"cannot read --config {ns.config}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise _UsageError(f"--config {ns.config} is not valid JSON: {exc}") from None
+        if not isinstance(document, dict):
+            raise _UsageError(f"--config {ns.config} must hold a JSON object")
+        merged.update(document)
     for field in ("beta", "alpha", "delta", "n", "b"):
         value = getattr(ns, field, None)
         if value is not None:
@@ -75,22 +93,25 @@ def _transport_params(ns, default_n=None):
     n = cfg.get("n", default_n)
     if n is None:
         raise _UsageError("missing parameter --n (flag or config document)")
-    return TransportParams(
-        beta=int(_require(cfg, "beta")),
-        alpha=parse_rational(cfg.get("alpha", 0)),
-        delta=parse_rational(cfg.get("delta", 0)),
-        n=int(n),
-    )
+    beta = _require(cfg, "beta")
+    with _parsing("parameters"):
+        return TransportParams(
+            beta=int(beta),
+            alpha=parse_rational(cfg.get("alpha", 0)),
+            delta=parse_rational(cfg.get("delta", 0)),
+            n=int(n),
+        )
 
 
 def _delay_params(ns):
     cfg = _load_config(ns)
-    b = cfg.get("b")
-    return DelayParams(
-        beta=int(_require(cfg, "beta")),
-        n=int(_require(cfg, "n")),
-        b=parse_rational(b) if b is not None else None,
-    )
+    beta, n, b = _require(cfg, "beta"), _require(cfg, "n"), cfg.get("b")
+    with _parsing("parameters"):
+        return DelayParams(
+            beta=int(beta),
+            n=int(n),
+            b=parse_rational(b) if b is not None else None,
+        )
 
 
 def _emit_json(ns, payload, params_desc, argv):
@@ -236,49 +257,51 @@ def _cmd_asymptotic(ns, argv):
     return 0
 
 
-def _parse_target(spec):
+#: cumulant indices each extrapolation target kind needs
+_TARGET_INDICES = {"wigner": ("l",), "conductance": ("l",), "joint": ("l", "k")}
+
+
+def _parse_target(spec, n_list):
+    """Kind, cumulant indices and one parameter record per n of a target such
+    as "joint:beta=1,alpha=-1/2,l=2,k=1"."""
     kind, _, rest = spec.partition(":")
+    kind = kind.strip()
+    if kind not in _TARGET_INDICES:
+        raise CumulantError(f"unknown extrapolation target kind {kind!r}")
     fields = {}
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
             fields[key.strip()] = value.strip()
-    return kind.strip(), fields
+    missing = [key for key in _TARGET_INDICES[kind] if key not in fields]
+    if missing:
+        raise _UsageError(f"--target {kind} needs {missing[0]}=<index>")
+    with _parsing("--target"):
+        indices = [int(fields[key]) for key in _TARGET_INDICES[kind]]
+        beta = int(fields.get("beta", 2))
+        if kind == "wigner":
+            params = [DelayParams(beta, n) for n in n_list]
+        else:
+            alpha = parse_rational(fields.get("alpha", 0))
+            delta = parse_rational(fields.get("delta", 0))
+            params = [TransportParams(beta, alpha, delta, n) for n in n_list]
+    return kind, indices, params
 
 
 def _cmd_asymptotic_extrapolate(ns, argv):
-    kind, fields = _parse_target(ns.target)
-    n_list = [int(x) for x in ns.n_list.split(",")]
-    beta = int(fields.get("beta", 2))
+    n_list = _int_list("--n-list", ns.n_list)
+    kind, indices, params = _parse_target(ns.target, n_list)
+    l = indices[0]
     if kind == "wigner":
-        l = int(fields["l"])
-        samples = [
-            (n, wigner_cumulants(DelayParams(beta, n), l)[l]) for n in n_list
-        ]
+        samples = [(p.n, wigner_cumulants(p, l)[l]) for p in params]
         nu = 2 * l - 2
     elif kind == "conductance":
-        l = int(fields["l"])
-        p0 = TransportParams(
-            beta,
-            parse_rational(fields.get("alpha", 0)),
-            parse_rational(fields.get("delta", 0)),
-            n_list[0],
-        )
-        samples = [
-            (n, conductance_cumulants(p0.with_n(n), l)[l]) for n in n_list
-        ]
+        samples = [(p.n, conductance_cumulants(p, l)[l]) for p in params]
         nu = l - (1 if l % 2 == 0 else 0)
-    elif kind == "joint":
-        l, k = int(fields["l"]), int(fields["k"])
-        alpha = parse_rational(fields.get("alpha", 0))
-        delta = parse_rational(fields.get("delta", 0))
-        samples = [
-            (n, joint_cumulants(TransportParams(beta, alpha, delta, n), l, k)[(l, k)])
-            for n in n_list
-        ]
-        nu = l + k - (1 if l % 2 == 0 else 0)
     else:
-        raise CumulantError(f"unknown extrapolation target kind {kind!r}")
+        k = indices[1]
+        samples = [(p.n, joint_cumulants(p, l, k)[(l, k)]) for p in params]
+        nu = l + k - (1 if l % 2 == 0 else 0)
     estimate, error_bar = extrapolate_limit(samples, nu)
     payload = {
         "target": ns.target,
@@ -404,6 +427,8 @@ def _cmd_verify_gauss_factor(ns, argv):
 
 
 def _cmd_mc_sample(ns, argv):
+    from .montecarlo import sample_delay_times, sample_jacobi_spectrum
+
     if ns.statistic == "tauW":
         p = _delay_params(ns)
         batch = sample_delay_times(p, ns.count, ns.seed)
@@ -420,8 +445,16 @@ def _cmd_mc_sample(ns, argv):
 
 def _cmd_mc_edgeworth(ns, argv):
     p = _delay_params(ns)
-    lo, hi, steps = ns.grid.split(":")
-    grid = np.linspace(float(lo), float(hi), int(steps))
+    with _parsing("--grid (lo:hi:steps)"):
+        lo, hi, steps = ns.grid.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    if not (lo < hi and steps >= 2):
+        raise _UsageError("--grid needs lo < hi and at least 2 steps")
+    import numpy as np
+
+    from .montecarlo import edgeworth_density, sample_delay_times
+
+    grid = np.linspace(lo, hi, steps)
     K = [float(v) for v in wigner_cumulants(p, min(5, p.q)).values]
     ew = edgeworth_density(K, grid)
     mean, sd = K[0], math.sqrt(K[1])
@@ -448,7 +481,7 @@ def _cmd_mc_edgeworth(ns, argv):
 
 def _cmd_report_table2(ns, argv):
     n_list = (
-        tuple(int(x) for x in ns.n_list.split(","))
+        tuple(_int_list("--n-list", ns.n_list))
         if ns.n_list
         else (64, 96, 128, 192, 256)
     )
@@ -516,7 +549,6 @@ def build_parser():
         sp.set_defaults(func=_cmd_asymptotic, kind=kind, n=None)
         _add_out_flags(sp)
     sp = asym_sub.add_parser("extrapolate")
-    sp.add_argument("--from-exact", action="store_true")
     sp.add_argument("--n-list", type=str, required=True)
     sp.add_argument("--target", type=str, required=True,
                     help='e.g. "wigner:beta=1,l=3" or "joint:beta=1,alpha=-1/2,l=2,k=1"')

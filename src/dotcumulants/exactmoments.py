@@ -20,8 +20,8 @@ from itertools import permutations
 
 from .errors import UnsupportedBetaError
 from .params import TransportParams
-from .quadrature import moments_to_cumulants
 from .rational import rat
+from .series import moments_to_cumulants
 
 
 def _permutation_sign(perm):

@@ -171,43 +171,6 @@ def transport_mgf_value(p: TransportParams, z, w, rel_tol=1e-8):
     return vals[1] / vals[0]
 
 
-def moments_to_cumulants(moments, max_l, max_k=0):
-    """Joint cumulants from raw moments over the full (max_l, max_k) rectangle.
-
-    Uses the bivariate triangle obtained from d/dz M = (d/dz Kgen) M:
-      m_{l,k} = sum_{a<l, b<=k} C(l-1,a) C(k,b) kappa_{a+1,b} m_{l-1-a,k-b}
-    and its w-direction analogue for the l=0 column.  Works for float or
-    exact rational moment values alike; ``moments`` must cover the rectangle.
-    """
-    kappa = {}
-    for total in range(1, max_l + max_k + 1):
-        for l in range(min(total, max_l) + 1):
-            k = total - l
-            if k > max_k:
-                continue
-            acc = moments[(l, k)]
-            if l >= 1:
-                for a in range(l):
-                    for b in range(k + 1):
-                        if (a, b) == (l - 1, k):
-                            continue  # that pair is kappa_{l,k} * m_{0,0}
-                        acc = acc - (
-                            math.comb(l - 1, a)
-                            * math.comb(k, b)
-                            * kappa[(a + 1, b)]
-                            * moments[(l - 1 - a, k - b)]
-                        )
-            else:
-                for b in range(k - 1):
-                    acc = acc - (
-                        math.comb(k - 1, b)
-                        * kappa[(0, b + 1)]
-                        * moments[(0, k - 1 - b)]
-                    )
-            kappa[(l, k)] = acc
-    return kappa
-
-
 def delay_norm_quadrature(p: DelayParams, rel_tol=1e-8):
     """log of the delay-time normalization by generalized Gauss-Laguerre
     quadrature in the inverse coordinates (even beta only: the Vandermonde

@@ -4,9 +4,14 @@ A ``TruncatedSeries`` stores coefficients 0..order inclusive.  Binary
 operations truncate to the smaller order (residual checks naturally shrink
 order under differentiation, so truncating down is the useful semantics).
 Values are immutable after construction and safe to share between threads.
+
+``moments_to_cumulants`` turns raw joint moments into joint cumulants; it is
+plain exact algebra, shared by the exact-moment and quadrature oracles.
 """
 
 from __future__ import annotations
+
+import math
 
 from .rational import ZERO, ONE, rat, rational_str
 
@@ -156,3 +161,40 @@ class TruncatedSeries:
                     acc += j * aj * out[m - j]
             out[m] = acc / m
         return TruncatedSeries(out)
+
+
+def moments_to_cumulants(moments, max_l, max_k=0):
+    """Joint cumulants from raw moments over the full (max_l, max_k) rectangle.
+
+    Uses the bivariate triangle obtained from d/dz M = (d/dz Kgen) M:
+      m_{l,k} = sum_{a<l, b<=k} C(l-1,a) C(k,b) kappa_{a+1,b} m_{l-1-a,k-b}
+    and its w-direction analogue for the l=0 column.  Works for float or
+    exact rational moment values alike; ``moments`` must cover the rectangle.
+    """
+    kappa = {}
+    for total in range(1, max_l + max_k + 1):
+        for l in range(min(total, max_l) + 1):
+            k = total - l
+            if k > max_k:
+                continue
+            acc = moments[(l, k)]
+            if l >= 1:
+                for a in range(l):
+                    for b in range(k + 1):
+                        if (a, b) == (l - 1, k):
+                            continue  # that pair is kappa_{l,k} * m_{0,0}
+                        acc = acc - (
+                            math.comb(l - 1, a)
+                            * math.comb(k, b)
+                            * kappa[(a + 1, b)]
+                            * moments[(l - 1 - a, k - b)]
+                        )
+            else:
+                for b in range(k - 1):
+                    acc = acc - (
+                        math.comb(k - 1, b)
+                        * kappa[(0, b + 1)]
+                        * moments[(0, k - 1 - b)]
+                    )
+            kappa[(l, k)] = acc
+    return kappa

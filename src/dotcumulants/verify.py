@@ -19,9 +19,8 @@ from .ensembles import b_constant, d_constant
 from .errors import InsufficientOrderError, InvalidOrderError, QuadratureFailureError
 from .jointcsn import JointEngine
 from .params import DelayParams, TransportParams
-from .quadrature import moments_to_cumulants, transport_raw_moments
 from .rational import rat
-from .series import TruncatedSeries
+from .series import TruncatedSeries, moments_to_cumulants
 from .wigner import DelayEngine
 
 
@@ -370,6 +369,8 @@ def quadrature_moments(p: TransportParams, statistic, max_total_order, rel_tol=1
     l + k <= max_total_order is returned, keyed (l, k).  Relative error
     target 1e-8 by way of a tighter internal quadrature tolerance.
     """
+    from .quadrature import transport_raw_moments  # loads numpy/scipy on first use
+
     if p.n > 3:
         raise QuadratureFailureError("quadrature oracle is capped at n <= 3")
     if statistic == "G":

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +86,72 @@ def test_missing_parameter_is_usage_error(capsys):
          "--delta", "0", "--n", "7", "--order", "4"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cumulants", "conductance", "--beta", "3", "--alpha", "0", "--delta", "0",
+     "--n", "2", "--max-order", "2"],
+    ["cumulants", "wigner", "--beta", "3", "--n", "4", "--max-order", "2"],
+    ["cumulants", "conductance", "--beta", "2", "--alpha=-2", "--delta", "0",
+     "--n", "2", "--max-order", "2"],
+    ["cumulants", "conductance", "--beta", "2", "--alpha", "1/0", "--delta", "0",
+     "--n", "2", "--max-order", "2"],
+    ["cumulants", "wigner", "--config", "{missing}", "--max-order", "2"],
+    ["cumulants", "wigner", "--config", "{garbled}", "--max-order", "2"],
+    ["cumulants", "wigner", "--config", "{array}", "--max-order", "2"],
+    ["asymptotic", "extrapolate", "--n-list", "64,128", "--target", "wigner:beta=1"],
+    ["asymptotic", "extrapolate", "--n-list", "64,128", "--target", "joint:beta=1,l=2"],
+    ["asymptotic", "extrapolate", "--n-list", "64,x", "--target", "wigner:beta=1,l=3"],
+    ["asymptotic", "extrapolate", "--n-list", "64,128", "--target", "wigner:beta=3,l=3"],
+    ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "0.4:1.8"],
+    ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "1.8:0.4:81"],
+    ["report", "table2", "--n-list", "64,x"],
+])
+def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
+    (tmp_path / "garbled.json").write_text('{"beta": 2,')
+    (tmp_path / "array.json").write_text("[2, 4]")
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "garbled", "array")}
+    code = dispatch([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_exact_verbs_load_neither_numpy_nor_scipy(tmp_path):
+    """Only the Monte Carlo verbs, ``verify oracle`` and ``verify
+    gauss-factor`` need numpy/scipy; the exact verbs must not import them."""
+    script = (
+        "import json, sys\n"
+        "def heavy():\n"
+        "    return sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "from dotcumulants.cli import dispatch\n"
+        "state = {'import': heavy()}\n"
+        "dispatch(['cumulants', 'wigner', '--beta', '2', '--n', '4',\n"
+        "          '--max-order', '4', '--out', 'w.json'])\n"
+        "dispatch(['verify', 'ode', '--which', 'joint', '--beta', '4', '--alpha', '1',\n"
+        "          '--delta', '0', '--n', '3', '--order-z', '3', '--order-w', '1',\n"
+        "          '--out', 'j.json'])\n"
+        "state['exact'] = heavy()\n"
+        "state['oracle_exit'] = dispatch(['verify', 'oracle', '--beta', '2', '--alpha', '0',\n"
+        "                                 '--delta', '0', '--n', '2', '--out', 'o.json'])\n"
+        "state['oracle'] = heavy()\n"
+        "print(json.dumps(state))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    )
+    state = json.loads(out.stdout)
+    assert state["import"] == []
+    assert state["exact"] == []
+    assert state["oracle_exit"] == 0
+    assert state["oracle"] == ["numpy", "scipy"]
+    assert json.loads((tmp_path / "j.json").read_text())["payload"]["passed"] is True
 
 
 def test_round_trip_parameters_and_rationals(capsys):

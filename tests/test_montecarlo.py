@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dotcumulants import montecarlo
 from dotcumulants.conductance import conductance_cumulants
 from dotcumulants.errors import InsufficientSamplesError, InvalidCountError, InvalidVarianceError
 from dotcumulants.jointcsn import mean_shot_noise
@@ -115,6 +116,23 @@ def test_determinism_and_count_validation():
 
 
 # -- k-statistics ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: sample_delay_times(DelayParams(1, 6), 1000, 11).values.tobytes(),
+    lambda: b"".join(
+        batch.values.tobytes()
+        for batch in sample_jacobi_spectrum(TransportParams(4, 0, 1, 5), 1000, 11)
+    ),
+])
+def test_samples_do_not_depend_on_thread_count(monkeypatch, draw):
+    # 1000 draws in sub-batches of 64: 16 jobs, so two threads share the work
+    monkeypatch.setattr(montecarlo, "_SUBBATCH", 64)
+    drawn = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DOTCUMULANTS_THREADS", threads)
+        drawn[threads] = draw()
+    assert drawn["1"] == drawn["2"]
 
 
 def test_kstats_constant_batch():
