@@ -57,6 +57,13 @@ def _parsing(what):
         raise _UsageError(f"invalid {what}: a rational with zero denominator") from None
 
 
+def _positive(flag, value):
+    """A dimension or weight that must be finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise _UsageError(f"invalid {flag}: must be finite and > 0, got {value}")
+    return value
+
+
 def _int_list(flag, text):
     with _parsing(flag):
         return [int(x) for x in text.split(",")]
@@ -217,6 +224,8 @@ def _cmd_cumulants_wigner(ns, argv):
 
 def _cmd_asymptotic(ns, argv):
     kind = ns.kind
+    if ns.max_index < 0:
+        raise _UsageError(f"invalid --max-index: must be >= 0, got {ns.max_index}")
     if kind == "wigner":
         lim = limit_wigner(ns.max_index)
         payload = {
@@ -337,7 +346,7 @@ def _cmd_verify_ode(ns, argv):
 
 
 def _cmd_verify_chazy(ns, argv):
-    res = chazy_residual(ns.n, ns.order)
+    res = chazy_residual(_positive("--n", ns.n), ns.order)
     payload = {
         "equation": "chazy-first-integral",
         "n": ns.n,
@@ -396,7 +405,7 @@ def _cmd_verify_oracle(ns, argv):
 
 
 def _cmd_verify_altland(ns, argv):
-    rep = altland_identity_check(ns.n, ns.max_k)
+    rep = altland_identity_check(_positive("--n", ns.n), ns.max_k)
     payload = {
         "n": rep["n"],
         "n1": rep["n1"],
@@ -418,7 +427,7 @@ def _cmd_verify_altland(ns, argv):
 
 
 def _cmd_verify_gauss_factor(ns, argv):
-    rep = gaussian_factorization_check(ns.n, ns.w)
+    rep = gaussian_factorization_check(_positive("--n", ns.n), _positive("--w", ns.w))
     _emit_json(ns, rep, {"n": ns.n, "w": ns.w}, argv)
     return 0 if rep["ok"] else 1
 

@@ -16,24 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ensembles import (
-    b_constant,
-    transport_coupling_beta1,
-    transport_coupling_beta4,
-)
+from .ensembles import _raw_coupling, b_constant
 from .errors import InvalidOrderError, PoleError, UnsupportedBetaError
-from .params import TransportParams, lattice_step
+from .params import TransportParams, eta_factor, lattice_step
 from .rational import rat
-
-
-def _raw_coupling(beta, alpha, delta, n):
-    """b_n as a rational function of n, evaluated at any integer dimension
-    (lattice points can sit below the physical range n >= 1)."""
-    if beta == 2 or n == 0:
-        return rat(0)
-    if beta == 1:
-        return transport_coupling_beta1(alpha, delta, n)
-    return transport_coupling_beta4(alpha, delta, n)
 
 
 @dataclass(frozen=True)
@@ -185,7 +171,7 @@ class ConductanceEngine:
     def _extend(self, n, kappa):
         beta = self.beta
         l = len(kappa)  # recurrence index producing kappa_{l+1}
-        eta = 4 if beta == 4 else 1
+        eta = eta_factor(beta)
         chi = 2 if beta == 2 else 1
         A = _coeff_A(beta, self.alpha, self.delta, n, l, eta, chi)
         if A == 0:

@@ -54,13 +54,19 @@ def transport_coupling_beta4(alpha, delta, n):
     return _ratio(num, den, "b_n(beta=4)")
 
 
+def _raw_coupling(beta, alpha, delta, n):
+    """b_n as a rational function of n, evaluated at any integer dimension
+    (lattice points can sit below the physical range n >= 1)."""
+    if beta == 2 or n == 0:
+        return rat(0)
+    if beta == 1:
+        return transport_coupling_beta1(alpha, delta, n)
+    return transport_coupling_beta4(alpha, delta, n)
+
+
 def b_constant(p: TransportParams):
     """Exact b_n for the transport recurrences (0 for beta=2)."""
-    if p.beta == 2:
-        return rat(0)
-    if p.beta == 1:
-        return transport_coupling_beta1(p.alpha, p.delta, p.n)
-    return transport_coupling_beta4(p.alpha, p.delta, p.n)
+    return _raw_coupling(p.beta, p.alpha, p.delta, p.n)
 
 
 def delay_coupling_beta1(b, n):
@@ -79,14 +85,20 @@ def delay_coupling_beta4(b, n):
     return _ratio(num, den, "d_n(beta=4)")
 
 
+def _raw_delay_coupling(beta, b, n):
+    """d_n at weight exponent b, evaluated at any integer dimension (0 for
+    beta=2 and at the lattice point n=0)."""
+    if beta == 2 or n == 0:
+        return rat(0)
+    if beta == 1:
+        return delay_coupling_beta1(b, n)
+    return delay_coupling_beta4(b, n)
+
+
 def d_constant(p: DelayParams):
     """Exact d_n for the delay-time recurrences (0 for beta=2).  b is taken
     from the record as stored, not re-derived from n."""
-    if p.beta == 2:
-        return rat(0)
-    if p.beta == 1:
-        return delay_coupling_beta1(p.b, p.n)
-    return delay_coupling_beta4(p.b, p.n)
+    return _raw_delay_coupling(p.beta, p.b, p.n)
 
 
 # -- floating log-normalizations --------------------------------------------------

@@ -1,22 +1,31 @@
 """Exact rational moments of the transmission-eigenvalue ensembles for even
-beta at small n.
+beta, from determinant identities.
 
-For beta in {2,4} the interaction factor prod |T_k - T_j|^beta is a genuine
-polynomial, so E[G^l P^k] is a finite sum of product-Beta integrals with
-rational values.  This provides an exact small-n oracle, and supplies the
-conductance boundary row at parameter points where the recurrence's leading
-coefficient happens to vanish (for beta=2 that coefficient factors as
-(l+1)(l - t)(l + t) with t = alpha + delta/2 + beta*n, so the recurrence
-degenerates at order t whenever t is an integer).
+With m_k(s,u) = E_Beta(alpha+1, delta/2+1)[T^k e^{sT + uT(1-T)}], the
+partition function Z(s,u) = E-integral of prod |T_k - T_j|^beta e^{sG + uP}
+is, up to constants,
 
-Cost grows factorially with n; intended for n <= 5 (beta=2) / n <= 3 (beta=4).
+  beta=2 (Andreief):   det[m_{i+j}]_{0<=i,j<n},
+  beta=4 (de Bruijn):  Pf[(k-j) m_{j+k-1}]_{0<=j,k<2n}, the square root of
+                       the determinant of that antisymmetric matrix,
+
+so the exponential-generating coefficients of Z(s,u)/Z(0,0) are the raw
+moments E[G^a P^b].  Entries are bivariate exponential-generating series
+truncated to the requested (max_l, max_k) rectangle, with integer
+coefficients (the Beta moments are scaled by one common integer), and the
+determinant is taken by fraction-free elimination; every division is exact.
+The cost is polynomial in n.
+
+This is an oracle independent of the recurrences, and it supplies the
+conductance boundary row where the recurrence's leading coefficient vanishes
+(for beta=2 that coefficient factors as (l+1)(l - t)(l + t) with
+t = alpha + delta/2 + beta*n, so the recurrence degenerates at order t
+whenever t is an integer).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import permutations
 
 from .errors import UnsupportedBetaError
 from .params import TransportParams
@@ -24,168 +33,113 @@ from .rational import rat
 from .series import moments_to_cumulants
 
 
-def _permutation_sign(perm):
-    sign, seen = 1, [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _product_terms(max_l, max_k):
+    """For each flat index a*(max_k+1)+b, the (weight, i, j) triples with
+    (f*g)[a,b] = sum weight * f[i] * g[j] (binomial-weighted convolution)."""
+    width = max_k + 1
+    terms = []
+    for a in range(max_l + 1):
+        for b in range(width):
+            terms.append([
+                (math.comb(a, a1) * math.comb(b, b1), a1 * width + b1, (a - a1) * width + b - b1)
+                for a1 in range(a + 1) for b1 in range(b + 1)
+            ])
+    return terms
 
 
-def _poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
+def _mul(f, g, terms):
+    """Product of two series over the rectangle."""
+    return [sum(w * f[i] * g[j] for w, i, j in row) for row in terms]
 
 
-@lru_cache(maxsize=16)
-def _interaction_poly(n, beta):
-    """prod_{j<k} (T_k - T_j)^beta as {exponent tuple: int}, for even beta.
+def _div(num, den, terms):
+    """num / den for a den with nonzero constant term; the quotient is known
+    to have integer coefficients, so each step divides exactly."""
+    q = []
+    for t, row in enumerate(terms):
+        acc = num[t] - sum(w * den[i] * q[j] for w, i, j in row if i)
+        q.append(acc // den[0])
+    return q
 
-    Cached: the beta=4, n=5 expansion takes seconds.  Callers must not
-    mutate the returned dict.
+
+def _det(matrix, terms):
+    """Determinant of a square matrix of series by Bareiss elimination.
+
+    The constant terms form a nonsingular matrix (the moment matrix at
+    s = u = 0), so some row always offers a pivot with a nonzero constant
+    term; it is swapped in, and dividing by it is exact.
     """
-    delta = {}
-    for perm in permutations(range(n)):
-        sign = _permutation_sign(perm)
-        delta[tuple(perm)] = delta.get(tuple(perm), 0) + sign
-    squared = _poly_mul(delta, delta)
-    if beta == 2:
-        return squared
-    if beta == 4:
-        return _poly_mul(squared, squared)
-    raise UnsupportedBetaError("interaction polynomial needs even beta")
+    a = [row[:] for row in matrix]
+    size, sign, prev = len(a), 1, None
+    for k in range(size):
+        r = next(i for i in range(k, size) if a[i][k][0])
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, size):
+            lead = a[i][k]
+            for j in range(k + 1, size):
+                num = _mul(pivot, a[i][j], terms)
+                if any(lead):  # zero below a swapped-in pivot at beta=4
+                    num = [x - y for x, y in zip(num, _mul(lead, a[k][j], terms))]
+                a[i][j] = num if prev is None else _div(num, prev, terms)
+        prev = pivot
+    return [sign * x for x in a[-1][-1]]
 
 
-def _mul_linear_stat(poly, n, quadratic=False):
-    """Multiply by G = sum T_i (or by P = sum T_i - T_i^2 when quadratic)."""
-    out = {}
-    for e, c in poly.items():
-        for i in range(n):
-            k1 = tuple(x + (1 if j == i else 0) for j, x in enumerate(e))
-            out[k1] = out.get(k1, 0) + c
-            if quadratic:
-                k2 = tuple(x + (2 if j == i else 0) for j, x in enumerate(e))
-                out[k2] = out.get(k2, 0) - c
-    return {k: v for k, v in out.items() if v}
+def _sqrt(d, terms):
+    """The series y with y*y = d and a positive constant term."""
+    y = [math.isqrt(d[0])]
+    for t in range(1, len(terms)):
+        # the pairs with i = 0 or j = 0 are the two 2 * y[0] * y[t] terms
+        acc = d[t] - sum(w * y[i] * y[j] for w, i, j in terms[t] if i and j)
+        y.append(acc // (2 * y[0]))
+    return y
 
 
-def exact_transport_moments(p: TransportParams, max_l, max_k=0):
+def exact_moments(p: TransportParams, max_l, max_k=0):
     """Exact raw moments E[G^l P^k] over the full (max_l, max_k) rectangle."""
     if p.beta not in (2, 4):
-        raise UnsupportedBetaError("exact moment expansion needs even beta")
-    n = p.n
-    base = _interaction_poly(n, p.beta)
+        raise UnsupportedBetaError("exact moment determinant needs even beta")
+    n, width = p.n, max_k + 1
+    terms = _product_terms(max_l, max_k)
+    count = 2 * n - 1 if p.beta == 2 else 4 * n - 2  # the matrix holds m_0..m_{count-1}
 
-    # one-variable moment factors m[e] = E_Beta[T^e], cached to the max degree
-    max_deg = p.beta * (n - 1) + max_l + 2 * max_k
-    factors = [rat(1)]
-    for j in range(max_deg + 1):
-        factors.append(factors[-1] * (p.alpha + 1 + j) / (p.alpha + p.delta / 2 + 2 + j))
+    # Beta moments M_k = E[T^k], scaled by one integer so all are integers
+    moments = [rat(1)]
+    for j in range(count - 1 + max_l + 2 * max_k):
+        moments.append(moments[-1] * (p.alpha + 1 + j) / (p.alpha + p.delta / 2 + 2 + j))
+    scale = math.lcm(*(int(x.denominator) for x in moments))
+    scaled = [int(x.numerator) * (scale // int(x.denominator)) for x in moments]
 
-    def expect(poly):
-        acc = rat(0)
-        for e, c in poly.items():
-            term = rat(c)
-            for ei in e:
-                term *= factors[ei]
-            acc += term
-        return acc
+    def m(k):
+        """EGF coefficients of m_k(s,u): sum_c C(b,c) (-1)^c M_{k+a+b+c}."""
+        return [
+            sum((-1) ** c * math.comb(b, c) * scaled[k + a + b + c] for c in range(b + 1))
+            for a in range(max_l + 1) for b in range(width)
+        ]
 
-    norm = expect(base)
-    moments = {}
-    row = base
-    for l in range(max_l + 1):
-        cell = row
-        for k in range(max_k + 1):
-            moments[(l, k)] = expect(cell) / norm
-            if k < max_k:
-                cell = _mul_linear_stat(cell, n, quadratic=True)
-        if l < max_l:
-            row = _mul_linear_stat(row, n, quadratic=False)
-    return moments
+    series = [m(k) for k in range(count)]
+    if p.beta == 2:
+        z = _det([[series[i + j] for j in range(n)] for i in range(n)], terms)
+    else:
+        zero = [0] * len(terms)
+        z = _sqrt(_det([
+            [[(k - j) * x for x in series[j + k - 1]] if j != k else zero for k in range(2 * n)]
+            for j in range(2 * n)
+        ], terms), terms)
+    return {(a, b): rat(z[a * width + b], z[0]) for a in range(max_l + 1) for b in range(width)}
 
 
 def exact_transport_cumulants(p: TransportParams, max_l, max_k=0):
-    """Exact joint cumulants from the symbolic moments (even beta, small n)."""
-    moments = exact_transport_moments(p, max_l, max_k)
-    return moments_to_cumulants(moments, max_l, max_k)
-
-
-def exact_conductance_moments(p: TransportParams, max_l):
-    """Exact raw moments E[G^l], l <= max_l, tuned for the univariate case.
-
-    The measure is exchangeable, so the interaction polynomial is collapsed
-    by sorted exponent multiset; each multiset contributes a product of
-    one-variable exponential-moment series, from which E[exp(s G) * V] is
-    read off once.  Orders of magnitude cheaper than expanding G^l when the
-    interaction polynomial is large (beta=4, n up to 5).
-    """
-    if p.beta not in (2, 4):
-        raise UnsupportedBetaError("exact moment expansion needs even beta")
-    n = p.n
-    collapsed = {}
-    for e, c in _interaction_poly(n, p.beta).items():
-        key = tuple(sorted(e))
-        v = collapsed.get(key, 0) + c
-        if v:
-            collapsed[key] = v
-        elif key in collapsed:
-            del collapsed[key]
-
-    max_deg = p.beta * (n - 1) + max_l
-    factors = [rat(1)]
-    for j in range(max_deg + 1):
-        factors.append(factors[-1] * (p.alpha + 1 + j) / (p.alpha + p.delta / 2 + 2 + j))
-    inv_fact = [rat(1, math.factorial(j)) for j in range(max_l + 1)]
-
-    # per-exponent series S_e[j] = E[T^{e+j}] / j!  (coefficients of E[T^e e^{sT}])
-    series_cache = {}
-
-    def exp_series(e):
-        s = series_cache.get(e)
-        if s is None:
-            s = [factors[e + j] * inv_fact[j] for j in range(max_l + 1)]
-            series_cache[e] = s
-        return s
-
-    total = [rat(0)] * (max_l + 1)
-    for key, c in collapsed.items():
-        prod = exp_series(key[0])
-        for e in key[1:]:
-            nxt = exp_series(e)
-            out = [rat(0)] * (max_l + 1)
-            for i, pi in enumerate(prod):
-                if pi != 0:
-                    for j in range(max_l + 1 - i):
-                        out[i + j] += pi * nxt[j]
-            prod = out
-        for j in range(max_l + 1):
-            total[j] += c * prod[j]
-    norm = total[0]
-    return {
-        (l, 0): math.factorial(l) * total[l] / norm for l in range(max_l + 1)
-    }
+    """Exact joint cumulants from the determinant moments (even beta)."""
+    return moments_to_cumulants(exact_moments(p, max_l, max_k), max_l, max_k)
 
 
 def exact_conductance_cumulant_row(p: TransportParams, max_l):
-    """Exact kappa_1..kappa_max_l of the conductance via symbolic moments;
-    the boundary fallback where the recurrence's leading coefficient
-    vanishes (even beta, n <= 5)."""
-    moments = exact_conductance_moments(p, max_l)
-    kappa = moments_to_cumulants(moments, max_l, 0)
+    """Exact kappa_1..kappa_max_l of the conductance from the determinant
+    moments; the boundary fallback where the recurrence's leading
+    coefficient vanishes (even beta)."""
+    kappa = moments_to_cumulants(exact_moments(p, max_l), max_l)
     return [kappa[(l, 0)] for l in range(1, max_l + 1)]

@@ -17,12 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conductance import (
-    ConductanceEngine,
-    CumulantSequence,
-    _raw_coupling,
-    bell_transform,
-)
+from .conductance import ConductanceEngine, CumulantSequence, bell_transform
+from .ensembles import _raw_coupling, b_constant
 from .errors import (
     BoundaryUnavailableError,
     CumulantError,
@@ -30,7 +26,7 @@ from .errors import (
     PoleError,
     UnsupportedBetaError,
 )
-from .params import TransportParams, lattice_step
+from .params import TransportParams, eta_factor, lattice_step
 from .rational import rat
 
 
@@ -85,7 +81,7 @@ class JointEngine:
         override = self.boundary_override.get(n)
         if override is not None and len(override) >= order:
             return list(override[:order])
-        if override is not None and not (self.beta in (2, 4) and 1 <= n <= 5):
+        if override is not None and self.beta == 1:
             raise BoundaryUnavailableError(
                 f"boundary override at dimension {n} is too short"
             )
@@ -94,9 +90,9 @@ class JointEngine:
         except CumulantError as exc:
             # even-beta rows degenerate at isolated orders (the leading
             # coefficient vanishes at l = t for beta=2 and l = t/2 - 1 for
-            # beta=4, t = alpha + delta/2 + beta n); at small n the exact
-            # symbolic moments supply the row instead
-            if self.beta in (2, 4) and 1 <= n <= 5:
+            # beta=4, t = alpha + delta/2 + beta n); the exact determinant
+            # moments supply the row instead
+            if self.beta in (2, 4):
                 from .exactmoments import exact_conductance_cumulant_row
 
                 row = exact_conductance_cumulant_row(
@@ -135,7 +131,7 @@ class JointEngine:
         else:
             row = self._boundary(n, row_order)
             c = self.alpha + self.delta / 2 + self.beta * n + 2 - self.beta
-            eta = 4 if self.beta == 4 else 1
+            eta = eta_factor(self.beta)
             bn = _raw_coupling(self.beta, self.alpha, self.delta, n)
             mu = None
             if bn != 0 and max_k >= 2:
@@ -263,7 +259,6 @@ def joint_cumulants(p: TransportParams, max_l, max_k,
 def shot_noise_variance_closed(p: TransportParams):
     """Closed-form kappa_{0,2} for beta in {1,4}; must equal the recurrence."""
     from .conductance import conductance_cumulants
-    from .ensembles import b_constant
 
     if p.beta == 2:
         raise UnsupportedBetaError("no closed shot-noise variance for beta=2")

@@ -22,6 +22,12 @@ def lattice_step(beta):
     return {1: 2, 4: 1}.get(beta)
 
 
+def eta_factor(beta):
+    """Weight eta of the quartic terms in the recurrences: 4 for beta=4 and
+    1 for beta in {1,2}."""
+    return 4 if beta == 4 else 1
+
+
 @dataclass(frozen=True)
 class TransportParams:
     beta: int
@@ -43,7 +49,7 @@ class TransportParams:
 
     @property
     def eta14(self):
-        return 4 if self.beta == 4 else 1
+        return eta_factor(self.beta)
 
     @property
     def i_shift(self):
@@ -110,7 +116,7 @@ class DelayParams:
 
     @property
     def eta14(self):
-        return 4 if self.beta == 4 else 1
+        return eta_factor(self.beta)
 
     @property
     def i_shift(self):

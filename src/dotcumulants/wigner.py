@@ -14,14 +14,14 @@ import math
 from dataclasses import dataclass
 
 from .conductance import bell_transform
-from .ensembles import delay_coupling_beta1, delay_coupling_beta4
+from .ensembles import _raw_delay_coupling
 from .errors import (
     InsufficientOrderError,
     LatticeOrderShortfallError,
     NonexistentCumulantError,
     PoleError,
 )
-from .params import DelayParams, lattice_step
+from .params import DelayParams, eta_factor, lattice_step
 from .rational import rat
 from .series import TruncatedSeries
 
@@ -96,14 +96,6 @@ def _coeff_B(beta, eta, i, l):
     return (l - i) * (6 * eta * (l - i - 1) * i + beta + 4 * beta * i)
 
 
-def _raw_delay_coupling(beta, b, n):
-    if beta == 2 or n == 0:
-        return rat(0)
-    if beta == 1:
-        return delay_coupling_beta1(b, n)
-    return delay_coupling_beta4(b, n)
-
-
 class DelayEngine:
     """Memoized delay-time cumulants over the fixed-b dimension lattice."""
 
@@ -147,7 +139,7 @@ class DelayEngine:
 
     def _extend(self, n, K):
         beta = self.beta
-        eta = 4 if beta == 4 else 1
+        eta = eta_factor(beta)
         l = len(K)  # recurrence index producing K_{l+1}
         omega = self.b - 2 - beta * (n - 1)
         A = _coeff_A(beta, omega, l, eta)

@@ -106,6 +106,12 @@ def test_missing_parameter_is_usage_error(capsys):
     ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "0.4:1.8"],
     ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "1.8:0.4:81"],
     ["report", "table2", "--n-list", "64,x"],
+    ["verify", "chazy", "--n", "0", "--order", "2"],
+    ["verify", "altland", "--n", "0", "--max-k", "2"],
+    ["asymptotic", "wigner", "--max-index", "-2"],
+    ["verify", "gauss-factor", "--n", "2", "--w", "nan"],
+    ["verify", "gauss-factor", "--n", "2", "--w", "inf"],
+    ["verify", "gauss-factor", "--n", "2", "--w", "0"],
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "garbled.json").write_text('{"beta": 2,')

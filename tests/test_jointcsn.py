@@ -4,9 +4,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dotcumulants.conductance import conductance_initial
-from dotcumulants.errors import UnsupportedBetaError
-from dotcumulants.exactmoments import exact_transport_cumulants
+from dotcumulants.conductance import conductance_cumulants, conductance_initial
+from dotcumulants.errors import CumulantError, UnsupportedBetaError
+from dotcumulants.exactmoments import (
+    exact_conductance_cumulant_row,
+    exact_transport_cumulants,
+)
 from dotcumulants.jointcsn import (
     altland_identity_check,
     gaussian_factorization_check,
@@ -119,6 +122,26 @@ def test_mixed_cumulants_match_exact_moments_beta4():
         for k in range(3):
             if (l, k) == (0, 0):
                 continue
+            assert t[(l, k)] == exact[(l, k)], (l, k)
+
+
+@pytest.mark.parametrize("p, max_l", [
+    (TransportParams(2, COE_HALF, -1, 6), 8),
+    (TransportParams(4, 0, 0, 6), 10),
+])
+def test_exact_boundary_beyond_five_channels(p, max_l):
+    # the consumed conductance row (order max_l + 4) crosses the order where
+    # the recurrence's leading coefficient vanishes; the exact determinant
+    # moments supply it at any n
+    with pytest.raises(CumulantError):
+        conductance_cumulants(p, max_l + 4)
+    t = joint_cumulants(p, max_l, 2)
+    row = exact_conductance_cumulant_row(p, max_l)
+    assert [t[(l, 0)] for l in range(1, max_l + 1)] == row
+    assert t[(0, 1)] == mean_shot_noise(p)
+    exact = exact_transport_cumulants(p, 4, 2)
+    for l in range(5):
+        for k in (1, 2):
             assert t[(l, k)] == exact[(l, k)], (l, k)
 
 
