@@ -64,6 +64,13 @@ def _positive(flag, value):
     return value
 
 
+def _nonnegative(flag, value):
+    """An order or index bound that must be >= 0."""
+    if value < 0:
+        raise _UsageError(f"invalid {flag}: must be >= 0, got {value}")
+    return value
+
+
 def _int_list(flag, text):
     with _parsing(flag):
         return [int(x) for x in text.split(",")]
@@ -224,8 +231,7 @@ def _cmd_cumulants_wigner(ns, argv):
 
 def _cmd_asymptotic(ns, argv):
     kind = ns.kind
-    if ns.max_index < 0:
-        raise _UsageError(f"invalid --max-index: must be >= 0, got {ns.max_index}")
+    _nonnegative("--max-index", ns.max_index)
     if kind == "wigner":
         lim = limit_wigner(ns.max_index)
         payload = {
@@ -346,7 +352,7 @@ def _cmd_verify_ode(ns, argv):
 
 
 def _cmd_verify_chazy(ns, argv):
-    res = chazy_residual(_positive("--n", ns.n), ns.order)
+    res = chazy_residual(_positive("--n", ns.n), _positive("--order", ns.order))
     payload = {
         "equation": "chazy-first-integral",
         "n": ns.n,
@@ -360,7 +366,7 @@ def _cmd_verify_chazy(ns, argv):
 
 
 def _cmd_verify_jacobi(ns, argv):
-    rep = jacobi_identity_check(ns.lmax, ns.kmax)
+    rep = jacobi_identity_check(_nonnegative("--lmax", ns.lmax), _nonnegative("--kmax", ns.kmax))
     _emit_json(ns, rep, {"lmax": ns.lmax, "kmax": ns.kmax}, argv)
     return 0 if rep["ok"] else 1
 

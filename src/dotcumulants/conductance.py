@@ -8,7 +8,10 @@ evaluate the lattice at concrete shifted integer dimensions with memoization
 rather than doing symbolic rational-function-of-n arithmetic: simpler, exact,
 and the asymptotics come from the separate limiting recurrences.  The reduced
 moments are memoised per dimension too and extended by one term per order, so
-a depth-L fill costs O(L^2) Bell terms per dimension rather than O(L^3).
+a depth-L fill costs O(L^2) Bell terms per dimension rather than O(L^3).  The
+constants that depend on the dimension alone, the coupling b_n and the closed
+kappa_1..kappa_3, are evaluated once per dimension and engine, in integer
+arithmetic (see ``ensembles``); nothing is cached across engines.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ensembles import _raw_coupling, b_constant
+from .ensembles import _raw_coupling, _scaled, b_constant
 from .errors import InvalidOrderError, PoleError, UnsupportedBetaError
 from .params import TransportParams, eta_factor, lattice_step
 from .rational import rat
@@ -56,55 +59,54 @@ def conductance_initial(p: TransportParams):
 
 
 def _initial_three(beta, alpha, delta, n):
-    a, d = rat(alpha), rat(delta)
-    s = a + d / 2
+    # integer form, as for the couplings in ``ensembles``: the parameters are
+    # scaled by the common denominator q of alpha, delta/2 and n, each factor
+    # below is q times the factor it stands for, and one rational is built per
+    # cumulant
+    q, (a, h, n) = _scaled(alpha, rat(delta) / 2, n)  # h = delta/2
+    s = a + h
+    t = beta * (n - q)  # q * beta(n-1)
 
-    den1 = s + 2 + beta * (n - 1)
+    den1 = s + 2 * q + t
     if den1 == 0:
         raise PoleError("kappa_1 denominator vanishes")
-    k1 = n * (a + 1 + rat(beta * (n - 1), 2)) / den1
+    k1 = rat(n * (2 * a + 2 * q + t), 2 * q * den1)
 
-    if n == 1:
+    if n == q:
         # The trailing factors of kappa_2 coincide at n=1 and cancel, as do
         # the (s + 2 - beta) factor of kappa_3's numerator and the
         # (s + 2 + beta(n-2)) factor of its denominator; cancelling keeps the
         # formulas finite where the raw ratio would read 0/0.
-        den2 = (s + 2) ** 2 * (s + 3)
+        num2 = (a + q) * (h + q) * q
+        den2 = (s + 2 * q) ** 2 * (s + 3 * q)
         if den2 == 0:
             raise PoleError("kappa_2 denominator vanishes")
-        k2 = rat(1, 4) * (2 * a + 2) * (d + 2) / den2
-        den3 = (s + 2) * (s + 4)
+        num3 = 2 * num2 * (h - a) * q
+        den3 = den2 * (s + 2 * q) * (s + 4 * q)
         if den3 == 0:
             raise PoleError("kappa_3 denominator vanishes")
-        k3 = 2 * k2 * (d / 2 - a) / den3
-        return (k1, k2, k3)
+        return (k1, rat(num2, den2), rat(num3, den3))
 
-    den2a = (s + 2 + beta * (n - 1)) ** 2 * (s + 3 + beta * (n - 1))
-    den2b = 2 * a + d + 4 + beta * (2 * n - 3)
+    den2a = (s + 2 * q + t) ** 2 * (s + 3 * q + t)
+    den2b = 2 * s + 4 * q + beta * (2 * n - 3 * q)
     if den2a == 0 or den2b == 0:
         raise PoleError("kappa_2 denominator vanishes")
-    k2 = (
-        rat(1, 4)
-        * n
-        * (2 * a + 2 + beta * (n - 1))
-        * (d + 2 + beta * (n - 1))
-        / den2a
-        * (d + 2 * a + 4 + beta * (n - 2))
-        / den2b
+    num2 = (
+        n
+        * (2 * a + 2 * q + t)
+        * (2 * h + 2 * q + t)
+        * (2 * s + 4 * q + beta * (n - 2 * q))
     )
+    den2 = 4 * den2a * den2b
 
     # kappa_3 in fully factored form: the raw coefficient reads
     # delta/2 - alpha + 2 beta kappa_1 - beta n, which equals
     # (delta/2 - alpha)(s + 2 - beta) / (s + 2 + beta(n-1)).
-    den3 = (
-        (s + 2 + beta * (n - 1))
-        * (s + 4 + beta * (n - 1))
-        * (s + 2 + beta * (n - 2))
-    )
+    den3 = (s + 2 * q + t) * (s + 4 * q + t) * (s + 2 * q + beta * (n - 2 * q))
     if den3 == 0:
         raise PoleError("kappa_3 denominator vanishes")
-    k3 = 2 * k2 * (d / 2 - a) * (s + 2 - beta) / den3
-    return (k1, k2, k3)
+    num3 = 2 * num2 * (h - a) * (s + (2 - beta) * q) * q
+    return (k1, rat(num2, den2), rat(num3, den2 * den3))
 
 
 def _coeff_A(beta, alpha, delta, n, l, eta, chi):
@@ -139,6 +141,7 @@ class ConductanceEngine:
         self.step = lattice_step(beta)
         self._kappa = {}  # dimension -> [kappa_1, kappa_2, ...]
         self._reduced = {}  # dimension -> ([r_1, r_2, ...], [mu_0, mu_1, ...])
+        self._coupling = {}  # dimension -> b_n
         self.radius = 0
         self._center = center
         self._max_radius = max_radius
@@ -152,6 +155,14 @@ class ConductanceEngine:
                 f"lattice visit at dimension {n} exceeds radius bound {self._max_radius}"
             )
         self.radius = max(self.radius, r)
+
+    def coupling(self, n):
+        """b_n at dimension n, evaluated once per engine (a pole is raised
+        again on every request, never stored)."""
+        bn = self._coupling.get(n)
+        if bn is None:
+            bn = self._coupling[n] = _raw_coupling(self.beta, self.alpha, self.delta, n)
+        return bn
 
     def kappas(self, n, order):
         """kappa_1..kappa_order at dimension n (n=0 yields an empty sum: all zero)."""
@@ -176,7 +187,7 @@ class ConductanceEngine:
         A = _coeff_A(beta, self.alpha, self.delta, n, l, eta, chi)
         if A == 0:
             raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
-        bn = _raw_coupling(beta, self.alpha, self.delta, n)
+        bn = self.coupling(n)
         rhs = rat(0)
         if bn != 0:
             mu = self.reduced_moments(n, l - 3)

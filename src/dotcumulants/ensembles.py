@@ -5,7 +5,13 @@ The coupling constants b_n (transport) and d_n (delay) are ratios of
 normalization integrals at dimensions n-i, n, n+i.  For beta in {1,2,4} the
 Gamma functions collapse and the ratio is an explicit rational function of
 the parameters; we always evaluate that closed form, never Gamma ratios,
-so half-integer exponents stay exact.
+so half-integer exponents stay exact.  Every factor of the closed forms is
+linear in the parameters, so each is evaluated as an integer: the arguments
+are scaled by the common denominator q of their values, the factors are
+multiplied as ints, and one rational is built from the two products at the
+end.  The powers of q cancel between numerator and denominator, except in
+d_n, whose numerator carries four factors fewer and is multiplied by q^4.
+The engines evaluate each constant once per dimension.
 """
 
 from __future__ import annotations
@@ -19,39 +25,51 @@ from .rational import rat
 # -- exact coupling constants ---------------------------------------------------
 
 
-def _ratio(num_factors, den_factors, what):
-    num = rat(1)
+def _scaled(*values):
+    """The common denominator q of the rationals ``values`` and the integers
+    q * x for each x."""
+    xs = [rat(v) for v in values]
+    q = math.lcm(*(x.denominator for x in xs))
+    return q, [x.numerator * (q // x.denominator) for x in xs]
+
+
+def _quotient(num_factors, den_factors, what):
+    """prod(num_factors) / prod(den_factors) over integer factors, raising
+    ``PoleError`` when a denominator factor vanishes."""
+    num = 1
     for f in num_factors:
         num *= f
-    den = rat(1)
+    den = 1
     for f in den_factors:
         if f == 0:
             raise PoleError(f"{what}: denominator factor vanishes")
         den *= f
-    return num / den
+    return rat(num, den)
 
 
 def transport_coupling_beta1(alpha, delta, n):
     """Closed form of b_n for beta=1; n may be any rational (used by the
     beta=4 duality, which evaluates it at negative arguments)."""
-    a, d, n = rat(alpha), rat(delta), rat(n)
-    num = [n, n - 1, 2 * a + n, 2 * a + n + 1, d + n, d + n + 1,
-           d + 2 * a + n + 1, d + 2 * a + n + 2]
-    den = [rat(16),
-           d / 2 + a + n, d / 2 + a + n + 1, d / 2 + a + n + 1, d / 2 + a + n + 2,
-           d + 2 * a + 2 * n - 1, d + 2 * a + 2 * n + 1, d + 2 * a + 2 * n + 1,
-           d + 2 * a + 2 * n + 3]
-    return _ratio(num, den, "b_n(beta=1)")
+    q, (a, h, n) = _scaled(alpha, rat(delta) / 2, n)  # h = delta/2
+    s = a + h
+    num = [n, n - q, 2 * a + n, 2 * a + n + q, 2 * h + n, 2 * h + n + q,
+           2 * s + n + q, 2 * s + n + 2 * q]
+    den = [16,
+           s + n, s + n + q, s + n + q, s + n + 2 * q,
+           2 * s + 2 * n - q, 2 * s + 2 * n + q, 2 * s + 2 * n + q,
+           2 * s + 2 * n + 3 * q]
+    return _quotient(num, den, "b_n(beta=1)")
 
 
 def transport_coupling_beta4(alpha, delta, n):
-    a, d, n = rat(alpha), rat(delta), rat(n)
-    num = [rat(2), n, 2 * n + 1, a + 2 * n, a + 2 * n - 1, d / 2 + 2 * n,
-           d / 2 + 2 * n - 1, d / 2 + a + 2 * n - 1, d / 2 + a + 2 * n - 2]
-    s = d / 2 + a
-    den = [s + 4 * n, s + 4 * n - 2, s + 4 * n - 2, s + 4 * n - 4,
-           s + 4 * n + 1, s + 4 * n - 1, s + 4 * n - 1, s + 4 * n - 3]
-    return _ratio(num, den, "b_n(beta=4)")
+    q, (a, h, n) = _scaled(alpha, rat(delta) / 2, n)  # h = delta/2
+    s = a + h
+    num = [2, n, 2 * n + q, a + 2 * n, a + 2 * n - q, h + 2 * n,
+           h + 2 * n - q, s + 2 * n - q, s + 2 * n - 2 * q]
+    t = s + 4 * n
+    den = [t, t - 2 * q, t - 2 * q, t - 4 * q,
+           t + q, t - q, t - q, t - 3 * q]
+    return _quotient(num, den, "b_n(beta=4)")
 
 
 def _raw_coupling(beta, alpha, delta, n):
@@ -70,19 +88,20 @@ def b_constant(p: TransportParams):
 
 
 def delay_coupling_beta1(b, n):
-    b, n = rat(b), rat(n)
-    num = [n, n - 1, 2 * b - 2 - n, 2 * b - 1 - n]
-    den = [b - n, 2 * b - 2 * n + 1, b - n - 2, 2 * b - 2 * n - 3,
-           b - 1 - n, b - 1 - n, 2 * b - 2 * n - 1, 2 * b - 2 * n - 1]
-    return _ratio(num, den, "d_n(beta=1)")
+    q, (b, n) = _scaled(b, n)
+    num = [q**4, n, n - q, 2 * b - 2 * q - n, 2 * b - q - n]
+    den = [b - n, 2 * b - 2 * n + q, b - n - 2 * q, 2 * b - 2 * n - 3 * q,
+           b - q - n, b - q - n, 2 * b - 2 * n - q, 2 * b - 2 * n - q]
+    return _quotient(num, den, "d_n(beta=1)")
 
 
 def delay_coupling_beta4(b, n):
-    b, n = rat(b), rat(n)
-    num = [rat(2), n, 2 * n + 1, b + 2 - 2 * n, b + 1 - 2 * n]
-    den = [b + 3 - 4 * n, b + 1 - 4 * n, b + 1 - 4 * n, b + 2 - 4 * n,
-           b + 2 - 4 * n, b - 1 - 4 * n, b - 4 * n, b - 4 * n + 4]
-    return _ratio(num, den, "d_n(beta=4)")
+    q, (b, n) = _scaled(b, n)
+    num = [2 * q**4, n, 2 * n + q, b + 2 * q - 2 * n, b + q - 2 * n]
+    t = b - 4 * n
+    den = [t + 3 * q, t + q, t + q, t + 2 * q,
+           t + 2 * q, t - q, t, t + 4 * q]
+    return _quotient(num, den, "d_n(beta=4)")
 
 
 def _raw_delay_coupling(beta, b, n):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .conductance import ConductanceEngine, CumulantSequence, bell_transform
-from .ensembles import _raw_coupling, b_constant
+from .ensembles import b_constant
 from .errors import (
     BoundaryUnavailableError,
     CumulantError,
@@ -132,7 +132,7 @@ class JointEngine:
             row = self._boundary(n, row_order)
             c = self.alpha + self.delta / 2 + self.beta * n + 2 - self.beta
             eta = eta_factor(self.beta)
-            bn = _raw_coupling(self.beta, self.alpha, self.delta, n)
+            bn = self.cond.coupling(n)
             mu = None
             if bn != 0 and max_k >= 2:
                 # the consumed entries mu[(l, k-1)] fit exactly the staircase

@@ -25,8 +25,18 @@ else:
         BACKEND = "fractions"
 
 
+#: The backend's scalar type.
+_SCALAR = Fraction if _mpq is None else type(_mpq(0))
+
+
 def rat(value=0, den=None):
-    """Build an exact rational from ints, strings like ``"p/q"``, or rationals."""
+    """Build an exact rational from ints, strings like ``"p/q"``, or rationals.
+
+    A value that already is the backend scalar is returned as it is: both
+    scalar types are immutable, so sharing it is safe.
+    """
+    if type(value) is _SCALAR and den is None:
+        return value
     if den is not None:
         return _mpq(value, den) if _mpq is not None else Fraction(value, den)
     if isinstance(value, float):

@@ -17,6 +17,7 @@ from .conductance import bell_transform
 from .ensembles import _raw_delay_coupling
 from .errors import (
     InsufficientOrderError,
+    InvalidOrderError,
     LatticeOrderShortfallError,
     NonexistentCumulantError,
     PoleError,
@@ -105,7 +106,16 @@ class DelayEngine:
         self.step = lattice_step(beta)
         self._memo = {}  # dimension -> [K_1, ...]
         self._reduced = {}  # dimension -> ([rho_1, rho_2, ...], [phi_0, phi_1, ...])
+        self._coupling = {}  # dimension -> d_n
         self.visited = []
+
+    def coupling(self, n):
+        """d_n at dimension n, evaluated once per engine (a pole is raised
+        again on every request, never stored)."""
+        dn = self._coupling.get(n)
+        if dn is None:
+            dn = self._coupling[n] = _raw_delay_coupling(self.beta, self.b, n)
+        return dn
 
     def q_at(self, n):
         omega = self.b - 2 - self.beta * (n - 1)
@@ -145,7 +155,7 @@ class DelayEngine:
         A = _coeff_A(beta, omega, l, eta)
         if A == 0:
             raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
-        dn = _raw_delay_coupling(beta, self.b, n)
+        dn = self.coupling(n)
         rhs = rat(0)
         if dn != 0:
             phi = self.reduced_moments(n, l - 3)
@@ -284,6 +294,8 @@ def chazy_residual(n, series_order, perturb=None) -> TruncatedSeries:
     ``perturb`` is a test hook: a (order, delta) pair added to one cumulant
     to confirm the residual detects faults.
     """
+    if series_order < 1:
+        raise InvalidOrderError(f"series_order must be >= 1, got {series_order}")
     p = DelayParams(2, n)
     if series_order > p.q - 1:
         raise InsufficientOrderError(

@@ -112,6 +112,10 @@ def test_missing_parameter_is_usage_error(capsys):
     ["verify", "gauss-factor", "--n", "2", "--w", "nan"],
     ["verify", "gauss-factor", "--n", "2", "--w", "inf"],
     ["verify", "gauss-factor", "--n", "2", "--w", "0"],
+    ["verify", "chazy", "--n", "2", "--order", "0"],
+    ["verify", "chazy", "--n", "2", "--order", "-1"],
+    ["verify", "jacobi", "--lmax", "-1", "--kmax", "2"],
+    ["verify", "jacobi", "--lmax", "2", "--kmax", "-1"],
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "garbled.json").write_text('{"beta": 2,')

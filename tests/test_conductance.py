@@ -229,3 +229,28 @@ def test_pole_error_at_degenerate_order():
     # beta=2, alpha=delta=0: leading coefficient vanishes at l = 2n
     with pytest.raises(PoleError):
         conductance_cumulants(TransportParams(2, 0, 0, 2), 6)
+
+
+def test_coupling_evaluated_once_per_dimension_per_call(monkeypatch):
+    """b_n is memoised on the engine: each lattice dimension evaluates it at
+    most once, and a second call (a fresh engine) evaluates it again."""
+    from dotcumulants import ensembles
+
+    original = ensembles.transport_coupling_beta1
+    dimensions = []
+
+    def counting(alpha, delta, n):
+        dimensions.append(n)
+        return original(alpha, delta, n)
+
+    monkeypatch.setattr(ensembles, "transport_coupling_beta1", counting)
+    p = TransportParams(1, COE_HALF, 0, 64)
+    first = conductance_cumulants(p, 40)
+    visited = list(dimensions)
+    assert visited
+    assert len(visited) == len(set(visited))
+    assert len(visited) <= 2 * first.lattice_radius + 1
+    dimensions.clear()
+    second = conductance_cumulants(p, 40)
+    assert sorted(dimensions) == sorted(visited)
+    assert second.values == first.values

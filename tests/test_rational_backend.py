@@ -28,6 +28,11 @@ def test_reduction_and_sign_invariants():
     assert rat(0, 5) == 0
 
 
+def test_rat_returns_a_backend_scalar_unchanged():
+    x = rat(-7, 3)
+    assert rat(x) is x
+
+
 def test_floor_and_integrality():
     assert floor_rational(rat(-7, 2)) == -4
     assert floor_rational(rat(7, 2)) == 3

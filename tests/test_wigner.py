@@ -3,6 +3,7 @@ import pytest
 from dotcumulants.conductance import bell_transform
 from dotcumulants.errors import (
     InsufficientOrderError,
+    InvalidOrderError,
     LatticeOrderShortfallError,
     NonexistentCumulantError,
 )
@@ -157,3 +158,9 @@ def test_chazy_residual_detects_perturbation():
 def test_chazy_requires_enough_cumulants():
     with pytest.raises(InsufficientOrderError):
         chazy_residual(4, 4)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_chazy_rejects_order_below_one(order):
+    with pytest.raises(InvalidOrderError):
+        chazy_residual(4, order)
