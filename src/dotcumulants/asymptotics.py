@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedBetaError,
 )
 from .params import TransportParams
-from .rational import is_integral, rat
+from .rational import dot, is_integral, rat
 from .series import TruncatedSeries
 
 #: Indices where the uniform-scaling limit statement does not apply
@@ -200,9 +200,9 @@ def limit_wigner_recurrence(max_l):
     p = [rat(1)]
     while len(p) < max_l:
         l = len(p)
-        acc = 2 * (2 * l - 1) * p[l - 1]
-        for i in range(l):
-            acc += 2 * (3 * i + 1) * (l - i) * p[i] * p[l - i - 1]
+        acc = 2 * (2 * l - 1) * p[l - 1] + dot(
+            (2 * (3 * i + 1) * (l - i), p[i], p[l - i - 1]) for i in range(l)
+        )
         p.append(acc / (l + 1))
     return p
 

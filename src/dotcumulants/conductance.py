@@ -9,9 +9,14 @@ rather than doing symbolic rational-function-of-n arithmetic: simpler, exact,
 and the asymptotics come from the separate limiting recurrences.  The reduced
 moments are memoised per dimension too and extended by one term per order, so
 a depth-L fill costs O(L^2) Bell terms per dimension rather than O(L^3).  The
-constants that depend on the dimension alone, the coupling b_n and the closed
-kappa_1..kappa_3, are evaluated once per dimension and engine, in integer
-arithmetic (see ``ensembles``); nothing is cached across engines.
+constants that depend on the dimension alone (the coupling b_n, the closed
+kappa_1..kappa_3 and the coefficients of each step's leading coefficient, a
+cubic in the order) are evaluated once per dimension and engine, in integer
+arithmetic (see ``ensembles``); nothing is cached across engines.  Every
+convolution sum (the Bell transform, the quadratic sum of each step) is one
+call of ``rational.dot``, which reduces once per sum rather than once per
+term; that gain was measured with the ``fractions`` backend only and may be
+smaller with gmpy2.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from .ensembles import _raw_coupling, _scaled, b_constant
 from .errors import InvalidOrderError, PoleError, UnsupportedBetaError
 from .params import TransportParams, eta_factor, lattice_step
-from .rational import rat
+from .rational import dot, rat
 
 
 @dataclass(frozen=True)
@@ -109,15 +114,12 @@ def _initial_three(beta, alpha, delta, n):
     return (k1, rat(num2, den2), rat(num3, den2 * den3))
 
 
-def _coeff_A(beta, alpha, delta, n, l, eta, chi):
-    s = rat(alpha) + rat(delta) / 2
-    t = s + beta * n
-    return (
-        eta * l * (l - 1) * (l - 2)
-        + beta * l * (2 * l - 1)
-        - (6 - 3 * beta) * (t + 2 - beta) * l
-        - t * (t + 2 - beta) * (l + 1)
-    )
+def _leading(beta, l, q2, P, Q):
+    """q2 times the leading coefficient eta l(l-1)(l-2) + beta l(2l-1)
+    - (P l + Q) / q2 of the order-l step, the form shared by the conductance
+    and delay-time recurrences; the integers q2, P, Q are fixed per dimension."""
+    cubic = eta_factor(beta) * l * (l - 1) * (l - 2) + beta * l * (2 * l - 1)
+    return q2 * cubic - P * l - Q
 
 
 def _coeff_B(l, i, chi):
@@ -142,6 +144,7 @@ class ConductanceEngine:
         self._kappa = {}  # dimension -> [kappa_1, kappa_2, ...]
         self._reduced = {}  # dimension -> ([r_1, r_2, ...], [mu_0, mu_1, ...])
         self._coupling = {}  # dimension -> b_n
+        self._constants = {}  # dimension -> ((q2, P, Q), alpha - delta/2 + beta n)
         self.radius = 0
         self._center = center
         self._max_radius = max_radius
@@ -164,6 +167,22 @@ class ConductanceEngine:
             bn = self._coupling[n] = _raw_coupling(self.beta, self.alpha, self.delta, n)
         return bn
 
+    def _dimension(self, n):
+        """(q2, P, Q) of ``_leading`` at dimension n, and alpha - delta/2 + beta n.
+
+        With t = alpha + delta/2 + beta n, P / q2 = (6 - 3 beta + t)(t + 2 - beta)
+        and Q / q2 = t (t + 2 - beta); q is the common denominator of alpha,
+        delta/2 and n, and q2 = q^2."""
+        c = self._constants.get(n)
+        if c is None:
+            beta = self.beta
+            q, (a, h, m) = _scaled(self.alpha, self.delta / 2, n)
+            t = a + h + beta * m
+            u = t + (2 - beta) * q
+            lead = (q * q, ((6 - 3 * beta) * q + t) * u, t * u)
+            c = self._constants[n] = (lead, rat(a - h + beta * m, q))
+        return c
+
     def kappas(self, n, order):
         """kappa_1..kappa_order at dimension n (n=0 yields an empty sum: all zero)."""
         if order < 1:
@@ -182,29 +201,28 @@ class ConductanceEngine:
     def _extend(self, n, kappa):
         beta = self.beta
         l = len(kappa)  # recurrence index producing kappa_{l+1}
-        eta = eta_factor(beta)
         chi = 2 if beta == 2 else 1
-        A = _coeff_A(beta, self.alpha, self.delta, n, l, eta, chi)
+        (q2, P, Q), g = self._dimension(n)
+        A = _leading(beta, l, q2, P, Q)
         if A == 0:
             raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
         bn = self.coupling(n)
         rhs = rat(0)
         if bn != 0:
             mu = self.reduced_moments(n, l - 3)
-            rhs = (12 * bn / beta) * l * (l - 1) * (l - 2) * mu[l - 3]
-        quad = rat(0)
-        for i in range(l):
-            ki = kappa[i]  # kappa_{i+1}
-            klm = kappa[l - i - 1]  # kappa_{l-i}
-            if ki != 0 and klm != 0:
-                quad += math.comb(l, i) * _coeff_B(l, i, chi) * ki * klm
+            rhs = rat(12 * l * (l - 1) * (l - 2), beta) * bn * mu[l - 3]
+        # kappa[i] is kappa_{i+1}
+        quad = dot(
+            (math.comb(l, i) * _coeff_B(l, i, chi), kappa[i], kappa[l - i - 1])
+            for i in range(l)
+        )
         value = (
             rhs
-            + l * (2 * l - 1) * (self.alpha - self.delta / 2 + beta * n) * kappa[l - 1]
+            + l * (2 * l - 1) * g * kappa[l - 1]
             + l * (l - 1) * (l - 2) * kappa[l - 2]
-            - eta * quad
+            - eta_factor(beta) * quad
         )
-        kappa.append(value / A)
+        kappa.append(value * q2 / A)
 
     def reduced_moments(self, n, order):
         """mu_0..mu_order at dimension n from the reduced cumulants
@@ -234,12 +252,7 @@ def bell_transform(r, order, mu=None):
     if mu is None:
         mu = [rat(1)]
     for l in range(len(mu), order + 1):
-        acc = rat(0)
-        for j in range(l):
-            rv = r[l - j - 1]
-            if rv != 0 and mu[j] != 0:
-                acc += math.comb(l - 1, j) * rv * mu[j]
-        mu.append(acc)
+        mu.append(dot((math.comb(l - 1, j), r[l - j - 1], mu[j]) for j in range(l)))
     return mu
 
 

@@ -70,6 +70,10 @@ class InvalidCountError(CumulantError):
     token = "invalid-count"
 
 
+class UnsupportedParameterError(CumulantError):
+    token = "unsupported-parameter"
+
+
 class EnvelopeFailureError(CumulantError):
     token = "envelope-failure"
 

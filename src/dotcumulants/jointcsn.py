@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedBetaError,
 )
 from .params import TransportParams, eta_factor, lattice_step
-from .rational import rat
+from .rational import dot, rat
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,12 @@ class JointEngine:
                         acc -= k * (
                             eta * kappa[(l + 4, k - 1)] - kappa[(l + 2, k - 1)]
                         )
-                        double = rat(0)
-                        for i in range(k):
-                            cki = math.comb(k - 1, i)
-                            for j in range(l + 1):
-                                x = kappa[(j + 2, i)]
-                                y = kappa[(l - j + 2, k - i - 1)]
-                                if x != 0 and y != 0:
-                                    double += cki * math.comb(l, j) * x * y
+                        double = dot(
+                            (math.comb(k - 1, i) * math.comb(l, j),
+                             kappa[(j + 2, i)], kappa[(l - j + 2, k - i - 1)])
+                            for i in range(k)
+                            for j in range(l + 1)
+                        )
                         acc -= 6 * eta * k * double
                     kappa[(l, k + 1)] = acc / lead
         return kappa
@@ -197,15 +195,11 @@ class JointEngine:
             for l in range(L + 2 * (K - k) + 1):
                 if (l, k) in mu:
                     continue
-                acc = rat(0)
-                for i in range(k):
-                    cki = math.comb(k - 1, i)
-                    for j in range(l + 1):
-                        rv = r[(l - j, k - i)]
-                        mv = mu[(j, i)]
-                        if rv != 0 and mv != 0:
-                            acc += cki * math.comb(l, j) * rv * mv
-                mu[(l, k)] = acc
+                mu[(l, k)] = dot(
+                    (math.comb(k - 1, i) * math.comb(l, j), r[(l - j, k - i)], mu[(j, i)])
+                    for i in range(k)
+                    for j in range(l + 1)
+                )
         return mu
 
     def _joint_reduced_cumulants(self, n, L, K):

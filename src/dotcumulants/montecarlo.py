@@ -30,6 +30,7 @@ from .errors import (
     InsufficientSamplesError,
     InvalidCountError,
     InvalidVarianceError,
+    UnsupportedParameterError,
 )
 from .params import DelayParams, TransportParams
 
@@ -125,7 +126,7 @@ def sample_delay_times(p: DelayParams, count, seed) -> SampleBatch:
     if count < 1:
         raise InvalidCountError("count must be >= 1")
     if not p.has_default_b:
-        raise InvalidCountError("sampler is defined for the default weight exponent")
+        raise UnsupportedParameterError("sampler is defined for the default weight exponent")
     beta, n = p.beta, p.n
     two_a = beta * n + 2 + beta * (n - 1)
     diag_df = np.array([two_a - beta * (i - 1) for i in range(1, n + 1)], dtype=float)

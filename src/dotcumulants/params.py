@@ -56,10 +56,6 @@ class TransportParams:
         return lattice_step(self.beta)
 
     @property
-    def chi12(self):
-        return 2 if self.beta == 2 else 1
-
-    @property
     def extended_validity(self):
         """True when beta=1 and n is odd: the Pfaffian route behind the
         recurrences assumes even n, and the closed forms are evaluated at odd

@@ -2,13 +2,20 @@
 
 All recurrences and residual checks run in exact rational arithmetic; the
 formulas involve delicate cancellations that floating point would destroy.
-The scalar is ``gmpy2.mpq`` when gmpy2 is importable (GMP-backed, much
-faster for the deep recurrences) and ``fractions.Fraction`` otherwise.
+The scalar is ``gmpy2.mpq`` when gmpy2 is importable (GMP-backed) and
+``fractions.Fraction`` otherwise.
 Both serialize as ``"p/q"`` with ``/q`` omitted when the denominator is 1.
+
+``dot`` is the one kernel behind the exact convolution sums of the
+recurrences (Bell transform, quadratic sums, series products): integer
+numerators over the lcm of their denominators, reduced once, instead of one
+normalised rational per term.  Its gain was measured with ``fractions`` only;
+with ``gmpy2.mpq`` it is unmeasured and may be smaller.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 
@@ -53,6 +60,23 @@ ZERO = rat(0)
 ONE = rat(1)
 
 
+def dot(terms):
+    """sum(c * x * y) over ``(c, x, y)`` triples, c an int and x, y rationals,
+    added as integers over the lcm of the denominators and reduced once; terms
+    with a zero numerator are skipped, and the empty sum is ``ZERO``."""
+    nums = []
+    dens = []
+    for c, x, y in terms:
+        num = c * x.numerator * y.numerator
+        if num:
+            nums.append(num)
+            dens.append(x.denominator * y.denominator)
+    if not nums:
+        return ZERO
+    den = math.lcm(*dens)
+    return rat(sum(num * (den // d) for num, d in zip(nums, dens)), den)
+
+
 def parse_rational(text):
     """Parse ``"p/q"`` or ``"p"`` (ints allowed) into an exact rational."""
     if isinstance(text, (int,)):
@@ -73,9 +97,3 @@ def floor_rational(x):
     """Greatest integer <= x, exact."""
     x = rat(x)
     return int(x.numerator // x.denominator)
-
-
-def as_fraction(x):
-    """Convert to ``fractions.Fraction`` (for stdlib interop)."""
-    x = rat(x)
-    return Fraction(int(x.numerator), int(x.denominator))

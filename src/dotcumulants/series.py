@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .rational import ZERO, ONE, rat, rational_str
+from .rational import ZERO, ONE, dot, rat, rational_str
 
 
 class TruncatedSeries:
@@ -115,17 +115,11 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             s = rat(other)
             return TruncatedSeries([c * s for c in self._coeffs])
-        m = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        out = []
-        for k in range(m + 1):
-            acc = ZERO
-            for i in range(k + 1):
-                ai = a[i]
-                if ai != 0:
-                    acc += ai * b[k - i]
-            out.append(acc)
-        return TruncatedSeries(out)
+        return TruncatedSeries(
+            dot((1, a[i], b[k - i]) for i in range(k + 1))
+            for k in range(min(self.order, other.order) + 1)
+        )
 
     __rmul__ = __mul__
 
@@ -154,12 +148,7 @@ class TruncatedSeries:
         a = self._coeffs
         out = [ONE] + [ZERO] * n
         for m in range(1, n + 1):
-            acc = ZERO
-            for j in range(1, m + 1):
-                aj = a[j]
-                if aj != 0:
-                    acc += j * aj * out[m - j]
-            out[m] = acc / m
+            out[m] = dot((j, a[j], out[m - j]) for j in range(1, m + 1)) / m
         return TruncatedSeries(out)
 
 

@@ -19,7 +19,7 @@ from .ensembles import b_constant, d_constant
 from .errors import InsufficientOrderError, InvalidOrderError, QuadratureFailureError
 from .jointcsn import JointEngine
 from .params import DelayParams, TransportParams
-from .rational import rat
+from .rational import dot, rat
 from .series import TruncatedSeries, moments_to_cumulants
 from .wigner import DelayEngine
 
@@ -153,11 +153,6 @@ def ode_residual_conductance(p: TransportParams, order, perturb=None) -> Residua
 def _dims(arr):
     return len(arr) - 1, len(arr[0]) - 1
 
-def _dz2(arr):
-    L, K = _dims(arr)
-    return [[(l + 1) * (l + 2) * arr[l + 2][k] for k in range(K + 1)]
-            for l in range(L - 1)]
-
 def _deriv(arr, dl, dk):
     L, K = _dims(arr)
     out = []
@@ -196,17 +191,13 @@ def _product(a, b):
     La, Ka = _dims(a)
     Lb, Kb = _dims(b)
     L, K = min(La, Lb), min(Ka, Kb)
-    out = [[rat(0)] * (K + 1) for _ in range(L + 1)]
-    for l in range(L + 1):
-        for k in range(K + 1):
-            acc = rat(0)
-            for i in range(l + 1):
-                for j in range(k + 1):
-                    x = a[i][j]
-                    if x != 0:
-                        acc += x * b[l - i][k - j]
-            out[l][k] = acc
-    return out
+    return [
+        [
+            dot((1, a[i][j], b[l - i][k - j]) for i in range(l + 1) for j in range(k + 1))
+            for k in range(K + 1)
+        ]
+        for l in range(L + 1)
+    ]
 
 def _bexp(arr):
     """exp of a double series with zero constant term."""
@@ -214,20 +205,12 @@ def _bexp(arr):
     E = [[rat(0)] * (K + 1) for _ in range(L + 1)]
     E[0][0] = rat(1)
     for k in range(1, K + 1):
-        acc = rat(0)
-        for b in range(1, k + 1):
-            if arr[0][b] != 0:
-                acc += b * arr[0][b] * E[0][k - b]
-        E[0][k] = acc / k
+        E[0][k] = dot((b, arr[0][b], E[0][k - b]) for b in range(1, k + 1)) / k
     for l in range(1, L + 1):
         for k in range(K + 1):
-            acc = rat(0)
-            for i in range(1, l + 1):
-                for j in range(k + 1):
-                    x = arr[i][j]
-                    if x != 0:
-                        acc += i * x * E[l - i][k - j]
-            E[l][k] = acc / l
+            E[l][k] = dot(
+                (i, arr[i][j], E[l - i][k - j]) for i in range(1, l + 1) for j in range(k + 1)
+            ) / l
     return E
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conductance import bell_transform
+from .conductance import _leading, bell_transform
 from .ensembles import _raw_delay_coupling
 from .errors import (
     InsufficientOrderError,
@@ -23,7 +23,7 @@ from .errors import (
     PoleError,
 )
 from .params import DelayParams, eta_factor, lattice_step
-from .rational import rat
+from .rational import dot, rat
 from .series import TruncatedSeries
 
 
@@ -84,15 +84,6 @@ def wigner_initial(p: DelayParams):
     return tuple(_initial_three(p.beta, p.omega, p.n, upto))
 
 
-def _coeff_A(beta, omega, l, eta):
-    return (
-        eta * l * (l - 1) * (l - 2)
-        + beta * l * (2 * l - 1)
-        - omega * (omega - 4 + 2 * beta) * l
-        - omega * (omega + 2 - beta)
-    )
-
-
 def _coeff_B(beta, eta, i, l):
     return (l - i) * (6 * eta * (l - i - 1) * i + beta + 4 * beta * i)
 
@@ -107,6 +98,7 @@ class DelayEngine:
         self._memo = {}  # dimension -> [K_1, ...]
         self._reduced = {}  # dimension -> ([rho_1, rho_2, ...], [phi_0, phi_1, ...])
         self._coupling = {}  # dimension -> d_n
+        self._constants = {}  # dimension -> (omega, (q2, P, Q))
         self.visited = []
 
     def coupling(self, n):
@@ -117,8 +109,21 @@ class DelayEngine:
             dn = self._coupling[n] = _raw_delay_coupling(self.beta, self.b, n)
         return dn
 
+    def _dimension(self, n):
+        """omega = b - 2 - beta(n-1) at dimension n, and (q2, P, Q) of
+        ``conductance._leading`` with P / q2 = omega (omega - 4 + 2 beta) and
+        Q / q2 = omega (omega + 2 - beta)."""
+        c = self._constants.get(n)
+        if c is None:
+            beta = self.beta
+            omega = self.b - 2 - beta * (n - 1)
+            w, d = omega.numerator, omega.denominator
+            lead = (d * d, w * (w + (2 * beta - 4) * d), w * (w + (2 - beta) * d))
+            c = self._constants[n] = (omega, lead)
+        return c
+
     def q_at(self, n):
-        omega = self.b - 2 - self.beta * (n - 1)
+        omega = self._dimension(n)[0]
         return int(omega.numerator // omega.denominator)
 
     def cumulants(self, n, order, requester=None):
@@ -134,14 +139,12 @@ class DelayEngine:
             raise NonexistentCumulantError(
                 f"only q={q} cumulants exist at n={n} with b={self.b}"
             )
+        omega = self._dimension(n)[0]
         cached = self._memo.get(n)
         if cached is None:
-            omega = self.b - 2 - self.beta * (n - 1)
-            cached = _initial_three(self.beta, omega, n, min(3, order))
-            self._memo[n] = cached
+            cached = self._memo[n] = _initial_three(self.beta, omega, n, min(3, order))
             self.visited.append((n, self.b))
-        if len(cached) < min(3, order):
-            omega = self.b - 2 - self.beta * (n - 1)
+        elif len(cached) < min(3, order):
             cached[:] = _initial_three(self.beta, omega, n, min(3, order))
         while len(cached) < order:
             self._extend(n, cached)
@@ -151,29 +154,21 @@ class DelayEngine:
         beta = self.beta
         eta = eta_factor(beta)
         l = len(K)  # recurrence index producing K_{l+1}
-        omega = self.b - 2 - beta * (n - 1)
-        A = _coeff_A(beta, omega, l, eta)
+        q2, P, Q = self._dimension(n)[1]
+        A = _leading(beta, l, q2, P, Q)
         if A == 0:
             raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
         dn = self.coupling(n)
         rhs = rat(0)
         if dn != 0:
             phi = self.reduced_moments(n, l - 3)
-            rhs = (
-                (12 * dn / beta)
-                * l
-                * (l - 1)
-                * (l - 2)
-                * rat(beta, 2) ** 4
-                * phi[l - 3]
-            )
-        quad = rat(0)
-        for i in range(l):
-            x = K[l - i - 1]
-            y = K[i]
-            if x != 0 and y != 0:
-                quad += math.comb(l, i) * _coeff_B(beta, eta, i, l) * x * y
-        K.append((rhs - beta * l * (2 * l - 1) * K[l - 1] - quad) / A)
+            # (12 d_n / beta) l(l-1)(l-2) (beta/2)^4 phi_{l-3}
+            rhs = rat(3 * beta**3 * l * (l - 1) * (l - 2), 4) * dn * phi[l - 3]
+        quad = dot(
+            (math.comb(l, i) * _coeff_B(beta, eta, i, l), K[l - i - 1], K[i])
+            for i in range(l)
+        )
+        K.append((rhs - beta * l * (2 * l - 1) * K[l - 1] - quad) * q2 / A)
 
     def reduced_moments(self, n, order):
         """phi_0..phi_order from the fixed-b second differences of K.
@@ -225,12 +220,11 @@ def _beta2_cumulants(p: DelayParams, max_order):
         lead = (l + 1) * (n * n - l * l)
         if lead == 0:
             raise PoleError(f"beta=2 leading coefficient vanishes at order {l}")
-        acc = 2 * l * (2 * l - 1) * K[l - 1]
-        for i in range(l):
-            x, y = K[i], K[l - i - 1]
-            if x != 0 and y != 0:
-                acc += 2 * (3 * i + 1) * math.comb(l, i) * (l - i) ** 2 * x * y
-        K.append(rat(acc) / lead)
+        acc = 2 * l * (2 * l - 1) * K[l - 1] + dot(
+            (2 * (3 * i + 1) * math.comb(l, i) * (l - i) ** 2, K[i], K[l - i - 1])
+            for i in range(l)
+        )
+        K.append(acc / lead)
     return K
 
 

@@ -225,6 +225,19 @@ def test_mc_sample_csv_with_manifest_sidecar(capsys, tmp_path):
     assert sidecar["payload_sha256"] == sidecar2["payload_sha256"]
 
 
+def test_mc_sample_non_default_b_is_unsupported_parameter(capsys, tmp_path):
+    out = tmp_path / "samples.csv"
+    code = dispatch(
+        ["mc", "sample", "--statistic", "tauW", "--beta", "1", "--n", "20",
+         "--b", "30", "--count", "10", "--seed", "1", "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: unsupported-parameter")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_mc_edgeworth_csv_columns(capsys, tmp_path):
     out = tmp_path / "curve.csv"
     code = dispatch(

@@ -6,7 +6,12 @@ from scipy import stats
 
 from dotcumulants import montecarlo
 from dotcumulants.conductance import conductance_cumulants
-from dotcumulants.errors import InsufficientSamplesError, InvalidCountError, InvalidVarianceError
+from dotcumulants.errors import (
+    InsufficientSamplesError,
+    InvalidCountError,
+    InvalidVarianceError,
+    UnsupportedParameterError,
+)
 from dotcumulants.jointcsn import mean_shot_noise
 from dotcumulants.montecarlo import (
     SampleBatch,
@@ -113,6 +118,12 @@ def test_determinism_and_count_validation():
         sample_delay_times(DelayParams(1, 20), 0, seed=5)
     with pytest.raises(InvalidCountError):
         sample_jacobi_spectrum(p, -2, seed=5)
+
+
+def test_delay_sampler_rejects_non_default_b():
+    with pytest.raises(UnsupportedParameterError) as info:
+        sample_delay_times(DelayParams(1, 20, 30), 10, seed=5)
+    assert info.value.token == "unsupported-parameter"
 
 
 # -- k-statistics ------------------------------------------------------------------

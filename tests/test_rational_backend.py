@@ -1,10 +1,22 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dotcumulants import wigner
+from dotcumulants.conductance import _initial_three, bell_transform, conductance_cumulants
+from dotcumulants.ensembles import _raw_coupling, _raw_delay_coupling
+from dotcumulants.jointcsn import joint_cumulants
+from dotcumulants.params import DelayParams, TransportParams, eta_factor, lattice_step
 from dotcumulants.rational import (
     BACKEND,
+    ZERO,
+    dot,
     floor_rational,
     is_integral,
     parse_rational,
@@ -72,3 +84,201 @@ def test_fallback_backend_subprocess():
     here = conductance_cumulants(TransportParams(1, rat(-1, 2), 0, 8), 6)[6]
     assert doc["value"] == rational_str(here)
     assert BACKEND in ("gmpy2", "fractions")
+
+
+# -- the dot-product kernel ----------------------------------------------------------
+
+_denominators = st.one_of(
+    st.integers(1, 12),
+    st.sampled_from([2**61 - 1, 10**9 + 7, 3**40, 2**64]),  # large, some coprime
+    st.integers(1, 10**25),
+)
+_rationals = st.one_of(
+    st.just(0),
+    st.builds(rat, st.integers(-(10**30), 10**30), _denominators),
+)
+_terms = st.lists(
+    st.tuples(st.integers(-(10**6), 10**6), _rationals, _rationals), max_size=40
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms)
+def test_dot_equals_the_naive_sum(terms):
+    terms = [(c, rat(x), rat(y)) for c, x, y in terms]
+    expected = sum((c * x * y for c, x, y in terms), ZERO)
+    got = dot(iter(terms))
+    assert got == expected
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+def test_dot_returns_the_backend_scalar():
+    scalar = type(rat(1))
+    assert dot([]) == ZERO and type(dot([])) is scalar
+    assert type(dot([(3, rat(1, 2), rat(2, 3))])) is scalar
+    assert dot([(3, rat(1, 2), rat(2, 3))]) == 1
+    assert type(dot([(0, rat(1, 2), rat(2, 3)), (5, ZERO, rat(7))])) is scalar
+
+
+# Term-by-term transcriptions of the recurrences, one rational operation per
+# term, kept as the reference the kernel-based engines must reproduce.
+
+
+def _naive_bell(r, order):
+    mu = [rat(1)]
+    for l in range(1, order + 1):
+        acc = rat(0)
+        for j in range(l):
+            acc += math.comb(l - 1, j) * r[l - j - 1] * mu[j]
+        mu.append(acc)
+    return mu
+
+
+def _second_difference(rows):
+    minus, plus, here = rows
+    return [minus[j] + plus[j] - 2 * here[j] for j in range(len(here))]
+
+
+def _naive_conductance(beta, alpha, delta, n, order, memo):
+    if order < 1:
+        return []
+    if n == 0:
+        return [rat(0)] * order
+    if n not in memo:
+        memo[n] = list(_initial_three(beta, alpha, delta, n))
+    kappa = memo[n]
+    eta, chi, step = eta_factor(beta), 2 if beta == 2 else 1, lattice_step(beta)
+    t = alpha + delta / 2 + beta * n
+    while len(kappa) < order:
+        l = len(kappa)
+        lead = (
+            eta * l * (l - 1) * (l - 2) + beta * l * (2 * l - 1)
+            - (6 - 3 * beta) * (t + 2 - beta) * l - t * (t + 2 - beta) * (l + 1)
+        )
+        bn = _raw_coupling(beta, alpha, delta, n)
+        rhs = rat(0)
+        if bn != 0:
+            r = _second_difference(
+                [_naive_conductance(beta, alpha, delta, m, l - 3, memo)
+                 for m in (n - step, n + step, n)]
+            )
+            rhs = 12 * bn / beta * l * (l - 1) * (l - 2) * _naive_bell(r, l - 3)[l - 3]
+        quad = rat(0)
+        for i in range(l):
+            li = l - i
+            B = (2 - chi) * li * (li * (6 * i - 2) + 3) + (chi - 1) * li * li * (6 * i + 2)
+            quad += math.comb(l, i) * B * kappa[i] * kappa[l - i - 1]
+        kappa.append(
+            (rhs + l * (2 * l - 1) * (alpha - delta / 2 + beta * n) * kappa[l - 1]
+             + l * (l - 1) * (l - 2) * kappa[l - 2] - eta * quad) / lead
+        )
+    return kappa[:order]
+
+
+def _naive_delay(beta, b, n, order, memo):
+    if order < 1:
+        return []
+    if n == 0:
+        return [rat(0)] * order
+    omega = b - 2 - beta * (n - 1)
+    if n not in memo:
+        memo[n] = wigner._initial_three(beta, omega, n, 3)
+    K = memo[n]
+    eta, step = eta_factor(beta), lattice_step(beta)
+    while len(K) < order:
+        l = len(K)
+        lead = (
+            eta * l * (l - 1) * (l - 2) + beta * l * (2 * l - 1)
+            - omega * (omega - 4 + 2 * beta) * l - omega * (omega + 2 - beta)
+        )
+        dn = _raw_delay_coupling(beta, b, n)
+        rhs = rat(0)
+        if dn != 0:
+            rho = _second_difference(
+                [_naive_delay(beta, b, m, l - 3, memo) for m in (n - step, n + step, n)]
+            )
+            phi = _naive_bell(rho, l - 3)
+            rhs = 12 * dn / beta * l * (l - 1) * (l - 2) * rat(beta, 2) ** 4 * phi[l - 3]
+        quad = rat(0)
+        for i in range(l):
+            B = (l - i) * (6 * eta * (l - i - 1) * i + beta + 4 * beta * i)
+            quad += math.comb(l, i) * B * K[l - i - 1] * K[i]
+        K.append((rhs - beta * l * (2 * l - 1) * K[l - 1] - quad) / lead)
+    return K[:order]
+
+
+def _staircase(L, K):
+    return [(l, k) for k in range(K + 1) for l in range(L + 2 * (K - k) + 1)]
+
+
+def _naive_joint(beta, alpha, delta, n, L, K, memo):
+    """kappa_{l,k} on the staircase l <= L + 2(K-k), built from scratch."""
+    if n == 0:
+        return {lk: rat(0) for lk in _staircase(L, K)}
+    row = _naive_conductance(beta, alpha, delta, n, L + 2 * K, memo)
+    kappa = {(0, 0): rat(0)}
+    kappa.update({(l, 0): row[l - 1] for l in range(1, L + 2 * K + 1)})
+    eta, step = eta_factor(beta), lattice_step(beta)
+    c = alpha + delta / 2 + beta * n + 2 - beta
+    bn = _raw_coupling(beta, alpha, delta, n)
+    if bn != 0 and K >= 2:
+        tables = [_naive_joint(beta, alpha, delta, m, L, K - 2, memo)
+                  for m in (n - step, n + step, n)]
+        r = {lk: tables[0][lk] + tables[1][lk] - 2 * tables[2][lk]
+             for lk in _staircase(L, K - 2)}
+        mu_row = _naive_bell([r[(l, 0)] for l in range(1, L + 2 * K - 3)], L + 2 * K - 4)
+        mu = {(l, 0): v for l, v in enumerate(mu_row)}
+        for l, k in _staircase(L, K - 2):
+            if k >= 1:
+                acc = rat(0)
+                for i in range(k):
+                    for j in range(l + 1):
+                        acc += (math.comb(k - 1, i) * math.comb(l, j)
+                                * r[(l - j, k - i)] * mu[(j, i)])
+                mu[(l, k)] = acc
+    for k in range(K):
+        for l in range(L + 2 * (K - k - 1) + 1):
+            acc = 2 * c * kappa[(l + 2, k)]
+            if k >= 1:
+                if bn != 0:
+                    acc += 12 * bn / beta * k * mu[(l, k - 1)]
+                acc -= k * (eta * kappa[(l + 4, k - 1)] - kappa[(l + 2, k - 1)])
+                double = rat(0)
+                for i in range(k):
+                    for j in range(l + 1):
+                        double += (math.comb(k - 1, i) * math.comb(l, j)
+                                   * kappa[(j + 2, i)] * kappa[(l - j + 2, k - i - 1)])
+                acc -= 6 * eta * k * double
+            kappa[(l, k + 1)] = acc / (2 * l + 3 * k + 2)
+    return kappa
+
+
+def test_bell_transform_equals_naive_loop():
+    r = [rat(3, 7), rat(0), rat(-5, 2), rat(11, 9), rat(0), rat(1, 2**40), rat(-13)]
+    assert bell_transform(r, 7) == _naive_bell(r, 7)
+
+
+@pytest.mark.parametrize("beta,alpha,delta,n", [
+    (1, rat(-1, 2), 0, 16), (2, rat(1, 2), rat(1, 3), 5), (4, rat(1), rat(1, 3), 8),
+])
+def test_conductance_row_equals_naive_loop(beta, alpha, delta, n):
+    alpha, delta = rat(alpha), rat(delta)
+    expected = _naive_conductance(beta, alpha, delta, n, 16, {})
+    assert list(conductance_cumulants(TransportParams(beta, alpha, delta, n), 16).values) == expected
+
+
+@pytest.mark.parametrize("beta,n", [(1, 40), (2, 30), (4, 20)])
+def test_delay_row_equals_naive_loop(beta, n):
+    p = DelayParams(beta, n)
+    expected = _naive_delay(beta, p.b, n, 14, {})
+    assert list(wigner.wigner_cumulants(p, 14).values) == expected
+
+
+@pytest.mark.parametrize("beta,alpha,delta,n", [
+    (1, rat(-1, 2), 0, 8), (2, rat(1, 2), rat(1, 3), 3), (4, rat(1), 1, 5),
+])
+def test_joint_table_equals_naive_loop(beta, alpha, delta, n):
+    alpha, delta = rat(alpha), rat(delta)
+    expected = _naive_joint(beta, alpha, delta, n, 4, 4, {})
+    table = joint_cumulants(TransportParams(beta, alpha, delta, n), 4, 4)
+    assert table.values == {(l, k): expected[(l, k)] for l in range(5) for k in range(5)}
