@@ -31,7 +31,7 @@ from .jointcsn import (
 from .manifest import atomic_write_text, attach_checksum, build_manifest
 from .params import DelayParams, TransportParams
 from .rational import parse_rational, rational_str
-from .report import limiting_delay_table
+from .report import TABLE2_TARGETS, limiting_delay_table
 from .verify import (
     jacobi_identity_check,
     ode_residual_conductance,
@@ -470,7 +470,9 @@ def _cmd_mc_edgeworth(ns, argv):
     from .montecarlo import edgeworth_density, sample_delay_times
 
     grid = np.linspace(lo, hi, steps)
-    K = [float(v) for v in wigner_cumulants(p, min(5, p.q)).values]
+    # the density needs K_2 at least: below q = 2 this raises
+    # nonexistent-cumulant before any sampling
+    K = [float(v) for v in wigner_cumulants(p, max(2, min(5, p.q))).values]
     ew = edgeworth_density(K, grid)
     mean, sd = K[0], math.sqrt(K[1])
     gauss = np.exp(-(((grid - mean) / sd) ** 2) / 2) / (sd * math.sqrt(2 * math.pi))
@@ -500,6 +502,11 @@ def _cmd_report_table2(ns, argv):
         if ns.n_list
         else (64, 96, 128, 192, 256)
     )
+    if min(n_list) < 1:
+        raise _UsageError(f"invalid --n-list: every n must be >= 1, got {min(n_list)}")
+    top = len(TABLE2_TARGETS[1])
+    if not 1 <= ns.max_order <= top:
+        raise _UsageError(f"invalid --max-order: must be in 1..{top}, got {ns.max_order}")
     table = limiting_delay_table(max_order=ns.max_order, n_list=n_list)
     _emit_json(ns, table, {"n_list": list(n_list)}, argv)
     return 0

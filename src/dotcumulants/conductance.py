@@ -12,11 +12,14 @@ a depth-L fill costs O(L^2) Bell terms per dimension rather than O(L^3).  The
 constants that depend on the dimension alone (the coupling b_n, the closed
 kappa_1..kappa_3 and the coefficients of each step's leading coefficient, a
 cubic in the order) are evaluated once per dimension and engine, in integer
-arithmetic (see ``ensembles``); nothing is cached across engines.  Every
-convolution sum (the Bell transform, the quadratic sum of each step) is one
-call of ``rational.dot``, which reduces once per sum rather than once per
-term; that gain was measured with the ``fractions`` backend only and may be
-smaller with gmpy2.
+arithmetic (see ``ensembles``); nothing is cached across engines.  Each
+exact value is one call of ``rational.dot`` with one reduction: a step's
+linear, quadratic and coupling terms go into a single sum, divided once by
+the leading coefficient; each second difference r_l and each Bell-transform
+coefficient mu_l is one sum as well.  The quadratic sum is symmetric under
+i <-> l-1-i, so each pair of terms is multiplied once under the sum of its
+two weights.  That gain was measured with the ``fractions`` backend only
+and may be smaller with gmpy2.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from .ensembles import _raw_coupling, _scaled, b_constant
 from .errors import InvalidOrderError, PoleError, UnsupportedBetaError
 from .params import TransportParams, eta_factor, lattice_step
-from .rational import dot, rat
+from .rational import ONE, dot, rat
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,21 @@ def _leading(beta, l, q2, P, Q):
     return q2 * cubic - P * l - Q
 
 
+def _symmetric_terms(weights, values):
+    """The ``dot`` terms of sum_i weights[i] values[i] values[l-1-i] over
+    i < l = len(weights).  The product is symmetric under i <-> l-1-i, so each
+    pair enters once with the sum of its two weights; the middle term of an
+    odd l is its own pair and keeps its single weight."""
+    l = len(weights)
+    terms = [
+        (weights[i] + weights[l - 1 - i], values[i], values[l - 1 - i])
+        for i in range(l // 2)
+    ]
+    if l % 2:
+        terms.append((weights[l // 2], values[l // 2], values[l // 2]))
+    return terms
+
+
 def _coeff_B(l, i, chi):
     li = l - i
     return (2 - chi) * li * (li * (6 * i - 2) + 3) + (chi - 1) * li * li * (6 * i + 2)
@@ -202,27 +220,22 @@ class ConductanceEngine:
         beta = self.beta
         l = len(kappa)  # recurrence index producing kappa_{l+1}
         chi = 2 if beta == 2 else 1
+        eta = eta_factor(beta)
         (q2, P, Q), g = self._dimension(n)
         A = _leading(beta, l, q2, P, Q)
         if A == 0:
             raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
+        # kappa[i] is kappa_{i+1}
+        terms = _symmetric_terms(
+            [-eta * math.comb(l, i) * _coeff_B(l, i, chi) for i in range(l)], kappa
+        )
+        terms.append((l * (2 * l - 1), g, kappa[l - 1]))
+        terms.append((l * (l - 1) * (l - 2), kappa[l - 2], ONE))
         bn = self.coupling(n)
-        rhs = rat(0)
         if bn != 0:
             mu = self.reduced_moments(n, l - 3)
-            rhs = rat(12 * l * (l - 1) * (l - 2), beta) * bn * mu[l - 3]
-        # kappa[i] is kappa_{i+1}
-        quad = dot(
-            (math.comb(l, i) * _coeff_B(l, i, chi), kappa[i], kappa[l - i - 1])
-            for i in range(l)
-        )
-        value = (
-            rhs
-            + l * (2 * l - 1) * g * kappa[l - 1]
-            + l * (l - 1) * (l - 2) * kappa[l - 2]
-            - eta_factor(beta) * quad
-        )
-        kappa.append(value * q2 / A)
+            terms.append((12 * l * (l - 1) * (l - 2) // beta, bn, mu[l - 3]))
+        kappa.append(dot(terms) / rat(A, q2))
 
     def reduced_moments(self, n, order):
         """mu_0..mu_order at dimension n from the reduced cumulants
@@ -237,8 +250,17 @@ class ConductanceEngine:
             minus = self.kappas(n - self.step, order)
             plus = self.kappas(n + self.step, order)
             here = self.kappas(n, order)
-            r.extend(minus[j] + plus[j] - 2 * here[j] for j in range(len(r), order))
+            r.extend(
+                _second_difference(minus[j], plus[j], here[j])
+                for j in range(len(r), order)
+            )
         return bell_transform(r, order, mu)
+
+
+def _second_difference(minus, plus, here):
+    """minus + plus - 2 here, the reduced cumulant of a value across the
+    dimension lattice, as one ``dot``."""
+    return dot(((1, minus, ONE), (1, plus, ONE), (-2, here, ONE)))
 
 
 def bell_transform(r, order, mu=None):
@@ -290,7 +312,7 @@ def reduced_moments(p: TransportParams, max_order, provider=None) -> ReducedSequ
     minus = provider(p.n - step, max_order)
     plus = provider(p.n + step, max_order)
     here = provider(p.n, max_order)
-    r = [minus[j] + plus[j] - 2 * here[j] for j in range(max_order)]
+    r = [_second_difference(minus[j], plus[j], here[j]) for j in range(max_order)]
     mu = bell_transform(r, max_order)
     return ReducedSequence(r_values=tuple(r), mu_values=tuple(mu))
 

@@ -10,6 +10,12 @@ at each dimension, and its joint reduced moments, are grown in place when a
 deeper staircase is requested.  Dimension 0 is the empty ensemble (all cumulants zero);
 negative lattice dimensions are evaluated by the same rational continuation
 the conductance row uses.
+
+Each entry is one ``rational.dot`` with one reduction, divided once by its
+integer leading coefficient 2l + 3k + 2; the double sum is symmetric under
+(i, j) <-> (k-1-i, l-j), so each pair of its terms is multiplied once under
+twice the weight.  Each reduced cumulant r_{l,k} and each mu_{l,k} is one
+``dot`` as well.  The gain was measured with the ``fractions`` backend only.
 """
 
 from __future__ import annotations
@@ -17,7 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conductance import ConductanceEngine, CumulantSequence, bell_transform
+from .conductance import (
+    ConductanceEngine,
+    CumulantSequence,
+    _second_difference,
+    bell_transform,
+)
 from .ensembles import b_constant
 from .errors import (
     BoundaryUnavailableError,
@@ -27,7 +38,7 @@ from .errors import (
     UnsupportedBetaError,
 )
 from .params import TransportParams, eta_factor, lattice_step
-from .rational import dot, rat
+from .rational import ONE, dot, rat
 
 
 @dataclass(frozen=True)
@@ -152,21 +163,14 @@ class JointEngine:
                         raise PoleError(
                             f"leading coefficient vanishes at ({l},{k + 1})"
                         )
-                    acc = 2 * c * kappa[(l + 2, k)]
+                    terms = [(2, c, kappa[(l + 2, k)])]
                     if k >= 1:
                         if bn != 0:
-                            acc += (12 * bn / self.beta) * k * mu[(l, k - 1)]
-                        acc -= k * (
-                            eta * kappa[(l + 4, k - 1)] - kappa[(l + 2, k - 1)]
-                        )
-                        double = dot(
-                            (math.comb(k - 1, i) * math.comb(l, j),
-                             kappa[(j + 2, i)], kappa[(l - j + 2, k - i - 1)])
-                            for i in range(k)
-                            for j in range(l + 1)
-                        )
-                        acc -= 6 * eta * k * double
-                    kappa[(l, k + 1)] = acc / lead
+                            terms.append((12 // self.beta * k, bn, mu[(l, k - 1)]))
+                        terms.append((-eta * k, kappa[(l + 4, k - 1)], ONE))
+                        terms.append((k, kappa[(l + 2, k - 1)], ONE))
+                        terms.extend(_double_sum(kappa, l, k, -6 * eta * k))
+                    kappa[(l, k + 1)] = dot(terms) / lead
         return kappa
 
     def _joint_reduced_moments(self, n, L, K):
@@ -185,7 +189,7 @@ class JointEngine:
         plus_row = self._row_or_zeros(n + step, row_len)
         here_row = self._row_or_zeros(n, row_len)
         reduced_row.extend(
-            minus_row[j] + plus_row[j] - 2 * here_row[j]
+            _second_difference(minus_row[j], plus_row[j], here_row[j])
             for j in range(len(reduced_row), row_len)
         )
         bell_transform(reduced_row, row_len, mu_row)
@@ -210,8 +214,27 @@ class JointEngine:
         for k in range(K + 1):
             for l in range(L + 2 * (K - k) + 1):
                 if (l, k) not in r:
-                    r[(l, k)] = minus[(l, k)] + plus[(l, k)] - 2 * here[(l, k)]
+                    r[(l, k)] = _second_difference(
+                        minus[(l, k)], plus[(l, k)], here[(l, k)]
+                    )
         return r
+
+
+def _double_sum(kappa, l, k, scale):
+    """The terms of scale * sum_{i<k, j<=l} C(k-1,i) C(l,j)
+    kappa_{j+2,i} kappa_{l-j+2,k-1-i}.
+
+    With m = i(l+1) + j, the mirror (k-1-i, l-j) of a term sits at
+    k(l+1) - 1 - m and has the same weight and product, so each pair enters
+    once with twice the weight; the middle term (2i = k-1, 2j = l) is its own
+    pair."""
+    size = k * (l + 1)
+    for m in range((size + 1) // 2):
+        i, j = divmod(m, l + 1)
+        w = scale * math.comb(k - 1, i) * math.comb(l, j)
+        if 2 * m + 1 < size:
+            w *= 2
+        yield w, kappa[(j + 2, i)], kappa[(l - j + 2, k - 1 - i)]
 
 
 def joint_reduced_table(p: TransportParams, max_l, max_k) -> JointReducedTable:

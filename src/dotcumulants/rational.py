@@ -6,11 +6,13 @@ The scalar is ``gmpy2.mpq`` when gmpy2 is importable (GMP-backed) and
 ``fractions.Fraction`` otherwise.
 Both serialize as ``"p/q"`` with ``/q`` omitted when the denominator is 1.
 
-``dot`` is the one kernel behind the exact convolution sums of the
-recurrences (Bell transform, quadratic sums, series products): integer
-numerators over the lcm of their denominators, reduced once, instead of one
-normalised rational per term.  Its gain was measured with ``fractions`` only;
-with ``gmpy2.mpq`` it is unmeasured and may be smaller.
+``dot`` is the one kernel behind every exact value the recurrences produce
+(a whole recurrence step, a second difference across the dimension lattice,
+a Bell-transform or series coefficient): the integer numerators of the
+products are added over a running denominator, which grows only when a
+term's denominator does not divide it, and the sum is reduced once, instead
+of one normalised rational per term.  Its gain was measured with
+``fractions`` only; with ``gmpy2.mpq`` it is unmeasured and may be smaller.
 """
 
 from __future__ import annotations
@@ -61,20 +63,30 @@ ONE = rat(1)
 
 
 def dot(terms):
-    """sum(c * x * y) over ``(c, x, y)`` triples, c an int and x, y rationals,
-    added as integers over the lcm of the denominators and reduced once; terms
-    with a zero numerator are skipped, and the empty sum is ``ZERO``."""
-    nums = []
-    dens = []
+    """sum(c * x * y) over ``(c, x, y)`` triples, c an int and x, y rationals.
+
+    The products are added as one integer numerator over a running
+    denominator D: a term whose denominator d divides D is scaled by D // d,
+    otherwise the numerator and D are first multiplied by d // gcd(D, d).
+    The sum is reduced once at the end; terms with a zero numerator are
+    skipped, and the empty sum is ``ZERO``.
+    """
+    num = 0
+    den = 1
     for c, x, y in terms:
-        num = c * x.numerator * y.numerator
-        if num:
-            nums.append(num)
-            dens.append(x.denominator * y.denominator)
-    if not nums:
+        n = c * x.numerator * y.numerator
+        if n:
+            d = x.denominator * y.denominator
+            scale, rem = divmod(den, d)
+            if rem:
+                grow = d // math.gcd(den, d)
+                num *= grow
+                den *= grow
+                scale = den // d
+            num += n * scale
+    if not num:
         return ZERO
-    den = math.lcm(*dens)
-    return rat(sum(num * (den // d) for num, d in zip(nums, dens)), den)
+    return rat(num, den)
 
 
 def parse_rational(text):

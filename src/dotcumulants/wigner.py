@@ -4,8 +4,14 @@ Only q = floor(b - 2 - beta*(n-1)) cumulants exist; requesting more is an
 error, not an infinity.  For beta in {1,4} the recurrence couples dimensions
 n +/- i(beta) with b held FIXED at the target's value: each shifted point's
 own q is recomputed from that fixed b, and an order shortfall aborts with an
-error naming the blocking lattice point.  For beta=2 the right-hand side
-vanishes and the recurrence collapses to a single-dimension quadratic form.
+error naming the blocking lattice point.  For beta=2 the coupling d_n
+vanishes, and the same engine then runs at a single dimension.
+
+Each K_{l+1} is one ``rational.dot`` over four times the step's right-hand
+side (so that every weight is an integer), divided once by four times the
+leading coefficient; the quadratic sum is paired under i <-> l-1-i as in
+``conductance``, and each second difference is one ``dot``.  The gain was
+measured with the ``fractions`` backend only.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conductance import _leading, bell_transform
+from .conductance import _leading, _second_difference, _symmetric_terms, bell_transform
 from .ensembles import _raw_delay_coupling
 from .errors import (
     InsufficientOrderError,
@@ -23,7 +29,7 @@ from .errors import (
     PoleError,
 )
 from .params import DelayParams, eta_factor, lattice_step
-from .rational import dot, rat
+from .rational import ONE, dot, rat
 from .series import TruncatedSeries
 
 
@@ -158,17 +164,17 @@ class DelayEngine:
         A = _leading(beta, l, q2, P, Q)
         if A == 0:
             raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
+        # four times the right-hand side, so that every weight is an integer
+        terms = _symmetric_terms(
+            [-4 * math.comb(l, i) * _coeff_B(beta, eta, i, l) for i in range(l)], K
+        )
+        terms.append((-4 * beta * l * (2 * l - 1), K[l - 1], ONE))
         dn = self.coupling(n)
-        rhs = rat(0)
         if dn != 0:
             phi = self.reduced_moments(n, l - 3)
-            # (12 d_n / beta) l(l-1)(l-2) (beta/2)^4 phi_{l-3}
-            rhs = rat(3 * beta**3 * l * (l - 1) * (l - 2), 4) * dn * phi[l - 3]
-        quad = dot(
-            (math.comb(l, i) * _coeff_B(beta, eta, i, l), K[l - i - 1], K[i])
-            for i in range(l)
-        )
-        K.append((rhs - beta * l * (2 * l - 1) * K[l - 1] - quad) * q2 / A)
+            # (12 d_n / beta) l(l-1)(l-2) (beta/2)^4 phi_{l-3}, times four
+            terms.append((3 * beta**3 * l * (l - 1) * (l - 2), dn, phi[l - 3]))
+        K.append(dot(terms) / rat(4 * A, q2))
 
     def reduced_moments(self, n, order):
         """phi_0..phi_order from the fixed-b second differences of K.
@@ -182,7 +188,10 @@ class DelayEngine:
         minus = self.cumulants(n - self.step, order, requester=n)
         plus = self.cumulants(n + self.step, order, requester=n)
         here = self.cumulants(n, order)
-        rho.extend(minus[j] + plus[j] - 2 * here[j] for j in range(len(rho), order))
+        rho.extend(
+            _second_difference(minus[j], plus[j], here[j])
+            for j in range(len(rho), order)
+        )
         return bell_transform(rho, order, phi)
 
 
@@ -194,45 +203,11 @@ def wigner_cumulants(p: DelayParams, max_order) -> DelayCumulants:
         raise NonexistentCumulantError(
             f"only q={p.q} cumulants exist for beta={p.beta}, n={p.n}, b={p.b}"
         )
-    if p.beta == 2:
-        values = tuple(_beta2_cumulants(p, max_order))
-        note = ((p.n, p.b),)
-    else:
-        engine = DelayEngine(p.beta, p.b)
-        values = tuple(engine.cumulants(p.n, max_order))
-        note = tuple(engine.visited)
-    return DelayCumulants(params=p, values=values, lattice_note=note)
-
-
-def _beta2_cumulants(p: DelayParams, max_order):
-    """beta=2 specialization: with the default b the recurrence collapses to
-    (l+1)(n^2 - l^2) K_{l+1} = 2l(2l-1) K_l
-                              + 2 sum_i (3i+1) C(l,i) (l-i)^2 K_{i+1} K_{l-i}.
-    For non-default b the generic zero-right-side recurrence is used.
-    """
-    if not p.has_default_b:
-        engine = DelayEngine(p.beta, p.b)
-        return engine.cumulants(p.n, max_order)
-    n = p.n
-    K = _initial_three(2, p.omega, n, min(3, max_order))
-    while len(K) < max_order:
-        l = len(K)
-        lead = (l + 1) * (n * n - l * l)
-        if lead == 0:
-            raise PoleError(f"beta=2 leading coefficient vanishes at order {l}")
-        acc = 2 * l * (2 * l - 1) * K[l - 1] + dot(
-            (2 * (3 * i + 1) * math.comb(l, i) * (l - i) ** 2, K[i], K[l - i - 1])
-            for i in range(l)
-        )
-        K.append(acc / lead)
-    return K
-
-
-def wigner_cumulants_generic(p: DelayParams, max_order) -> tuple:
-    """The general recurrence path for any beta (test hook: for beta=2 this
-    must coincide with the specialized form)."""
     engine = DelayEngine(p.beta, p.b)
-    return tuple(engine.cumulants(p.n, max_order))
+    values = tuple(engine.cumulants(p.n, max_order))
+    return DelayCumulants(
+        params=p, values=values, lattice_note=tuple(engine.visited)
+    )
 
 
 def wigner_fourth_closed(beta, n):

@@ -106,6 +106,10 @@ def test_missing_parameter_is_usage_error(capsys):
     ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "0.4:1.8"],
     ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "1.8:0.4:81"],
     ["report", "table2", "--n-list", "64,x"],
+    ["report", "table2", "--n-list", "0,1"],
+    ["report", "table2", "--max-order", "9"],
+    ["report", "table2", "--max-order", "-1"],
+    ["report", "table2", "--max-order", "0"],
     ["verify", "chazy", "--n", "0", "--order", "2"],
     ["verify", "altland", "--n", "0", "--max-k", "2"],
     ["asymptotic", "wigner", "--max-index", "-2"],
@@ -234,6 +238,20 @@ def test_mc_sample_non_default_b_is_unsupported_parameter(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: unsupported-parameter")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta,n", [(2, 1), (1, 3)])
+def test_mc_edgeworth_without_variance_is_nonexistent_cumulant(capsys, tmp_path, beta, n):
+    out = tmp_path / "curve.csv"
+    code = dispatch(
+        ["mc", "edgeworth", "--beta", str(beta), "--n", str(n), "--grid", "0.5:1.5:41",
+         "--count", "100", "--seed", "9", "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: nonexistent-cumulant")
     assert "Traceback" not in err
     assert not out.exists()
 

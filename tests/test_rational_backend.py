@@ -15,6 +15,7 @@ from dotcumulants.jointcsn import joint_cumulants
 from dotcumulants.params import DelayParams, TransportParams, eta_factor, lattice_step
 from dotcumulants.rational import (
     BACKEND,
+    ONE,
     ZERO,
     dot,
     floor_rational,
@@ -110,6 +111,48 @@ def test_dot_equals_the_naive_sum(terms):
     got = dot(iter(terms))
     assert got == expected
     assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+# Denominators built as products of a few factors drawn from one small base,
+# so that a term's denominator often divides the running denominator, equals
+# an earlier one, or shares nothing with it: both branches of the kernel run.
+_FACTORS = [2, 3, 4, 5, 7, 9, 11, 2**61 - 1, 10**9 + 7, 3**40, 2**64]
+
+
+@st.composite
+def _structured_terms(draw):
+    base = draw(st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=4))
+    factors = st.lists(st.sampled_from(base), max_size=4).map(math.prod)
+    value = st.one_of(
+        st.just(ZERO),
+        st.builds(rat, st.integers(-(10**30), 10**30), factors),
+    )
+    terms = draw(st.lists(
+        st.tuples(st.integers(-(10**6), 10**6), value, value), max_size=30
+    ))
+    if draw(st.booleans()):
+        # the negated copy makes the whole sum cancel to zero
+        terms = draw(st.permutations(terms + [(-c, x, y) for c, x, y in terms]))
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structured_terms())
+def test_dot_equals_the_naive_sum_over_related_denominators(terms):
+    expected = sum((c * x * y for c, x, y in terms), ZERO)
+    got = dot(terms)
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+    assert type(got) is type(ZERO)
+
+
+def test_dot_takes_both_denominator_branches():
+    # 1/6 divides the running 1/12; 1/8 forces a rescale to 24; 1/9 shares
+    # only a 3 with 24 and rescales to 72
+    terms = [(1, rat(1, 12), ONE), (5, rat(1, 6), ONE), (3, rat(1, 8), ONE),
+             (2, rat(1, 3), rat(1, 3))]
+    assert dot(terms) == rat(1, 12) + rat(5, 6) + rat(3, 8) + rat(2, 9)
+    cancelled = dot(terms + [(-c, x, y) for c, x, y in terms])
+    assert cancelled == ZERO and type(cancelled) is type(ZERO)
 
 
 def test_dot_returns_the_backend_scalar():
@@ -262,23 +305,60 @@ def test_bell_transform_equals_naive_loop():
     (1, rat(-1, 2), 0, 16), (2, rat(1, 2), rat(1, 3), 5), (4, rat(1), rat(1, 3), 8),
 ])
 def test_conductance_row_equals_naive_loop(beta, alpha, delta, n):
+    _check_conductance_row(beta, alpha, delta, n, 16)
+
+
+# A row ending at an odd order: its last step has an even index l and no
+# self-paired middle term, while every odd l before it has one.
+@pytest.mark.parametrize("beta,alpha,delta,n", [
+    (1, rat(-1, 2), 0, 16), (2, rat(1, 2), rat(1, 3), 5), (4, rat(1), rat(1, 3), 8),
+])
+def test_conductance_row_to_odd_order_equals_naive_loop(beta, alpha, delta, n):
+    _check_conductance_row(beta, alpha, delta, n, 15)
+
+
+def _check_conductance_row(beta, alpha, delta, n, order):
     alpha, delta = rat(alpha), rat(delta)
-    expected = _naive_conductance(beta, alpha, delta, n, 16, {})
-    assert list(conductance_cumulants(TransportParams(beta, alpha, delta, n), 16).values) == expected
+    expected = _naive_conductance(beta, alpha, delta, n, order, {})
+    p = TransportParams(beta, alpha, delta, n)
+    assert list(conductance_cumulants(p, order).values) == expected
 
 
 @pytest.mark.parametrize("beta,n", [(1, 40), (2, 30), (4, 20)])
 def test_delay_row_equals_naive_loop(beta, n):
+    _check_delay_row(beta, n, 14)
+
+
+@pytest.mark.parametrize("beta,n", [(1, 40), (2, 30), (4, 20)])
+def test_delay_row_to_odd_order_equals_naive_loop(beta, n):
+    _check_delay_row(beta, n, 13)
+
+
+def _check_delay_row(beta, n, order):
     p = DelayParams(beta, n)
-    expected = _naive_delay(beta, p.b, n, 14, {})
-    assert list(wigner.wigner_cumulants(p, 14).values) == expected
+    expected = _naive_delay(beta, p.b, n, order, {})
+    assert list(wigner.wigner_cumulants(p, order).values) == expected
 
 
 @pytest.mark.parametrize("beta,alpha,delta,n", [
     (1, rat(-1, 2), 0, 8), (2, rat(1, 2), rat(1, 3), 3), (4, rat(1), 1, 5),
 ])
 def test_joint_table_equals_naive_loop(beta, alpha, delta, n):
+    _check_joint_table(beta, alpha, delta, n, 4, 4)
+
+
+# A deeper table: the steps of a (6, 5) table run k = 0..4 with l up to
+# 6 + 2(4 - k), so the double sum has self-paired middle terms (k odd, l even)
+# at k = 1 and 3, and the coupling term consumes mu up to column 3.
+@pytest.mark.parametrize("beta,alpha,delta,n", [(1, rat(-1, 2), 0, 8), (4, rat(1), 1, 5)])
+def test_joint_table_6_5_equals_naive_loop(beta, alpha, delta, n):
+    _check_joint_table(beta, alpha, delta, n, 6, 5)
+
+
+def _check_joint_table(beta, alpha, delta, n, L, K):
     alpha, delta = rat(alpha), rat(delta)
-    expected = _naive_joint(beta, alpha, delta, n, 4, 4, {})
-    table = joint_cumulants(TransportParams(beta, alpha, delta, n), 4, 4)
-    assert table.values == {(l, k): expected[(l, k)] for l in range(5) for k in range(5)}
+    expected = _naive_joint(beta, alpha, delta, n, L, K, {})
+    table = joint_cumulants(TransportParams(beta, alpha, delta, n), L, K)
+    assert table.values == {
+        (l, k): expected[(l, k)] for l in range(L + 1) for k in range(K + 1)
+    }

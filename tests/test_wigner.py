@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dotcumulants.conductance import bell_transform
@@ -13,7 +15,6 @@ from dotcumulants.wigner import (
     chazy_residual,
     delay_generating_series,
     wigner_cumulants,
-    wigner_cumulants_generic,
     wigner_fourth_closed,
     wigner_initial,
 )
@@ -67,9 +68,29 @@ def test_fourth_cumulant_beta1_recurrence_consistency():
         assert wigner_cumulants(DelayParams(1, n), 4)[4] == wigner_fourth_closed(1, n)
 
 
-def test_beta2_specialization_equals_generic():
-    p = DelayParams(2, 10)
-    assert wigner_cumulants_generic(p, 9) == wigner_cumulants(p, 9).values
+def _closed_beta2(n, order):
+    """The beta=2 delay recurrence at the default b, term by term:
+    (l+1)(n^2 - l^2) K_{l+1} = 2l(2l-1) K_l
+                              + 2 sum_i (3i+1) C(l,i) (l-i)^2 K_{i+1} K_{l-i}."""
+    K = list(wigner_initial(DelayParams(2, n)))[:order]
+    while len(K) < order:
+        l = len(K)
+        acc = 2 * l * (2 * l - 1) * K[l - 1]
+        for i in range(l):
+            acc += 2 * (3 * i + 1) * math.comb(l, i) * (l - i) ** 2 * K[i] * K[l - i - 1]
+        K.append(acc / ((l + 1) * (n * n - l * l)))
+    return tuple(K)
+
+
+def test_beta2_engine_equals_closed_recurrence():
+    for n in range(1, 65):
+        p = DelayParams(2, n)
+        order = min(p.q, 14)
+        res = wigner_cumulants(p, order)
+        assert res.values == _closed_beta2(n, order)
+        assert res.lattice_note == ((n, p.b),)
+        if p.q >= 4:
+            assert res[4] == wigner_fourth_closed(2, n)
 
 
 def test_lattice_uses_fixed_exponent():
