@@ -444,6 +444,7 @@ def _cmd_verify_gauss_factor(ns, argv):
 def _cmd_mc_sample(ns, argv):
     from .montecarlo import sample_delay_times, sample_jacobi_spectrum
 
+    _nonnegative("--seed", ns.seed)
     if ns.statistic == "tauW":
         p = _delay_params(ns)
         batch = sample_delay_times(p, ns.count, ns.seed)
@@ -460,6 +461,7 @@ def _cmd_mc_sample(ns, argv):
 
 def _cmd_mc_edgeworth(ns, argv):
     p = _delay_params(ns)
+    _nonnegative("--seed", ns.seed)
     with _parsing("--grid (lo:hi:steps)"):
         lo, hi, steps = ns.grid.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
@@ -470,9 +472,9 @@ def _cmd_mc_edgeworth(ns, argv):
     from .montecarlo import edgeworth_density, sample_delay_times
 
     grid = np.linspace(lo, hi, steps)
-    # the density needs K_2 at least: below q = 2 this raises
+    # the density needs K_1..K_5: below q = 5 this raises
     # nonexistent-cumulant before any sampling
-    K = [float(v) for v in wigner_cumulants(p, max(2, min(5, p.q))).values]
+    K = [float(v) for v in wigner_cumulants(p, 5).values]
     ew = edgeworth_density(K, grid)
     mean, sd = K[0], math.sqrt(K[1])
     gauss = np.exp(-(((grid - mean) / sd) ** 2) / 2) / (sd * math.sqrt(2 * math.pi))
@@ -499,7 +501,7 @@ def _cmd_mc_edgeworth(ns, argv):
 def _cmd_report_table2(ns, argv):
     n_list = (
         tuple(_int_list("--n-list", ns.n_list))
-        if ns.n_list
+        if ns.n_list is not None
         else (64, 96, 128, 192, 256)
     )
     if min(n_list) < 1:

@@ -34,7 +34,6 @@ from .errors import (
     BoundaryUnavailableError,
     CumulantError,
     InvalidOrderError,
-    PoleError,
     UnsupportedBetaError,
 )
 from .params import TransportParams, eta_factor, lattice_step
@@ -158,11 +157,6 @@ class JointEngine:
                 for l in range(extent + 1):
                     if (l, k + 1) in kappa:
                         continue
-                    lead = 2 * l + 3 * k + 2
-                    if lead == 0:
-                        raise PoleError(
-                            f"leading coefficient vanishes at ({l},{k + 1})"
-                        )
                     terms = [(2, c, kappa[(l + 2, k)])]
                     if k >= 1:
                         if bn != 0:
@@ -170,7 +164,8 @@ class JointEngine:
                         terms.append((-eta * k, kappa[(l + 4, k - 1)], ONE))
                         terms.append((k, kappa[(l + 2, k - 1)], ONE))
                         terms.extend(_double_sum(kappa, l, k, -6 * eta * k))
-                    kappa[(l, k + 1)] = dot(terms) / lead
+                    # the leading coefficient 2l + 3k + 2 is at least 2
+                    kappa[(l, k + 1)] = dot(terms) / (2 * l + 3 * k + 2)
         return kappa
 
     def _joint_reduced_moments(self, n, L, K):

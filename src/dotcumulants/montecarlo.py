@@ -7,6 +7,13 @@ fixed-size sub-batches whose seeds are spawned from the master seed, so the
 same (seed, params, count) always produces byte-identical values and merging
 is order-independent.
 
+Working memory beyond the returned arrays is O(sub-batch) per thread: the
+chain sampler walks the chain one position at a time with running sums, and
+the k-statistics and their jackknife go through the batch one sub-batch-sized
+block at a time.  Chain batches therefore differ in the last bits from those
+of the earlier matrix-form sampler, whose sums ran in another order; the tauW
+and rejection batches are unchanged.
+
 The tridiagonal sampler constructions are validated against the exact
 low-order cumulants in the test suite; a failed match there is a sampler bug
 by definition, so the degree-of-freedom maps below carry no authority of
@@ -30,6 +37,7 @@ from .errors import (
     InsufficientSamplesError,
     InvalidCountError,
     InvalidVarianceError,
+    NonexistentCumulantError,
     UnsupportedParameterError,
 )
 from .params import DelayParams, TransportParams
@@ -209,33 +217,37 @@ def _sample_chain(p: TransportParams, count, seed):
     """Tridiagonal construction for larger n: independent Beta canonical
     moments feed the chain zeta_j = (1 - p_{j-1}) p_j, and the statistics
     come from traces of the Jacobi matrix (no eigendecomposition needed):
-    G = tr J, sum T^2 = tr J^2."""
+    G = tr J, sum T^2 = tr J^2.
+
+    The worker walks the chain one position at a time, adding each diagonal
+    entry and each squared off-diagonal entry to running sums, so a
+    sub-batch holds a few vectors of its length and no matrix."""
     n = p.n
     params = _chain_beta_parameters(p.beta, str(p.alpha), str(p.delta), n)
     G = np.empty(count)
-    T2 = np.empty(count)
+    P = np.empty(count)
 
     def worker(rng, c):
-        u = np.empty((c, 2 * n - 1))
+        # diagonal entries a_k = zeta_{2k-2} + zeta_{2k-1} complete at even
+        # positions, squared off-diagonal entries b_k^2 = zeta_{2k-1} zeta_{2k}
+        # at odd ones; u_0 := zeta_0 := 0 starts the chain
+        g = np.zeros(c)
+        tr2 = np.zeros(c)
+        u_prev = zeta_prev = 0.0
         for idx, (s, t) in enumerate(params):
-            u[:, idx] = rng.beta(s, t, size=c)
-        zeta = np.empty((c, 2 * n - 1))
-        zeta[:, 0] = u[:, 0]
-        for idx in range(1, 2 * n - 1):
-            zeta[:, idx] = (1.0 - u[:, idx - 1]) * u[:, idx]
-        # diagonal entries a_k = zeta_{2k-2} + zeta_{2k-1} (zeta_0 := 0),
-        # squared off-diagonal entries b_k^2 = zeta_{2k-1} zeta_{2k}
-        diag = np.empty((c, n))
-        diag[:, 0] = zeta[:, 0]
-        for k in range(2, n + 1):
-            diag[:, k - 1] = zeta[:, 2 * k - 3] + zeta[:, 2 * k - 2]
-        off2 = np.empty((c, n - 1))
-        for k in range(1, n):
-            off2[:, k - 1] = zeta[:, 2 * k - 2] * zeta[:, 2 * k - 1]
-        return diag.sum(axis=1), (diag**2).sum(axis=1) + 2.0 * off2.sum(axis=1)
+            u = rng.beta(s, t, size=c)
+            zeta = (1.0 - u_prev) * u
+            if idx % 2 == 0:
+                a = zeta_prev + zeta
+                g += a
+                tr2 += a * a
+            else:
+                tr2 += 2.0 * zeta_prev * zeta
+            u_prev, zeta_prev = u, zeta
+        return g, g - tr2
 
-    _fill_subbatches(seed, count, (G, T2), worker)
-    return G, G - T2
+    _fill_subbatches(seed, count, (G, P), worker)
+    return G, P
 
 
 def sample_jacobi_spectrum(p: TransportParams, count, seed) -> JacobiSample:
@@ -330,43 +342,73 @@ def kstat_coefficients(N, r):
     return {lam: mat[i][m] for i, lam in enumerate(lambdas)}
 
 
-def _kstats_from_power_sums(S, N, max_order):
-    out = []
-    for r in range(1, max_order + 1):
-        coeffs = kstat_coefficients(N, r)
-        val = np.zeros_like(np.asarray(S[1], dtype=float) * 0.0)
-        for lam, c in coeffs.items():
-            term = float(c) * np.ones_like(val)
-            for a in lam:
-                term = term * S[a]
-            val = val + term
-        out.append(val)
+def _kstat_terms(N, max_order):
+    """Per order r = 1..max_order, the (float coefficient, partition) terms of
+    k_r at sample size N."""
+    return [
+        [(float(c), lam) for lam, c in kstat_coefficients(N, r).items()]
+        for r in range(1, max_order + 1)
+    ]
+
+
+def _kstat(terms, S):
+    """k_r = sum_lambda c_lambda prod_i S_{lambda_i}, where S[a] is a power
+    sum or a vector of them."""
+    val = 0.0
+    for c, lam in terms:
+        term = c
+        for a in lam:
+            term = term * S[a]
+        val = val + term
+    return val
+
+
+def _power_vectors(xb, max_order):
+    """[None, xb, xb^2, ..., xb^max_order] for one block."""
+    out = [None, xb]
+    for _ in range(1, max_order):
+        out.append(out[-1] * xb)
     return out
 
 
 def estimate_cumulants(batch: SampleBatch, max_order=5):
-    """Unbiased k-statistics k_1..k_max_order with jackknife standard errors."""
+    """Unbiased k-statistics k_1..k_max_order with delete-one jackknife
+    standard errors.
+
+    Both passes over the batch work one block of ``_SUBBATCH`` samples at a
+    time: the first adds up the power sums S_a, the second evaluates the
+    leave-one-out k_r of every sample in the block and accumulates its gap d
+    to the full-sample k_r and d^2.  The gaps are small, so the variance
+    sum d^2 - (sum d)^2 / N about their mean suffers no cancellation."""
     if max_order > 5:
         raise InsufficientSamplesError("k-statistics implemented through order 5")
     x = np.asarray(batch.values, dtype=float)
     N = len(x)
     if N <= max_order:
         raise InsufficientSamplesError("need more samples than the max order")
-    powers = [None] + [x**a for a in range(1, max_order + 1)]
-    S = [None] + [float(powers[a].sum()) for a in range(1, max_order + 1)]
-    full = _kstats_from_power_sums(
-        [None] + [np.array(S[a]) for a in range(1, max_order + 1)], N, max_order
-    )
-    # delete-one jackknife from the same power sums
-    S_loo = [None] + [S[a] - powers[a] for a in range(1, max_order + 1)]
-    loo = _kstats_from_power_sums(S_loo, N - 1, max_order)
-    results = []
-    for r in range(1, max_order + 1):
-        k_full = float(full[r - 1])
-        k_loo = loo[r - 1]
-        se = math.sqrt((N - 1) / N * float(((k_loo - k_loo.mean()) ** 2).sum()))
-        results.append((k_full, se))
-    return results
+    blocks = [x[i : i + _SUBBATCH] for i in range(0, N, _SUBBATCH)]
+    S = [None] + [0.0] * max_order
+    for xb in blocks:
+        powers = _power_vectors(xb, max_order)
+        for a in range(1, max_order + 1):
+            S[a] += float(powers[a].sum())
+    full = [_kstat(terms, S) for terms in _kstat_terms(N, max_order)]
+    loo_terms = _kstat_terms(N - 1, max_order)
+    gap = [0.0] * max_order
+    gap2 = [0.0] * max_order
+    for xb in blocks:
+        powers = _power_vectors(xb, max_order)
+        S_loo = [None] + [S[a] - powers[a] for a in range(1, max_order + 1)]
+        for r in range(max_order):
+            d = _kstat(loo_terms[r], S_loo) - full[r]
+            gap[r] += float(d.sum())
+            d *= d
+            gap2[r] += float(d.sum())
+    # rounding can leave a zero variance a hair below zero
+    return [
+        (k, math.sqrt(max(0.0, (N - 1) / N * (g2 - g * g / N))))
+        for k, g, g2 in zip(full, gap, gap2)
+    ]
 
 
 # -- Edgeworth density ----------------------------------------------------------------
@@ -383,9 +425,14 @@ def edgeworth_density(K, x_grid):
     Standard term grouping through the third correction order: with
     g3 = K3/K2^{3/2}, g4 = K4/K2^2, g5 = K5/K2^{5/2}, the standardized
     density is phi(u) [1 + g3 He3/6 + (g4 He4/24 + g3^2 He6/72)
-    + (g5 He5/120 + g3 g4 He7/144 + g3^3 He9/1296)].
+    + (g5 He5/120 + g3 g4 He7/144 + g3^3 He9/1296)].  It needs K_1..K_5;
+    fewer raise ``NonexistentCumulantError`` rather than dropping corrections.
     """
-    K = list(K) + [0.0] * (5 - len(K))
+    K = list(K)
+    if len(K) < 5:
+        raise NonexistentCumulantError(
+            f"the Edgeworth density needs five cumulants, got {len(K)}"
+        )
     mean, var = float(K[0]), float(K[1])
     if var <= 0:
         raise InvalidVarianceError("K_2 must be positive")

@@ -228,6 +228,10 @@ def _joint_coeff_array(table, L, K):
 def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> ResidualReport:
     """Residual of the joint conductance/shot-noise PDE on the double Taylor
     rectangle (order_z, order_w); exact-zero contract."""
+    if order_z < 0 or order_w < 0:
+        raise InvalidOrderError(
+            f"PDE residual orders must be >= 0, got ({order_z}, {order_w})"
+        )
     Mz, Mw = order_z, order_w
     beta = p.beta
     eta = p.eta14
@@ -352,6 +356,8 @@ def quadrature_moments(p: TransportParams, statistic, max_total_order, rel_tol=1
     l + k <= max_total_order is returned, keyed (l, k).  Relative error
     target 1e-8 by way of a tighter internal quadrature tolerance.
     """
+    if max_total_order < 1:
+        raise InvalidOrderError(f"max_order must be >= 1, got {max_total_order}")
     from .quadrature import transport_raw_moments  # loads numpy/scipy on first use
 
     if p.n > 3:

@@ -120,6 +120,10 @@ def test_missing_parameter_is_usage_error(capsys):
     ["verify", "chazy", "--n", "2", "--order", "-1"],
     ["verify", "jacobi", "--lmax", "-1", "--kmax", "2"],
     ["verify", "jacobi", "--lmax", "2", "--kmax", "-1"],
+    ["mc", "sample", "--statistic", "tauW", "--beta", "1", "--n", "20",
+     "--count", "5", "--seed", "-1"],
+    ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "0.5:1.5:3", "--seed", "-1"],
+    ["report", "table2", "--n-list="],
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "garbled.json").write_text('{"beta": 2,')
@@ -242,7 +246,9 @@ def test_mc_sample_non_default_b_is_unsupported_parameter(capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("beta,n", [(2, 1), (1, 3)])
+# q < 2 leaves no variance; 2 <= q < 5 would leave the density without its
+# corrections, so neither samples anything
+@pytest.mark.parametrize("beta,n", [(2, 1), (1, 3), (2, 2), (2, 3), (2, 4), (1, 8)])
 def test_mc_edgeworth_without_variance_is_nonexistent_cumulant(capsys, tmp_path, beta, n):
     out = tmp_path / "curve.csv"
     code = dispatch(
@@ -254,6 +260,20 @@ def test_mc_edgeworth_without_variance_is_nonexistent_cumulant(capsys, tmp_path,
     assert err.startswith("error: nonexistent-cumulant")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ode", "--which", "joint", "--beta", "2", "--n", "2",
+     "--order-z", "-1", "--order-w", "1"],
+    ["verify", "ode", "--which", "joint", "--beta", "2", "--n", "2",
+     "--order-z", "1", "--order-w", "-1"],
+    ["verify", "oracle", "--beta", "2", "--n", "1", "--max-order", "-1"],
+])
+def test_negative_residual_and_oracle_orders_are_invalid_order(capsys, argv):
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: invalid-order")
 
 
 def test_mc_edgeworth_csv_columns(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dotcumulants.errors import (
     InsufficientSamplesError,
     InvalidCountError,
     InvalidVarianceError,
+    NonexistentCumulantError,
     UnsupportedParameterError,
 )
 from dotcumulants.jointcsn import mean_shot_noise
@@ -242,3 +244,122 @@ def test_edgeworth_beats_gaussian_against_histogram():
     gauss = np.exp(-(((centers - K[0]) / sd) ** 2) / 2) / (sd * math.sqrt(2 * math.pi))
     sup_gauss = np.max(np.abs(hist - gauss))
     assert sup_edgeworth < sup_gauss
+
+
+# -- bounded working memory ------------------------------------------------------------
+
+
+def _traced_peak(fn):
+    """fn() and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kstats_working_memory_is_bounded():
+    x = np.random.default_rng(19).exponential(size=2**19)
+    batch = SampleBatch("G", None, 0, x)
+    _, peak = _traced_peak(lambda: estimate_cumulants(batch, 5))
+    assert peak < 4e6  # the batch itself is 4.2 MB
+
+
+def test_chain_sampler_working_memory_is_bounded(monkeypatch):
+    monkeypatch.setenv("DOTCUMULANTS_THREADS", "1")
+    p = TransportParams(1, COE_HALF, 0, 20)
+    pair, peak = _traced_peak(lambda: sample_jacobi_spectrum(p, 2**18, 4242))
+    outputs = pair.g.values.nbytes + pair.p.values.nbytes
+    assert peak - outputs < 2e6
+
+
+# -- equivalence with the all-at-once kernels ---------------------------------------------
+
+
+def _matrix_chain(p, count, seed):
+    """The chain sampler with (c, 2n-1) u/zeta and (c, n) diag/off2 matrices
+    per sub-batch, on the same generators as ``montecarlo._sample_chain``."""
+    n = p.n
+    params = montecarlo._chain_beta_parameters(p.beta, str(p.alpha), str(p.delta), n)
+    G = np.empty(count)
+    T2 = np.empty(count)
+
+    def worker(rng, c):
+        u = np.empty((c, 2 * n - 1))
+        for idx, (s, t) in enumerate(params):
+            u[:, idx] = rng.beta(s, t, size=c)
+        zeta = np.empty((c, 2 * n - 1))
+        zeta[:, 0] = u[:, 0]
+        for idx in range(1, 2 * n - 1):
+            zeta[:, idx] = (1.0 - u[:, idx - 1]) * u[:, idx]
+        diag = np.empty((c, n))
+        diag[:, 0] = zeta[:, 0]
+        for k in range(2, n + 1):
+            diag[:, k - 1] = zeta[:, 2 * k - 3] + zeta[:, 2 * k - 2]
+        off2 = np.empty((c, n - 1))
+        for k in range(1, n):
+            off2[:, k - 1] = zeta[:, 2 * k - 2] * zeta[:, 2 * k - 1]
+        return diag.sum(axis=1), (diag**2).sum(axis=1) + 2.0 * off2.sum(axis=1)
+
+    montecarlo._fill_subbatches(seed, count, (G, T2), worker)
+    return G, G - T2
+
+
+@pytest.mark.parametrize("beta,alpha", [(1, COE_HALF), (2, rat(0)), (4, rat(1))])
+@pytest.mark.parametrize("n", [5, 8, 20])
+def test_streaming_chain_matches_matrix_chain(beta, alpha, n):
+    p = TransportParams(beta, alpha, 1, n)
+    count = 2 * montecarlo._SUBBATCH + 77
+    pair = sample_jacobi_spectrum(p, count, seed=606)
+    for streamed, reference in zip((pair.g.values, pair.p.values), _matrix_chain(p, count, 606)):
+        assert np.max(np.abs(streamed - reference) / np.abs(reference)) < 1e-13
+
+
+def _all_at_once_kstats(x, max_order):
+    """k-statistics with every power and leave-one-out power sum held as an
+    N-length array, and the jackknife variance about the leave-one-out mean."""
+    N = len(x)
+
+    def kstats(S, size):
+        out = []
+        for r in range(1, max_order + 1):
+            val = np.zeros_like(np.asarray(S[1], dtype=float))
+            for lam, c in kstat_coefficients(size, r).items():
+                term = float(c) * np.ones_like(val)
+                for a in lam:
+                    term = term * S[a]
+                val = val + term
+            out.append(val)
+        return out
+
+    powers = [None] + [x**a for a in range(1, max_order + 1)]
+    S = [None] + [float(powers[a].sum()) for a in range(1, max_order + 1)]
+    full = kstats([None] + [np.array(s) for s in S[1:]], N)
+    loo = kstats([None] + [S[a] - powers[a] for a in range(1, max_order + 1)], N - 1)
+    return [
+        (float(k), math.sqrt((N - 1) / N * float(((kl - kl.mean()) ** 2).sum())))
+        for k, kl in zip(full, loo)
+    ]
+
+
+@pytest.mark.parametrize("draw", [
+    lambda count: sample_delay_times(DelayParams(1, 20), count, 77).values,
+    lambda count: np.random.default_rng(78).exponential(size=count),
+])
+def test_blockwise_jackknife_matches_all_at_once(draw):
+    # three whole blocks and a partial one
+    x = draw(3 * montecarlo._SUBBATCH + 123)
+    blockwise = estimate_cumulants(SampleBatch("tauW", None, 0, x), 5)
+    for (k, se), (k_ref, se_ref) in zip(blockwise, _all_at_once_kstats(x, 5)):
+        assert k == pytest.approx(k_ref, rel=1e-9)
+        assert se == pytest.approx(se_ref, rel=1e-6)
+
+
+# -- Edgeworth below five cumulants ---------------------------------------------------------
+
+
+def test_edgeworth_needs_five_cumulants():
+    with pytest.raises(NonexistentCumulantError) as info:
+        edgeworth_density([1.0, 0.5, 0.1, 0.01], np.array([1.0]))
+    assert info.value.token == "nonexistent-cumulant"
