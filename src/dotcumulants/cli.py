@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 computation error (the module's error token is
 printed verbatim), 2 usage error.  Exact results are JSON (rationals as
 "p/q" strings with advisory floats); CSV is reserved for plot data.
+
+Importing this module loads only the standard library and ``errors``: each
+verb imports its own layer inside its handler, so a command pays for the
+modules it runs and no others.
 """
 
 from __future__ import annotations
@@ -15,31 +19,7 @@ import json
 import math
 import sys
 
-from .asymptotics import (
-    extrapolate_limit,
-    limit_conductance,
-    limit_joint,
-    limit_wigner,
-)
-from .conductance import conductance_cumulants
 from .errors import CumulantError
-from .jointcsn import (
-    altland_identity_check,
-    gaussian_factorization_check,
-    joint_cumulants,
-)
-from .manifest import atomic_write_text, attach_checksum, build_manifest
-from .params import DelayParams, TransportParams
-from .rational import parse_rational, rational_str
-from .report import TABLE2_TARGETS, limiting_delay_table
-from .verify import (
-    jacobi_identity_check,
-    ode_residual_conductance,
-    ode_residual_wigner,
-    pde_residual_joint,
-    quadrature_moments,
-)
-from .wigner import chazy_residual, wigner_cumulants
 
 
 class _UsageError(Exception):
@@ -103,6 +83,9 @@ def _require(cfg, field):
 
 
 def _transport_params(ns, default_n=None):
+    from .params import TransportParams
+    from .rational import parse_rational
+
     cfg = _load_config(ns)
     n = cfg.get("n", default_n)
     if n is None:
@@ -118,6 +101,9 @@ def _transport_params(ns, default_n=None):
 
 
 def _delay_params(ns):
+    from .params import DelayParams
+    from .rational import parse_rational
+
     cfg = _load_config(ns)
     beta, n, b = _require(cfg, "beta"), _require(cfg, "n"), cfg.get("b")
     with _parsing("parameters"):
@@ -129,6 +115,8 @@ def _delay_params(ns):
 
 
 def _emit_json(ns, payload, params_desc, argv):
+    from .manifest import atomic_write_text, attach_checksum, build_manifest
+
     manifest = attach_checksum(build_manifest(argv, params_desc), payload)
     document = {"payload": payload, "manifest": manifest}
     text = json.dumps(document, indent=2) + "\n"
@@ -139,6 +127,8 @@ def _emit_json(ns, payload, params_desc, argv):
 
 
 def _emit_csv(ns, header, rows, params_desc, argv):
+    from .manifest import atomic_write_text, attach_checksum, build_manifest
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -155,6 +145,8 @@ def _emit_csv(ns, header, rows, params_desc, argv):
 
 
 def _rationals_payload(values):
+    from .rational import rational_str
+
     return {
         "values": [rational_str(v) for v in values],
         "floats": [float(v) for v in values],
@@ -165,6 +157,9 @@ def _rationals_payload(values):
 
 
 def _cmd_cumulants_conductance(ns, argv):
+    from .conductance import conductance_cumulants
+    from .rational import rational_str
+
     p = _transport_params(ns)
     seq = conductance_cumulants(p, ns.max_order)
     payload = {
@@ -186,6 +181,9 @@ def _cmd_cumulants_conductance(ns, argv):
 
 
 def _cmd_cumulants_joint(ns, argv):
+    from .jointcsn import joint_cumulants
+    from .rational import rational_str
+
     p = _transport_params(ns)
     table = joint_cumulants(p, ns.max_l, ns.max_k)
     cells = [
@@ -211,6 +209,9 @@ def _cmd_cumulants_joint(ns, argv):
 
 
 def _cmd_cumulants_wigner(ns, argv):
+    from .rational import rational_str
+    from .wigner import wigner_cumulants
+
     p = _delay_params(ns)
     res = wigner_cumulants(p, ns.max_order)
     payload = {
@@ -230,6 +231,9 @@ def _cmd_cumulants_wigner(ns, argv):
 
 
 def _cmd_asymptotic(ns, argv):
+    from .asymptotics import limit_conductance, limit_joint, limit_wigner
+    from .rational import rational_str
+
     kind = ns.kind
     _nonnegative("--max-index", ns.max_index)
     if kind == "wigner":
@@ -279,10 +283,13 @@ _TARGET_INDICES = {"wigner": ("l",), "conductance": ("l",), "joint": ("l", "k")}
 def _parse_target(spec, n_list):
     """Kind, cumulant indices and one parameter record per n of a target such
     as "joint:beta=1,alpha=-1/2,l=2,k=1"."""
+    from .params import DelayParams, TransportParams
+    from .rational import parse_rational
+
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
     if kind not in _TARGET_INDICES:
-        raise CumulantError(f"unknown extrapolation target kind {kind!r}")
+        raise _UsageError(f"unknown extrapolation target kind {kind!r}")
     fields = {}
     if rest:
         for item in rest.split(","):
@@ -304,16 +311,24 @@ def _parse_target(spec, n_list):
 
 
 def _cmd_asymptotic_extrapolate(ns, argv):
+    from .asymptotics import extrapolate_limit
+
     n_list = _int_list("--n-list", ns.n_list)
     kind, indices, params = _parse_target(ns.target, n_list)
     l = indices[0]
     if kind == "wigner":
+        from .wigner import wigner_cumulants
+
         samples = [(p.n, wigner_cumulants(p, l)[l]) for p in params]
         nu = 2 * l - 2
     elif kind == "conductance":
+        from .conductance import conductance_cumulants
+
         samples = [(p.n, conductance_cumulants(p, l)[l]) for p in params]
         nu = l - (1 if l % 2 == 0 else 0)
     else:
+        from .jointcsn import joint_cumulants
+
         k = indices[1]
         samples = [(p.n, joint_cumulants(p, l, k)[(l, k)]) for p in params]
         nu = l + k - (1 if l % 2 == 0 else 0)
@@ -333,6 +348,8 @@ def _cmd_asymptotic_extrapolate(ns, argv):
 
 
 def _cmd_verify_ode(ns, argv):
+    from .verify import ode_residual_conductance, ode_residual_wigner, pde_residual_joint
+
     if ns.which == "joint":
         if ns.order_z is None or ns.order_w is None:
             raise _UsageError("--order-z and --order-w are required for --which joint")
@@ -352,6 +369,8 @@ def _cmd_verify_ode(ns, argv):
 
 
 def _cmd_verify_chazy(ns, argv):
+    from .wigner import chazy_residual
+
     res = chazy_residual(_positive("--n", ns.n), _positive("--order", ns.order))
     payload = {
         "equation": "chazy-first-integral",
@@ -366,12 +385,18 @@ def _cmd_verify_chazy(ns, argv):
 
 
 def _cmd_verify_jacobi(ns, argv):
+    from .verify import jacobi_identity_check
+
     rep = jacobi_identity_check(_nonnegative("--lmax", ns.lmax), _nonnegative("--kmax", ns.kmax))
     _emit_json(ns, rep, {"lmax": ns.lmax, "kmax": ns.kmax}, argv)
     return 0 if rep["ok"] else 1
 
 
 def _cmd_verify_oracle(ns, argv):
+    from .conductance import conductance_cumulants
+    from .jointcsn import joint_cumulants
+    from .verify import quadrature_moments
+
     p = _transport_params(ns)
     kappa, err = quadrature_moments(p, ns.statistic, ns.max_order)
     reference = {}
@@ -411,6 +436,9 @@ def _cmd_verify_oracle(ns, argv):
 
 
 def _cmd_verify_altland(ns, argv):
+    from .jointcsn import altland_identity_check
+    from .rational import rational_str
+
     rep = altland_identity_check(_positive("--n", ns.n), ns.max_k)
     payload = {
         "n": rep["n"],
@@ -433,6 +461,8 @@ def _cmd_verify_altland(ns, argv):
 
 
 def _cmd_verify_gauss_factor(ns, argv):
+    from .jointcsn import gaussian_factorization_check
+
     rep = gaussian_factorization_check(_positive("--n", ns.n), _positive("--w", ns.w))
     _emit_json(ns, rep, {"n": ns.n, "w": ns.w}, argv)
     return 0 if rep["ok"] else 1
@@ -470,6 +500,7 @@ def _cmd_mc_edgeworth(ns, argv):
     import numpy as np
 
     from .montecarlo import edgeworth_density, sample_delay_times
+    from .wigner import wigner_cumulants
 
     grid = np.linspace(lo, hi, steps)
     # the density needs K_1..K_5: below q = 5 this raises
@@ -499,6 +530,8 @@ def _cmd_mc_edgeworth(ns, argv):
 
 
 def _cmd_report_table2(ns, argv):
+    from .report import TABLE2_TARGETS, limiting_delay_table
+
     n_list = (
         tuple(_int_list("--n-list", ns.n_list))
         if ns.n_list is not None
@@ -568,7 +601,8 @@ def build_parser():
     asym_sub = asym.add_subparsers(dest="subcommand", required=True)
     for kind in ("conductance", "joint", "wigner"):
         sp = asym_sub.add_parser(kind)
-        _add_transport_flags(sp, need_n=False)
+        if kind != "wigner":  # the beta=2 delay limit has no parameters
+            _add_transport_flags(sp, need_n=False)
         sp.add_argument("--max-index", type=int, required=True)
         sp.set_defaults(func=_cmd_asymptotic, kind=kind, n=None)
         _add_out_flags(sp)

@@ -379,7 +379,12 @@ def estimate_cumulants(batch: SampleBatch, max_order=5):
     time: the first adds up the power sums S_a, the second evaluates the
     leave-one-out k_r of every sample in the block and accumulates its gap d
     to the full-sample k_r and d^2.  The gaps are small, so the variance
-    sum d^2 - (sum d)^2 / N about their mean suffers no cancellation."""
+    sum d^2 - (sum d)^2 / N about their mean suffers no cancellation.
+
+    Each block is taken about one fixed centre c, the mean of the first
+    block, before its powers are formed: k_2.. and every gap are unchanged
+    by a shift, and power sums about c do not cancel when the batch sits far
+    from zero.  Only k_1 gets c added back."""
     if max_order > 5:
         raise InsufficientSamplesError("k-statistics implemented through order 5")
     x = np.asarray(batch.values, dtype=float)
@@ -387,9 +392,10 @@ def estimate_cumulants(batch: SampleBatch, max_order=5):
     if N <= max_order:
         raise InsufficientSamplesError("need more samples than the max order")
     blocks = [x[i : i + _SUBBATCH] for i in range(0, N, _SUBBATCH)]
+    centre = float(blocks[0].mean())
     S = [None] + [0.0] * max_order
     for xb in blocks:
-        powers = _power_vectors(xb, max_order)
+        powers = _power_vectors(xb - centre, max_order)
         for a in range(1, max_order + 1):
             S[a] += float(powers[a].sum())
     full = [_kstat(terms, S) for terms in _kstat_terms(N, max_order)]
@@ -397,13 +403,14 @@ def estimate_cumulants(batch: SampleBatch, max_order=5):
     gap = [0.0] * max_order
     gap2 = [0.0] * max_order
     for xb in blocks:
-        powers = _power_vectors(xb, max_order)
+        powers = _power_vectors(xb - centre, max_order)
         S_loo = [None] + [S[a] - powers[a] for a in range(1, max_order + 1)]
         for r in range(max_order):
             d = _kstat(loo_terms[r], S_loo) - full[r]
             gap[r] += float(d.sum())
             d *= d
             gap2[r] += float(d.sum())
+    full[0] += centre
     # rounding can leave a zero variance a hair below zero
     return [
         (k, math.sqrt(max(0.0, (N - 1) / N * (g2 - g * g / N))))

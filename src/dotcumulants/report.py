@@ -44,11 +44,10 @@ def limiting_delay_table(max_order=8, n_list=(64, 96, 128, 192, 256)):
         beta2.append(entry)
     columns = {"2": beta2}
     for beta in (1, 4):
+        rows = [(n, wigner_cumulants(DelayParams(beta, n), max_order)) for n in n_list]
         col = []
         for l in range(1, max_order + 1):
-            samples = [
-                (n, wigner_cumulants(DelayParams(beta, n), l)[l]) for n in n_list
-            ]
+            samples = [(n, row[l]) for n, row in rows]
             est, err = extrapolate_limit(samples, 2 * l - 2)
             target = TABLE2_TARGETS[beta][l - 1]
             rel = abs(est / float(target) - 1.0)

@@ -8,7 +8,7 @@ import pytest
 
 from dotcumulants.cli import dispatch
 from dotcumulants.params import TransportParams
-from dotcumulants.rational import parse_rational, rat
+from dotcumulants.rational import BACKEND, parse_rational, rat
 
 
 def run(capsys, *argv):
@@ -124,6 +124,7 @@ def test_missing_parameter_is_usage_error(capsys):
      "--count", "5", "--seed", "-1"],
     ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "0.5:1.5:3", "--seed", "-1"],
     ["report", "table2", "--n-list="],
+    ["asymptotic", "extrapolate", "--n-list", "4,6", "--target", "x"],
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "garbled.json").write_text('{"beta": 2,')
@@ -170,6 +171,55 @@ def test_exact_verbs_load_neither_numpy_nor_scipy(tmp_path):
     assert state["oracle_exit"] == 0
     assert state["oracle"] == ["numpy", "scipy"]
     assert json.loads((tmp_path / "j.json").read_text())["payload"]["passed"] is True
+
+
+def test_cli_import_loads_no_computation_module(tmp_path):
+    """``import dotcumulants.cli`` loads the package, the CLI and the error
+    classes only; each verb imports the layers it runs."""
+    script = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('dotcumulants'))\n"
+        "from dotcumulants.cli import dispatch\n"
+        "state = {'import': loaded()}\n"
+        "state['wigner_exit'] = dispatch(['cumulants', 'wigner', '--beta', '2', '--n', '4',\n"
+        "                                 '--max-order', '4', '--out', 'w.json'])\n"
+        "state['wigner'] = loaded()\n"
+        "from dotcumulants import BACKEND, DelayParams, TransportParams, rat\n"
+        "state['names'] = [TransportParams.__name__, DelayParams.__name__, str(rat(1, 2)),\n"
+        "                  BACKEND]\n"
+        "import dotcumulants\n"
+        "try:\n"
+        "    dotcumulants.no_such_name\n"
+        "except AttributeError:\n"
+        "    state['unknown'] = 'AttributeError'\n"
+        "print(json.dumps(state))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    )
+    state = json.loads(out.stdout)
+    assert state["import"] == ["dotcumulants", "dotcumulants.cli", "dotcumulants.errors"]
+    assert state["wigner_exit"] == 0
+    unused = ("verify", "jointcsn", "asymptotics", "report", "montecarlo", "quadrature",
+              "exactmoments")
+    assert not {f"dotcumulants.{m}" for m in unused} & set(state["wigner"])
+    assert state["names"] == ["TransportParams", "DelayParams", "1/2", BACKEND]
+    assert state["unknown"] == "AttributeError"
+
+
+def test_asymptotic_wigner_rejects_transport_flags(capsys, tmp_path):
+    out = tmp_path / "w.json"
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["asymptotic", "wigner", "--alpha=x", "--beta", "9", "--max-index", "2",
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha=x --beta 9" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_round_trip_parameters_and_rationals(capsys):

@@ -356,6 +356,18 @@ def test_blockwise_jackknife_matches_all_at_once(draw):
         assert se == pytest.approx(se_ref, rel=1e-6)
 
 
+def test_kstats_are_shift_invariant():
+    # raw power sums of x + 1000 cancel to k_4 = -9.8e-4 and k_5 = 4.0 here
+    x = sample_delay_times(DelayParams(1, 20), 49275, 3).values
+    plain = estimate_cumulants(SampleBatch("tauW", None, 0, x), 5)
+    shifted = estimate_cumulants(SampleBatch("tauW", None, 0, x + 1000.0), 5)
+    assert shifted[0][0] == pytest.approx(plain[0][0] + 1000.0, rel=1e-12)
+    for (k, _), (k_shift, _) in zip(plain[1:], shifted[1:]):
+        assert k_shift == pytest.approx(k, rel=1e-9)
+    for (_, se), (_, se_shift) in zip(plain, shifted):
+        assert se_shift == pytest.approx(se, rel=1e-6)
+
+
 # -- Edgeworth below five cumulants ---------------------------------------------------------
 
 
