@@ -26,6 +26,14 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports argparse's own errors (an unknown flag, a missing required
+    flag, a bad choice or type) as a usage error; its subparsers inherit it."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 @contextlib.contextmanager
 def _parsing(what):
     """Reports a value that fails to parse or to validate as a usage error."""
@@ -566,7 +574,7 @@ def _add_out_flags(sp, with_format=False):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dotcumulants",
         description="Transport cumulants of ballistic chaotic cavities",
     )
@@ -694,8 +702,11 @@ def build_parser():
 
 def dispatch(argv):
     parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        try:
+            ns = parser.parse_args(argv)
+        except SystemExit as exc:  # -h/--help printed its text
+            return exc.code
         return ns.func(ns, argv)
     except CumulantError as exc:
         sys.stderr.write(f"error: {exc.token}: {exc}\n")

@@ -35,6 +35,7 @@ from .errors import (
     CumulantError,
     InvalidOrderError,
     UnsupportedBetaError,
+    UnsupportedParameterError,
 )
 from .params import TransportParams, eta_factor, lattice_step
 from .rational import ONE, dot, rat
@@ -348,12 +349,12 @@ def gaussian_factorization_check(n, w, rel_tol=1e-6):
     """Numerically verifies the generating-function factorization
     M_n(0, -4w) = M_{N1}(-w)|_{delta=-1} * M_{N2}(-w)|_{delta=+1}
     (beta=2, alpha=0) by quadrature of all three integrals."""
-    from .quadrature import transport_mgf_value
-
     if n > 3:
-        raise InvalidOrderError("quadrature cost limits the check to n <= 3")
+        raise UnsupportedParameterError("quadrature cost limits the check to n <= 3")
     if not w > 0:
         raise InvalidOrderError("w must be positive")
+    from .quadrature import transport_mgf_value  # loads numpy/scipy on first use
+
     n1, n2 = (n + 1) // 2, n // 2
     lhs = transport_mgf_value(
         TransportParams(2, 0, 0, n), z=0.0, w=-4.0 * w, rel_tol=rel_tol / 4

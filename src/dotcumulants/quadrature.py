@@ -20,10 +20,26 @@ two consecutive refinements agree to the requested relative tolerance):
 
 The computed normalization is cross-checked against the closed-form
 log-normalization, which catches both quadrature and bookkeeping faults.
+
+No tensor grid is built in full.  Axis j of the n-dimensional grid is a
+view of the rule vector with shape (1,)*j + (size,) + (1,)*(n-1-j), and each
+intermediate (theta_j, its sine and cosine and their powers, T_j, T_j(1-T_j))
+is computed on the axes it depends on; numpy broadcasting carries it to the
+full size**n points only where the product weight, the density, G, P and
+the integrand products need them.  Every point still goes through the same
+float operations in the same order as with full grids, sums of the T_j
+included (left to right), so the results are the same to the last bit.
+
+scipy's Gauss rules are memoised per (family, size, parameters) as
+read-only arrays.  The memo is bounded (least recently used first out): an
+adaptive pass needs at most the eight sizes of ``_SIZES`` per parameter
+set, and a whole benchmark sweep asks for 66 distinct rules, so 256 entries
+of at most 96 nodes keep every repeat a hit at a fixed, small memory cost.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,27 +51,42 @@ from .params import DelayParams, TransportParams
 
 _SIZES = (8, 12, 16, 24, 32, 48, 64, 96)
 
+_ROOTS = {"jacobi": roots_jacobi, "legendre": roots_legendre, "laguerre": roots_genlaguerre}
+
+
+@functools.lru_cache(maxsize=256)
+def _rule(family, size, *parameters):
+    """scipy's Gauss rule ``family`` of ``size`` nodes, as read-only arrays."""
+    x, w = _ROOTS[family](size, *parameters)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
 
 def gauss_jacobi_01(size, a, b):
     """Nodes/weights for integral of T^a (1-T)^b g(T) over [0,1]."""
-    x, w = roots_jacobi(size, b, a)
+    x, w = _rule("jacobi", size, b, a)
     return (1.0 + x) / 2.0, w * 2.0 ** (-(a + b + 1.0))
 
 
+def _axes(vector, n):
+    """n broadcastable views of ``vector``, the j-th along axis j of n."""
+    return [vector.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j)) for j in range(n)]
+
+
 def _grids(nodes, weights, n):
-    """Tensor grid: returns (T, logw) with T shape (n, size**n)."""
-    mesh = np.meshgrid(*([nodes] * n), indexing="ij")
-    T = np.stack([m.ravel() for m in mesh])
-    wm = np.meshgrid(*([weights] * n), indexing="ij")
-    wprod = np.ones_like(T[0])
-    for m in wm:
-        wprod = wprod * m.ravel()
+    """Tensor grid: the n node axes and the product weight over all of them."""
+    T = _axes(nodes, n)
+    W = _axes(weights, n)
+    wprod = W[0]
+    for m in W[1:]:
+        wprod = wprod * m
     return T, wprod
 
 
 def _vandermonde_power(T, beta):
-    n = T.shape[0]
-    v = np.ones_like(T[0])
+    v = 1.0
+    n = len(T)
     for i in range(n):
         for j in range(i + 1, n):
             v = v * np.abs(T[j] - T[i]) ** beta
@@ -73,19 +104,20 @@ def _box_pass(p, size, stats_fn):
 def _ordered_pass(p, size, stats_fn):
     n = p.n
     a2, d1 = 2.0 * float(p.alpha) + 1.0, float(p.delta) + 1.0
-    x, w = roots_legendre(size)
-    t_nodes, t_weights = (x + 1.0) / 2.0, w / 2.0
-    t, wprod = _grids(t_nodes, t_weights, n)
-    theta = np.empty_like(t)
+    x, w = _rule("legendre", size)
+    t, wprod = _grids((x + 1.0) / 2.0, w / 2.0, n)
+    # theta_j = t_j * theta_{j+1} lives on axes j..n-1 only
+    theta = [None] * n
     theta[n - 1] = (math.pi / 2.0) * t[n - 1]
     for j in range(n - 2, -1, -1):
         theta[j] = t[j] * theta[j + 1]
-    jac = (math.pi / 2.0) * np.ones_like(t[0])
+    jac = math.pi / 2.0
     for j in range(1, n):
         jac = jac * theta[j]
-    s, c = np.sin(theta), np.cos(theta)
-    T = s * s
-    dens = np.ones_like(t[0])
+    s = [np.sin(th) for th in theta]
+    c = [np.cos(th) for th in theta]
+    T = [sj * sj for sj in s]
+    dens = 1.0
     for j in range(n):
         dens = dens * 2.0 * s[j] ** a2 * c[j] ** d1
     for i in range(n):
@@ -93,6 +125,21 @@ def _ordered_pass(p, size, stats_fn):
             dens = dens * (T[j] - T[i]) ** p.beta  # ordered: T_i <= T_j
     base = math.factorial(n) * wprod * dens * jac
     return stats_fn(T, base)
+
+
+def _transport_pass(p, size, stats_fn):
+    if p.beta in (2, 4):
+        return _box_pass(p, size, stats_fn)
+    return _ordered_pass(p, size, stats_fn)
+
+
+def _sum_axes(parts):
+    """Left-to-right sum of per-axis arrays, as ``sum(axis=0)`` of their
+    stack adds its rows."""
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
 
 
 def _adaptive(pass_fn, rel_tol, what):
@@ -124,21 +171,21 @@ def transport_raw_moments(p: TransportParams, pairs, rel_tol=1e-10):
     100x the tolerance is reported as a quadrature failure.
     """
     pairs = [t for t in pairs if t != (0, 0)]
+    need_g, need_p = any(l for l, _ in pairs), any(k for _, k in pairs)
 
     def stats(T, base):
-        G = T.sum(axis=0)
-        P = (T * (1.0 - T)).sum(axis=0)
+        # a zeroth power is a factor 1.0 and is left out, which changes no bit
+        G = _sum_axes(T) if need_g else None
+        P = _sum_axes([Tj * (1.0 - Tj) for Tj in T]) if need_p else None
         out = [base.sum()]
         for l, k in pairs:
-            out.append((base * G**l * P**k).sum())
+            term = base * G**l if l else base
+            out.append((term * P**k if k else term).sum())
         return out
 
-    def one_pass(size):
-        if p.beta in (2, 4):
-            return _box_pass(p, size, stats)
-        return _ordered_pass(p, size, stats)
-
-    vals, err = _adaptive(one_pass, rel_tol, f"transport moments {p.describe()}")
+    vals, err = _adaptive(
+        lambda size: _transport_pass(p, size, stats), rel_tol, f"transport moments {p.describe()}"
+    )
     Z = vals[0]
     if Z <= 0:
         raise QuadratureFailureError("nonpositive normalization")
@@ -158,16 +205,11 @@ def transport_mgf_value(p: TransportParams, z, w, rel_tol=1e-8):
     """E[exp(-z G - w P)] by quadrature (the joint moment generating function)."""
 
     def stats(T, base):
-        G = T.sum(axis=0)
-        P = (T * (1.0 - T)).sum(axis=0)
+        G = _sum_axes(T)
+        P = _sum_axes([Tj * (1.0 - Tj) for Tj in T])
         return [base.sum(), (base * np.exp(-z * G - w * P)).sum()]
 
-    def one_pass(size):
-        if p.beta in (2, 4):
-            return _box_pass(p, size, stats)
-        return _ordered_pass(p, size, stats)
-
-    vals, _ = _adaptive(one_pass, rel_tol, f"mgf {p.describe()}")
+    vals, _ = _adaptive(lambda size: _transport_pass(p, size, stats), rel_tol, f"mgf {p.describe()}")
     return vals[1] / vals[0]
 
 
@@ -182,7 +224,7 @@ def delay_norm_quadrature(p: DelayParams, rel_tol=1e-8):
         raise QuadratureFailureError("weight exponent not integrable")
 
     def one_pass(size):
-        x, w = roots_genlaguerre(size, omega)
+        x, w = _rule("laguerre", size, omega)
         T, wprod = _grids(x, w, p.n)
         base = wprod * _vandermonde_power(T, p.beta)
         return [base.sum()]

@@ -8,10 +8,10 @@ Both serialize as ``"p/q"`` with ``/q`` omitted when the denominator is 1.
 
 ``dot`` is the one kernel behind every exact value the recurrences produce
 (a whole recurrence step, a second difference across the dimension lattice,
-a Bell-transform or series coefficient): the integer numerators of the
-products are added over a running denominator, which grows only when a
-term's denominator does not divide it, and the sum is reduced once, instead
-of one normalised rational per term.  Its gain was measured with
+a Bell-transform coefficient, a coefficient of a series exponential): the
+integer numerators of the products are added over a running denominator,
+which grows only when a term's denominator does not divide it, and the sum
+is reduced once, instead of one normalised rational per term.  Its gain was measured with
 ``fractions`` only; with ``gmpy2.mpq`` it is unmeasured and may be smaller.
 """
 

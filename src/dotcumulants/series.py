@@ -5,6 +5,15 @@ operations truncate to the smaller order (residual checks naturally shrink
 order under differentiation, so truncating down is the useful semantics).
 Values are immutable after construction and safe to share between threads.
 
+The coefficients are kept as integer numerators over one positive common
+denominator, with no factor common to all of them: that pair is canonical,
+so equality and hashing compare it directly.  Sums, negation, scalar
+products, shifts, derivatives and truncation are integer vector operations;
+a product of two series is one integer convolution over the product of the
+denominators, reduced by one gcd.  ``coefficients`` builds the backend
+rationals once, on first use.  ``exponential`` runs on those rationals, one
+``rational.dot`` per coefficient.
+
 ``moments_to_cumulants`` turns raw joint moments into joint cumulants; it is
 plain exact algebra, shared by the exact-moment and quadrature oracles.
 """
@@ -12,18 +21,41 @@ plain exact algebra, shared by the exact-moment and quadrature oracles.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .rational import ZERO, ONE, dot, rat, rational_str
 
 
 class TruncatedSeries:
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coefficients):
         coeffs = tuple(rat(c) for c in coefficients)
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
+        den = 1
+        for c in coeffs:
+            d = c.denominator
+            if den % d:
+                den *= d // math.gcd(den, d)
+        # den is the lcm of the denominators, so the pair is already reduced
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_coeffs", coeffs)
+
+    @classmethod
+    def _over(cls, nums, den):
+        """The series nums[k] / den, den > 0, reduced to lowest terms."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        series = object.__new__(cls)
+        object.__setattr__(series, "_nums", tuple(nums))
+        object.__setattr__(series, "_den", den)
+        object.__setattr__(series, "_coeffs", None)
+        return series
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -32,11 +64,12 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order):
-        return cls([ZERO] * (order + 1))
+        return cls._over([0] * (order + 1), 1)
 
     @classmethod
     def constant(cls, value, order):
-        return cls([rat(value)] + [ZERO] * order)
+        value = rat(value)
+        return cls._over([value.numerator] + [0] * order, value.denominator)
 
     @classmethod
     def from_terms(cls, terms, order):
@@ -51,34 +84,39 @@ class TruncatedSeries:
 
     @property
     def order(self):
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def coefficients(self):
+        """The coefficients as backend rationals, built once on first use
+        (two threads may both build them; they build the same tuple)."""
+        if self._coeffs is None:
+            den = self._den
+            object.__setattr__(self, "_coeffs", tuple(rat(x, den) for x in self._nums))
         return self._coeffs
 
     def coefficient(self, k):
-        return self._coeffs[k]
+        return self.coefficients[k]
 
     def is_zero(self):
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._nums)
 
     def first_nonzero_index(self):
-        for k, c in enumerate(self._coeffs):
-            if c != 0:
+        for k, x in enumerate(self._nums):
+            if x:
                 return k
         return None
 
     def to_strings(self):
-        return [rational_str(c) for c in self._coeffs]
+        return [rational_str(c) for c in self.coefficients]
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self):
         return f"TruncatedSeries({self.to_strings()})"
@@ -88,22 +126,25 @@ class TruncatedSeries:
     def truncate(self, order):
         if order >= self.order:
             return self
-        return TruncatedSeries(self._coeffs[: order + 1])
+        return TruncatedSeries._over(self._nums[: order + 1], self._den)
 
     def __add__(self, other):
+        a, da = self._nums, self._den
         if isinstance(other, TruncatedSeries):
-            m = min(self.order, other.order)
-            return TruncatedSeries(
-                [self._coeffs[k] + other._coeffs[k] for k in range(m + 1)]
-            )
-        c = list(self._coeffs)
-        c[0] = c[0] + rat(other)
-        return TruncatedSeries(c)
+            b, db = other._nums, other._den
+        else:
+            other = rat(other)
+            b, db = (other.numerator,) + (0,) * self.order, other.denominator
+        if da == db:
+            return TruncatedSeries._over([x + y for x, y in zip(a, b)], da)
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        return TruncatedSeries._over([x * sa + y * sb for x, y in zip(a, b)], da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self._coeffs])
+        return TruncatedSeries._over([-x for x in self._nums], self._den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TruncatedSeries) else -rat(other))
@@ -114,11 +155,12 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             s = rat(other)
-            return TruncatedSeries([c * s for c in self._coeffs])
-        a, b = self._coeffs, other._coeffs
-        return TruncatedSeries(
-            dot((1, a[i], b[k - i]) for i in range(k + 1))
-            for k in range(min(self.order, other.order) + 1)
+            p = s.numerator
+            return TruncatedSeries._over([x * p for x in self._nums], self._den * s.denominator)
+        a, b = self._nums, other._nums
+        return TruncatedSeries._over(
+            [sum(map(mul, a, b[k::-1])) for k in range(min(len(a), len(b)))],
+            self._den * other._den,
         )
 
     __rmul__ = __mul__
@@ -126,14 +168,14 @@ class TruncatedSeries:
     def shift(self, k=1):
         """Multiply by x**k.  All shifted coefficients stay exact, so the
         result's order grows by k."""
-        return TruncatedSeries((ZERO,) * k + self._coeffs)
+        return TruncatedSeries._over((0,) * k + self._nums, self._den)
 
     def differentiate(self):
         """Termwise derivative; order drops by one.  Rejects order-0 input."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries(
-            [k * self._coeffs[k] for k in range(1, self.order + 1)]
+        return TruncatedSeries._over(
+            [k * x for k, x in enumerate(self._nums) if k], self._den
         )
 
     def exponential(self):
@@ -142,10 +184,10 @@ class TruncatedSeries:
         The constant term must vanish: exp of a nonzero rational is
         irrational and has no place in this algebra.
         """
-        if self._coeffs[0] != 0:
+        if self._nums[0]:
             raise ValueError("series_exponential requires zero constant term")
         n = self.order
-        a = self._coeffs
+        a = self.coefficients
         out = [ONE] + [ZERO] * n
         for m in range(1, n + 1):
             out[m] = dot((j, a[j], out[m - j]) for j in range(1, m + 1)) / m

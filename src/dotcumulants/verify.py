@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .conductance import ConductanceEngine
 from .ensembles import b_constant, d_constant
-from .errors import InsufficientOrderError, InvalidOrderError, QuadratureFailureError
+from .errors import InsufficientOrderError, InvalidOrderError, UnsupportedParameterError
 from .jointcsn import JointEngine
 from .params import DelayParams, TransportParams
 from .rational import dot, rat
@@ -358,10 +358,10 @@ def quadrature_moments(p: TransportParams, statistic, max_total_order, rel_tol=1
     """
     if max_total_order < 1:
         raise InvalidOrderError(f"max_order must be >= 1, got {max_total_order}")
+    if p.n > 3:
+        raise UnsupportedParameterError("quadrature oracle is capped at n <= 3")
     from .quadrature import transport_raw_moments  # loads numpy/scipy on first use
 
-    if p.n > 3:
-        raise QuadratureFailureError("quadrature oracle is capped at n <= 3")
     if statistic == "G":
         pairs = [(l, 0) for l in range(1, max_total_order + 1)]
         L, Kw = max_total_order, 0

@@ -69,10 +69,38 @@ def test_verify_ode_order_below_three_is_invalid_order(capsys, which):
     assert "Traceback" not in err
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        dispatch(["cumulants", "conductance", "--beta", "2"])  # missing required
-    assert exc.value.code == 2
+def test_usage_error_exit_code(capsys):
+    code = dispatch(["cumulants", "conductance", "--beta", "2"])  # missing required
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "usage error: the following arguments are required: --max-order\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["asymptotic", "wigner", "--beta", "9", "--max-index", "2"],
+     "unrecognized arguments: --beta 9"),
+    (["cumulants", "conductance", "--beta", "2", "--alpha", "0", "--delta", "0",
+      "--n", "1", "--max-order", "2", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["cumulants", "conductance", "--beta", "2", "--n", "x", "--max-order", "2"],
+     "argument --n: invalid int value: 'x'"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["verify"], "the following arguments are required: subcommand"),
+])
+def test_argparse_errors_are_one_usage_line(capsys, argv, message):
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"usage error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "oracle", "--help"]])
+def test_help_prints_and_returns_zero(capsys, argv):
+    code = dispatch(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("usage: dotcumulants")
 
 
 def test_missing_parameter_is_usage_error(capsys):
@@ -173,6 +201,43 @@ def test_exact_verbs_load_neither_numpy_nor_scipy(tmp_path):
     assert json.loads((tmp_path / "j.json").read_text())["payload"]["passed"] is True
 
 
+QUADRATURE_CAPPED = [
+    ["verify", "oracle", "--beta", "2", "--alpha", "0", "--delta", "0", "--n", "4"],
+    ["verify", "gauss-factor", "--n", "4", "--w", "0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", QUADRATURE_CAPPED)
+def test_quadrature_channel_cap_is_unsupported_parameter(capsys, tmp_path, argv):
+    out = tmp_path / "o.json"
+    code = dispatch(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: unsupported-parameter: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_quadrature_channel_cap_refuses_before_loading_numpy(tmp_path):
+    script = (
+        "import json, sys\n"
+        "from dotcumulants.cli import dispatch\n"
+        f"codes = [dispatch(argv) for argv in {QUADRATURE_CAPPED!r}]\n"
+        "heavy = sorted(m for m in ('numpy', 'scipy', 'dotcumulants.quadrature')\n"
+        "               if m in sys.modules)\n"
+        "print(json.dumps([codes, heavy]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == [[1, 1], []]
+
+
 def test_cli_import_loads_no_computation_module(tmp_path):
     """``import dotcumulants.cli`` loads the package, the CLI and the error
     classes only; each verb imports the layers it runs."""
@@ -214,11 +279,10 @@ def test_cli_import_loads_no_computation_module(tmp_path):
 
 def test_asymptotic_wigner_rejects_transport_flags(capsys, tmp_path):
     out = tmp_path / "w.json"
-    with pytest.raises(SystemExit) as exc:
-        dispatch(["asymptotic", "wigner", "--alpha=x", "--beta", "9", "--max-index", "2",
-                  "--out", str(out)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --alpha=x --beta 9" in capsys.readouterr().err
+    code = dispatch(["asymptotic", "wigner", "--alpha=x", "--beta", "9", "--max-index", "2",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: unrecognized arguments: --alpha=x --beta 9\n"
     assert not out.exists()
 
 

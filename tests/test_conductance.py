@@ -254,3 +254,26 @@ def test_coupling_evaluated_once_per_dimension_per_call(monkeypatch):
     second = conductance_cumulants(p, 40)
     assert sorted(dimensions) == sorted(visited)
     assert second.values == first.values
+
+
+#: the (alpha, delta) grid of the sweep benchmark
+DUALITY_ALPHAS = ("-1/2", "0", "1/2", "1", "3/2")
+DUALITY_DELTAS = ("-1", "0", "1", "2")
+
+
+def test_beta_one_four_duality():
+    """kappa^(4)_l(alpha, delta, n) = (-1/2)^l kappa^(1)_l(-alpha/2, -delta/2, -2n)
+    to order 12, n = 4..8.  The recurrence poles at some points on either
+    side; only those are skipped."""
+    order = 12
+    compared = 0
+    for a, d, n in product(DUALITY_ALPHAS, DUALITY_DELTAS, range(4, 9)):
+        alpha, delta = rat(a), rat(d)
+        try:
+            four = ConductanceEngine(4, alpha, delta).kappas(n, order)
+            one = ConductanceEngine(1, -alpha / 2, -delta / 2).kappas(-2 * n, order)
+        except PoleError:
+            continue
+        assert four == [rat(-1, 2) ** l * k for l, k in enumerate(one, 1)], (a, d, n)
+        compared += 1
+    assert compared >= 87

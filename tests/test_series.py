@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,3 +124,92 @@ def test_exponential_derivative_property(a):
 def test_multiplication_commutative_associative(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+# -- the integer-numerator representation against a naive Fraction transcription --
+
+#: numerators up to 2**80 in size and denominators that are coprime primes,
+#: shared factors or large; zero coefficients are drawn often
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(-(2**80), 2**80),
+        st.one_of(st.sampled_from([1, 2, 3, 4, 6, 7, 12, 97, 2**61 - 1]), st.integers(1, 2**64)),
+    ),
+)
+
+
+def wide_series(max_order=5):
+    return st.lists(wide_rationals, min_size=1, max_size=max_order + 1)
+
+
+def naive_mul(a, b):
+    m = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(m)]
+
+
+def naive_exp(a):
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for m in range(1, len(a)):
+        out[m] = sum((j * a[j] * out[m - j] for j in range(1, m + 1)), Fraction(0)) / m
+    return out
+
+
+def assert_series(series, expected):
+    """Same coefficients, and equal (with equal hashes) to the series built
+    from them directly, so the stored pair is canonical."""
+    expected = [rat(c.numerator, c.denominator) for c in expected]
+    assert list(series.coefficients) == expected
+    direct = TruncatedSeries(expected)
+    assert series == direct and hash(series) == hash(direct)
+    assert series.is_zero() == (not any(expected))
+    nonzero = [k for k, c in enumerate(expected) if c]
+    assert series.first_nonzero_index() == (nonzero[0] if nonzero else None)
+
+
+def build(coeffs):
+    return TruncatedSeries([rat(c.numerator, c.denominator) for c in coeffs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_series(), wide_series(), wide_rationals, st.integers(0, 3))
+def test_series_algebra_matches_naive_fractions(a, b, s, k):
+    A, B = build(a), build(b)
+    m = min(len(a), len(b))
+    scalar = rat(s.numerator, s.denominator)
+    assert_series(A, a)
+    assert_series(A + B, [x + y for x, y in zip(a, b)])
+    assert_series(A - B, [x - y for x, y in zip(a, b)])
+    assert_series(-A, [-x for x in a])
+    assert_series(A + scalar, [a[0] + s] + a[1:])
+    assert_series(scalar - A, [s - a[0]] + [-x for x in a[1:]])
+    assert_series(A * scalar, [x * s for x in a])
+    assert_series(scalar * A, [x * s for x in a])
+    assert_series(A * B, naive_mul(a, b))
+    assert_series(A.shift(k), [Fraction(0)] * k + a)
+    assert_series(A.truncate(m - 1), a[:m])
+    if len(a) > 1:
+        assert_series(A.differentiate(), [j * x for j, x in enumerate(a) if j])
+    else:
+        with pytest.raises(ValueError):
+            A.differentiate()
+    tail = [Fraction(0)] + a[1:]
+    assert_series(build(tail).exponential(), naive_exp(tail))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_series(), wide_series())
+def test_equal_series_built_differently_are_equal(a, b):
+    A, B = build(a), build(b)
+    m = min(len(a), len(b))
+    # (A + B) - B and A truncated to the common order, built two ways
+    left = (A + B) - B
+    right = A.truncate(m - 1)
+    assert left == right and hash(left) == hash(right)
+    assert A * TruncatedSeries.constant(1, A.order) == A
+    assert TruncatedSeries.zero(A.order) == A * 0 == A - A
+    assert TruncatedSeries.from_terms(dict(enumerate(A.coefficients)), A.order) == A
+    if any(a):
+        assert A != TruncatedSeries.zero(A.order)
+    assert (A == build(a[:-1] + [a[-1] + 1])) is False

@@ -6,6 +6,7 @@ from dotcumulants.errors import (
     InsufficientOrderError,
     InvalidOrderError,
     QuadratureFailureError,
+    UnsupportedParameterError,
 )
 from dotcumulants.exactmoments import exact_transport_cumulants
 from dotcumulants.params import DelayParams, TransportParams
@@ -137,7 +138,7 @@ def test_quadrature_oracle_matches_exact_moments():
 
 
 def test_quadrature_capped_at_three_channels():
-    with pytest.raises(QuadratureFailureError):
+    with pytest.raises(UnsupportedParameterError):
         quadrature_moments(TransportParams(2, 0, 0, 4), "G", 2)
 
 
