@@ -1,36 +1,33 @@
-"""Exact finite-n cumulants of the Landauer conductance.
+"""Exact finite-n cumulants of the Landauer conductance, and the lattice core
+that the delay-time and joint recurrences share.
 
-The cumulants satisfy a differential-difference recurrence: for beta=2 it
-closes at a single dimension, while for beta in {1,4} the right-hand side
-couples dimension n to n +/- i(beta) through "reduced moments" (exponential
-Bell transforms of second differences across the dimension lattice).  We
-evaluate the lattice at concrete shifted integer dimensions with memoization
-rather than doing symbolic rational-function-of-n arithmetic: simpler, exact,
-and the asymptotics come from the separate limiting recurrences.  The reduced
-moments are memoised per dimension too and extended by one term per order, so
-a depth-L fill costs O(L^2) Bell terms per dimension rather than O(L^3).  The
-constants that depend on the dimension alone (the coupling b_n, the closed
-kappa_1..kappa_3 and the coefficients of each step's leading coefficient, a
-cubic in the order) are evaluated once per dimension and engine, in integer
-arithmetic (see ``ensembles``); nothing is cached across engines.  Each
-exact value is one call of ``rational.dot`` with one reduction: a step's
-linear, quadratic and coupling terms go into a single sum, divided once by
-the leading coefficient; each second difference r_l and each Bell-transform
-coefficient mu_l is one sum as well.  The quadratic sum is symmetric under
-i <-> l-1-i, so each pair of terms is multiplied once under the sum of its
-two weights.  That gain was measured with the ``fractions`` backend only
-and may be smaller with gmpy2.
+For beta=2 the recurrence closes at a single dimension; for beta in {1,4}
+it couples dimension n to n +/- i(beta) through "reduced moments"
+(exponential Bell transforms of second differences across the dimension
+lattice), evaluated at concrete integer dimensions with memoization, not as
+rational functions of n.
+
+``_Lattice`` is the one engine core.  Per dimension it memoises the values,
+the coupling constant, the integer constants of the step's leading
+coefficient and the reduced moments, which grow by one term per order.  A
+step is one ``rational.dot`` of its quadratic, linear and coupling terms,
+divided once; the quadratic sum is symmetric under i <-> l-1-i, so each
+pair is multiplied once.  ``ConductanceEngine`` and ``wigner.DelayEngine``
+supply only their closed first values, per-dimension constants, step
+weights and coupling.  ``_reduced_walk`` is the one second-difference +
+Bell walk; the joint engine's k=0 row and ``reduced_moments`` run it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .ensembles import _raw_coupling, _scaled, b_constant
 from .errors import InvalidOrderError, PoleError, UnsupportedBetaError
 from .params import TransportParams, eta_factor, lattice_step
-from .rational import ONE, dot, rat
+from .rational import ONE, ZERO, dot, rat
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,7 @@ class ReducedSequence:
 
 def conductance_initial(p: TransportParams):
     """The closed-form first three cumulants (kappa_1, kappa_2, kappa_3)."""
-    k = _initial_three(p.beta, p.alpha, p.delta, p.n)
-    return k[0], k[1], k[2]
+    return _initial_three(p.beta, p.alpha, p.delta, p.n)
 
 
 def _initial_three(beta, alpha, delta, n):
@@ -140,123 +136,6 @@ def _symmetric_terms(weights, values):
     return terms
 
 
-def _coeff_B(l, i, chi):
-    li = l - i
-    return (2 - chi) * li * (li * (6 * i - 2) + 3) + (chi - 1) * li * li * (6 * i + 2)
-
-
-class ConductanceEngine:
-    """Memoized cumulant computation across the dimension lattice for a fixed
-    (beta, alpha, delta).  Single-threaded per instance; finished sequences
-    are immutable and freely shareable.
-
-    ``radius`` records the farthest lattice point visited, in steps from
-    ``center``; a visit beyond ``max_radius`` is an internal error.
-    """
-
-    def __init__(self, beta, alpha, delta, center=None, max_radius=None):
-        self.beta = beta
-        self.alpha = rat(alpha)
-        self.delta = rat(delta)
-        self.step = lattice_step(beta)
-        self._kappa = {}  # dimension -> [kappa_1, kappa_2, ...]
-        self._reduced = {}  # dimension -> ([r_1, r_2, ...], [mu_0, mu_1, ...])
-        self._coupling = {}  # dimension -> b_n
-        self._constants = {}  # dimension -> ((q2, P, Q), alpha - delta/2 + beta n)
-        self.radius = 0
-        self._center = center
-        self._max_radius = max_radius
-
-    def _note_visit(self, n):
-        if self._center is None or n == self._center:
-            return
-        r = abs(n - self._center) // self.step
-        if self._max_radius is not None and r > self._max_radius:
-            raise AssertionError(
-                f"lattice visit at dimension {n} exceeds radius bound {self._max_radius}"
-            )
-        self.radius = max(self.radius, r)
-
-    def coupling(self, n):
-        """b_n at dimension n, evaluated once per engine (a pole is raised
-        again on every request, never stored)."""
-        bn = self._coupling.get(n)
-        if bn is None:
-            bn = self._coupling[n] = _raw_coupling(self.beta, self.alpha, self.delta, n)
-        return bn
-
-    def _dimension(self, n):
-        """(q2, P, Q) of ``_leading`` at dimension n, and alpha - delta/2 + beta n.
-
-        With t = alpha + delta/2 + beta n, P / q2 = (6 - 3 beta + t)(t + 2 - beta)
-        and Q / q2 = t (t + 2 - beta); q is the common denominator of alpha,
-        delta/2 and n, and q2 = q^2."""
-        c = self._constants.get(n)
-        if c is None:
-            beta = self.beta
-            q, (a, h, m) = _scaled(self.alpha, self.delta / 2, n)
-            t = a + h + beta * m
-            u = t + (2 - beta) * q
-            lead = (q * q, ((6 - 3 * beta) * q + t) * u, t * u)
-            c = self._constants[n] = (lead, rat(a - h + beta * m, q))
-        return c
-
-    def kappas(self, n, order):
-        """kappa_1..kappa_order at dimension n (n=0 yields an empty sum: all zero)."""
-        if order < 1:
-            return []
-        if n == 0:
-            return [rat(0)] * order
-        self._note_visit(n)
-        cached = self._kappa.get(n, None)
-        if cached is None:
-            cached = list(_initial_three(self.beta, self.alpha, self.delta, n))
-            self._kappa[n] = cached
-        while len(cached) < order:
-            self._extend(n, cached)
-        return cached[:order]
-
-    def _extend(self, n, kappa):
-        beta = self.beta
-        l = len(kappa)  # recurrence index producing kappa_{l+1}
-        chi = 2 if beta == 2 else 1
-        eta = eta_factor(beta)
-        (q2, P, Q), g = self._dimension(n)
-        A = _leading(beta, l, q2, P, Q)
-        if A == 0:
-            raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
-        # kappa[i] is kappa_{i+1}
-        terms = _symmetric_terms(
-            [-eta * math.comb(l, i) * _coeff_B(l, i, chi) for i in range(l)], kappa
-        )
-        terms.append((l * (2 * l - 1), g, kappa[l - 1]))
-        terms.append((l * (l - 1) * (l - 2), kappa[l - 2], ONE))
-        bn = self.coupling(n)
-        if bn != 0:
-            mu = self.reduced_moments(n, l - 3)
-            terms.append((12 * l * (l - 1) * (l - 2) // beta, bn, mu[l - 3]))
-        kappa.append(dot(terms) / rat(A, q2))
-
-    def reduced_moments(self, n, order):
-        """mu_0..mu_order at dimension n from the reduced cumulants
-        r_l = kappa_l(n-i) + kappa_l(n+i) - 2*kappa_l(n), l = 1..order.
-
-        Both lists are memoised per dimension and only extended: r_l and mu_l
-        depend on nothing above order l.  The returned list is the memo (it
-        may hold more than order + 1 entries) and must not be modified.
-        """
-        r, mu = self._reduced.setdefault(n, ([], [rat(1)]))
-        if order >= 1:
-            minus = self.kappas(n - self.step, order)
-            plus = self.kappas(n + self.step, order)
-            here = self.kappas(n, order)
-            r.extend(
-                _second_difference(minus[j], plus[j], here[j])
-                for j in range(len(r), order)
-            )
-        return bell_transform(r, order, mu)
-
-
 def _second_difference(minus, plus, here):
     """minus + plus - 2 here, the reduced cumulant of a value across the
     dimension lattice, as one ``dot``."""
@@ -276,6 +155,161 @@ def bell_transform(r, order, mu=None):
     for l in range(len(mu), order + 1):
         mu.append(dot((math.comb(l - 1, j), r[l - j - 1], mu[j]) for j in range(l)))
     return mu
+
+
+def _reduced_walk(memo, n, step, order, fetch):
+    """mu_0..mu_order at dimension n, extending ``memo`` = (r, mu) in place.
+
+    r_l = v_l(n - step) + v_l(n + step) - 2 v_l(n), l = 1..order, with v from
+    ``fetch(dimension, order)``, and mu is the Bell transform of r.  Both lists
+    only grow: r_l and mu_l depend on nothing above order l.  The returned list
+    is ``mu`` itself (it may be longer) and must not be modified.
+    """
+    r, mu = memo
+    if order < 1:
+        return mu
+    minus, plus, here = (fetch(m, order) for m in (n - step, n + step, n))
+    r.extend(
+        _second_difference(minus[j], plus[j], here[j]) for j in range(len(r), order)
+    )
+    return bell_transform(r, order, mu)
+
+
+class _Lattice:
+    """A recurrence over the dimension lattice n + step Z at one parameter
+    point.  The step appends v_{l+1} = [sum_i w_i v_{i+1} v_{l-i} + linear
+    terms + C l(l-1)(l-2) coupling mu_{l-3}] / (S * leading coefficient),
+    with integers C and S chosen so that every weight is an integer.
+
+    A statistic passes its coupling (n -> constant) and supplies
+    ``_initial(n)``, the closed first values; ``_dimension_constants(n)``,
+    ((q2, P, Q) of ``_leading``, g); ``_weights(l)``, the w_i;
+    ``_linear_terms(l, values, g)``; and ``_fetch(n)``, the
+    (dimension, order) -> values callable the reduced moments at n read.
+    """
+
+    def __init__(self, beta, coupling, coupling_weight, scale):
+        self.beta = beta
+        self.step = lattice_step(beta)
+        self._eta = eta_factor(beta)
+        self._coupling_at = coupling
+        self._coupling_weight = coupling_weight
+        self._scale = scale
+        self._values = {}  # dimension -> [v_1, v_2, ...]
+        self._reduced = {}  # dimension -> ([r_1, r_2, ...], [mu_0, mu_1, ...])
+        self._couplings = {}  # dimension -> coupling constant
+        self._constants = {}  # dimension -> ((q2, P, Q), g)
+
+    def coupling(self, n):
+        """The coupling at dimension n, once per engine (a pole is not stored)."""
+        c = self._couplings.get(n)
+        if c is None:
+            c = self._couplings[n] = self._coupling_at(n)
+        return c
+
+    def _dimension(self, n):
+        c = self._constants.get(n)
+        if c is None:
+            c = self._constants[n] = self._dimension_constants(n)
+        return c
+
+    def _fill(self, n, order):
+        """v_1..v_order at dimension n, extending its memo."""
+        values = self._values.get(n)
+        if values is None:
+            values = self._values[n] = self._initial(n)
+        while len(values) < order:
+            self._extend(n, values)
+        return values[:order]
+
+    def _extend(self, n, values):
+        l = len(values)  # recurrence index producing v_{l+1}
+        (q2, P, Q), g = self._dimension(n)
+        A = _leading(self.beta, l, q2, P, Q)
+        if A == 0:
+            raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
+        terms = _symmetric_terms(self._weights(l), values)
+        terms += self._linear_terms(l, values, g)
+        c = self.coupling(n)
+        if c != 0:
+            mu = self.reduced_moments(n, l - 3)
+            terms.append((self._coupling_weight * l * (l - 1) * (l - 2), c, mu[l - 3]))
+        values.append(dot(terms) / rat(self._scale * A, q2))
+
+    def reduced_moments(self, n, order):
+        """mu_0..mu_order at dimension n, memoised; see ``_reduced_walk``."""
+        memo = self._reduced.setdefault(n, ([], [ONE]))
+        return _reduced_walk(memo, n, self.step, order, self._fetch(n))
+
+
+def _coeff_B(l, i, chi):
+    li = l - i
+    return (2 - chi) * li * (li * (6 * i - 2) + 3) + (chi - 1) * li * li * (6 * i + 2)
+
+
+class ConductanceEngine(_Lattice):
+    """Memoized cumulant computation across the dimension lattice for a fixed
+    (beta, alpha, delta).  Single-threaded per instance; finished sequences
+    are immutable and freely shareable.
+
+    ``radius`` records the farthest lattice point visited, in steps from
+    ``center``; a visit beyond ``max_radius`` is an internal error.
+    """
+
+    def __init__(self, beta, alpha, delta, center=None, max_radius=None):
+        self.alpha = rat(alpha)
+        self.delta = rat(delta)
+        coupling = partial(_raw_coupling, beta, self.alpha, self.delta)
+        super().__init__(beta, coupling, 12 // beta, 1)
+        self._chi = 2 if beta == 2 else 1
+        self.radius = 0
+        self._center = center
+        self._max_radius = max_radius
+
+    def _note_visit(self, n):
+        if self._center is None or n == self._center:
+            return
+        r = abs(n - self._center) // self.step
+        if self._max_radius is not None and r > self._max_radius:
+            raise AssertionError(
+                f"lattice visit at dimension {n} exceeds radius bound {self._max_radius}"
+            )
+        self.radius = max(self.radius, r)
+
+    def _dimension_constants(self, n):
+        """(q2, P, Q) of ``_leading`` at dimension n, and alpha - delta/2 + beta n.
+
+        With t = alpha + delta/2 + beta n, P / q2 = (6 - 3 beta + t)(t + 2 - beta)
+        and Q / q2 = t (t + 2 - beta); q is the common denominator of alpha,
+        delta/2 and n, and q2 = q^2."""
+        beta = self.beta
+        q, (a, h, m) = _scaled(self.alpha, self.delta / 2, n)
+        t = a + h + beta * m
+        u = t + (2 - beta) * q
+        return (q * q, ((6 - 3 * beta) * q + t) * u, t * u), rat(a - h + beta * m, q)
+
+    def _initial(self, n):
+        return list(_initial_three(self.beta, self.alpha, self.delta, n))
+
+    def _weights(self, l):
+        return [-self._eta * math.comb(l, i) * _coeff_B(l, i, self._chi) for i in range(l)]
+
+    def _linear_terms(self, l, kappa, g):
+        # kappa[i] is kappa_{i+1}
+        return [(l * (2 * l - 1), g, kappa[l - 1]),
+                (l * (l - 1) * (l - 2), kappa[l - 2], ONE)]
+
+    def _fetch(self, n):
+        return self.kappas
+
+    def kappas(self, n, order):
+        """kappa_1..kappa_order at dimension n (n=0 yields an empty sum: all zero)."""
+        if order < 1:
+            return []
+        if n == 0:
+            return [ZERO] * order
+        self._note_visit(n)
+        return self._fill(n, order)
 
 
 def conductance_cumulants(p: TransportParams, max_order) -> CumulantSequence:
@@ -305,15 +339,10 @@ def reduced_moments(p: TransportParams, max_order, provider=None) -> ReducedSequ
     """
     if p.beta == 2:
         raise UnsupportedBetaError("beta=2 has no dimension lattice")
-    step = p.i_shift
     if provider is None:
-        engine = ConductanceEngine(p.beta, p.alpha, p.delta)
-        provider = engine.kappas
-    minus = provider(p.n - step, max_order)
-    plus = provider(p.n + step, max_order)
-    here = provider(p.n, max_order)
-    r = [_second_difference(minus[j], plus[j], here[j]) for j in range(max_order)]
-    mu = bell_transform(r, max_order)
+        provider = ConductanceEngine(p.beta, p.alpha, p.delta).kappas
+    r, mu = memo = ([], [ONE])
+    _reduced_walk(memo, p.n, p.i_shift, max_order, provider)
     return ReducedSequence(r_values=tuple(r), mu_values=tuple(mu))
 
 

@@ -2,14 +2,17 @@
 
 The table kappa_{l,k} is filled column by column in k: the double recurrence
 expresses the (k+1)-column in terms of columns <= k with l shifted up by at
-most 4, so the conductance boundary row is computed to order L + 2K + 4 up
+most 4, so the conductance boundary row is computed to order L + 2K up
 front.  For beta in {1,4} the right-hand side consumes joint reduced moments,
 i.e. joint tables at the shifted dimensions, recursively with decreasing
 column depth.  Every entry depends only on (n, l, k), so the memoised table
 at each dimension, and its joint reduced moments, are grown in place when a
-deeper staircase is requested.  Dimension 0 is the empty ensemble (all cumulants zero);
-negative lattice dimensions are evaluated by the same rational continuation
-the conductance row uses.
+deeper staircase is requested.  The k=0 row is the conductance engine's
+(``conductance.ConductanceEngine``, or the exact determinant moments where
+an even-beta row degenerates), and its reduced moments run the conductance
+module's ``_reduced_walk``.  Dimension 0 is the empty ensemble (all
+cumulants zero); negative lattice dimensions are evaluated by the same
+rational continuation the conductance row uses.
 
 Each entry is one ``rational.dot`` with one reduction, divided once by its
 integer leading coefficient 2l + 3k + 2; the double sum is symmetric under
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 from .conductance import (
     ConductanceEngine,
     CumulantSequence,
+    _reduced_walk,
     _second_difference,
-    bell_transform,
 )
 from .ensembles import b_constant
 from .errors import (
@@ -37,7 +40,7 @@ from .errors import (
     UnsupportedBetaError,
     UnsupportedParameterError,
 )
-from .params import TransportParams, eta_factor, lattice_step
+from .params import TransportParams, eta_factor
 from .rational import ONE, dot, rat
 
 
@@ -66,36 +69,25 @@ class JointReducedTable:
 
 
 class JointEngine:
-    """Memoized joint-table computation across the dimension lattice.
+    """Memoized joint-table computation across the dimension lattice."""
 
-    ``boundary_override`` maps a dimension to a precomputed conductance
-    cumulant list; it is consulted before the recurrence, which lets callers
-    supply an exact-moment boundary at the isolated parameter points where
-    the recurrence's leading coefficient vanishes.
-    """
-
-    def __init__(self, beta, alpha, delta, boundary_override=None, center=None):
+    def __init__(self, beta, alpha, delta, center=None):
         self.beta = beta
-        self.alpha = rat(alpha)
-        self.delta = rat(delta)
-        self.step = lattice_step(beta)
         self.cond = ConductanceEngine(beta, alpha, delta, center=center)
-        self.boundary_override = boundary_override or {}
+        self._exact_rows = {}  # dimension -> exact-moment conductance row
         # dimension -> {(l, k): value}, each grown in place; an entry is
         # stored only once computed, so a failed fill leaves a valid prefix
         self._kappa = {}
         self._r = {}
         self._mu = {}
-        self._mu_row = {}  # dimension -> ([r_{1,0}, ...], [mu_{0,0}, mu_{1,0}, ...])
+        self._row_reduced = {}  # dimension -> (r, mu) of the k=0 row
 
     def _boundary(self, n, order):
-        override = self.boundary_override.get(n)
-        if override is not None and len(override) >= order:
-            return list(override[:order])
-        if override is not None and self.beta == 1:
-            raise BoundaryUnavailableError(
-                f"boundary override at dimension {n} is too short"
-            )
+        if n == 0:
+            return [rat(0)] * order
+        row = self._exact_rows.get(n)
+        if row is not None and len(row) >= order:
+            return list(row[:order])
         try:
             return self.cond.kappas(n, order)
         except CumulantError as exc:
@@ -106,19 +98,13 @@ class JointEngine:
             if self.beta in (2, 4):
                 from .exactmoments import exact_conductance_cumulant_row
 
-                row = exact_conductance_cumulant_row(
-                    TransportParams(self.beta, self.alpha, self.delta, n), order
+                row = self._exact_rows[n] = exact_conductance_cumulant_row(
+                    TransportParams(self.beta, self.cond.alpha, self.cond.delta, n), order
                 )
-                self.boundary_override[n] = row
                 return list(row)
             raise BoundaryUnavailableError(
                 f"conductance row failed at dimension {n}: {exc}"
             ) from exc
-
-    def _row_or_zeros(self, n, order):
-        if n == 0:
-            return [rat(0)] * order
-        return self._boundary(n, order)
 
     def table(self, n, max_l, max_k):
         """kappa_{l,k} at dimension n; column k holds l <= max_l + 2*(max_k-k).
@@ -141,7 +127,7 @@ class JointEngine:
                     kappa[(l, k)] = rat(0)
         else:
             row = self._boundary(n, row_order)
-            c = self.alpha + self.delta / 2 + self.beta * n + 2 - self.beta
+            c = self.cond.alpha + self.cond.delta / 2 + self.beta * n + 2 - self.beta
             eta = eta_factor(self.beta)
             bn = self.cond.coupling(n)
             mu = None
@@ -176,19 +162,13 @@ class JointEngine:
         joint tables are requested no deeper than the recurrence consumes.
         Like ``table``, the result is the memo for dimension n.
         """
-        step = self.step
         r = self._joint_reduced_cumulants(n, L, K)
         mu = self._mu.setdefault(n, {})
-        reduced_row, mu_row = self._mu_row.setdefault(n, ([], [rat(1)]))
         row_len = L + 2 * K
-        minus_row = self._row_or_zeros(n - step, row_len)
-        plus_row = self._row_or_zeros(n + step, row_len)
-        here_row = self._row_or_zeros(n, row_len)
-        reduced_row.extend(
-            _second_difference(minus_row[j], plus_row[j], here_row[j])
-            for j in range(len(reduced_row), row_len)
+        mu_row = _reduced_walk(
+            self._row_reduced.setdefault(n, ([], [ONE])),
+            n, self.cond.step, row_len, self._boundary,
         )
-        bell_transform(reduced_row, row_len, mu_row)
         for l in range(row_len + 1):
             mu[(l, 0)] = mu_row[l]
         for k in range(1, K + 1):
@@ -203,8 +183,9 @@ class JointEngine:
         return mu
 
     def _joint_reduced_cumulants(self, n, L, K):
-        minus = self.table(n - self.step, L, K)
-        plus = self.table(n + self.step, L, K)
+        step = self.cond.step
+        minus = self.table(n - step, L, K)
+        plus = self.table(n + step, L, K)
         here = self.table(n, L, K)
         r = self._r.setdefault(n, {(0, 0): rat(0)})
         for k in range(K + 1):
@@ -246,12 +227,11 @@ def joint_reduced_table(p: TransportParams, max_l, max_k) -> JointReducedTable:
     return JointReducedTable(r=r, mu=mu)
 
 
-def joint_cumulants(p: TransportParams, max_l, max_k,
-                    boundary_override=None) -> JointCumulantTable:
+def joint_cumulants(p: TransportParams, max_l, max_k) -> JointCumulantTable:
     """Exact kappa_{l,k} for the rectangle l <= max_l, k <= max_k."""
     if max_l < 0 or max_k < 0:
         raise InvalidOrderError("orders must be nonnegative")
-    engine = JointEngine(p.beta, p.alpha, p.delta, boundary_override, center=p.n)
+    engine = JointEngine(p.beta, p.alpha, p.delta, center=p.n)
     kappa = engine.table(p.n, max_l, max_k)
     values = {
         (l, k): kappa[(l, k)]

@@ -80,6 +80,30 @@ class TruncatedSeries:
                 coeffs[power] = rat(c)
         return cls(coeffs)
 
+    @classmethod
+    def exponential_generating(cls, values, scale=1):
+        """sum_{l=1..L} values[l-1] (scale z)^l / l!, truncated at L = len(values).
+
+        With scale = a/b, coefficient l is the integer
+        v_l a^l b^(L-l) L!/l!, v_l over the lcm of the values' denominators,
+        divided by that lcm times b^L L!; the pair is reduced once.
+        """
+        values = [rat(v) for v in values]
+        scale = rat(scale)
+        a, b = scale.numerator, scale.denominator
+        den = 1
+        for v in values:
+            d = v.denominator
+            if den % d:
+                den *= d // math.gcd(den, d)
+        nums = [0] * (len(values) + 1)
+        c = 1  # b^(L-l) L!/l!
+        for l in range(len(values), 0, -1):
+            v = values[l - 1]
+            nums[l] = v.numerator * (den // v.denominator) * a**l * c
+            c *= b * l
+        return cls._over(nums, den * c)
+
     # -- inspection ------------------------------------------------------------
 
     @property

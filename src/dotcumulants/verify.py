@@ -67,14 +67,6 @@ def _report(equation, params, order, series_coeffs):
 # -- conductance ODE ---------------------------------------------------------------
 
 
-def _cgf_series(kappas, order):
-    """sigma(z) = sum (-1)^l kappa_l z^l / l! as a truncated series."""
-    coeffs = [rat(0)]
-    for l in range(1, order + 1):
-        coeffs.append(rat(-1) ** l * kappas[l - 1] / math.factorial(l))
-    return TruncatedSeries(coeffs)
-
-
 def _require_ode_order(order):
     # the residual to order M takes four derivatives of a series of order
     # M + 1, which leaves nothing to evaluate below M = 3
@@ -96,7 +88,7 @@ def ode_residual_conductance(p: TransportParams, order, perturb=None) -> Residua
     if perturb is not None:
         idx, delta = perturb
         kappas[idx - 1] = kappas[idx - 1] + rat(delta)
-    sigma = _cgf_series(kappas, M + 1)
+    sigma = TruncatedSeries.exponential_generating(kappas, -1)
     s1 = sigma.differentiate()
     s2 = s1.differentiate()
     s3 = s2.differentiate()
@@ -137,7 +129,7 @@ def ode_residual_conductance(p: TransportParams, order, perturb=None) -> Residua
             plus = engine.kappas(n + step, shift_order)
             here = kappas[:shift_order]
             reduced = [minus[j] + plus[j] - 2 * here[j] for j in range(shift_order)]
-            rho = _cgf_series(reduced, shift_order)
+            rho = TruncatedSeries.exponential_generating(reduced, -1)
         else:
             rho = TruncatedSeries.zero(0)
         lhs = lhs - (12 * bn / beta) * rho.exponential().shift(3)
@@ -281,15 +273,6 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
 # -- delay-time ODE ----------------------------------------------------------------------
 
 
-def _delay_series(K, beta, order):
-    """xi(z) = sum K_l (2z/beta)^l / l! as a truncated series."""
-    scale = rat(2, beta)
-    coeffs = [rat(0)]
-    for l in range(1, order + 1):
-        coeffs.append(K[l - 1] * scale**l / math.factorial(l))
-    return TruncatedSeries(coeffs)
-
-
 def ode_residual_wigner(p: DelayParams, order, perturb=None) -> ResidualReport:
     """Residual series of the fourth-order delay-time ODE, exact-zero contract."""
     _require_ode_order(order)
@@ -305,7 +288,7 @@ def ode_residual_wigner(p: DelayParams, order, perturb=None) -> ResidualReport:
     if perturb is not None:
         idx, delta = perturb
         K[idx - 1] = K[idx - 1] + rat(delta)
-    xi = _delay_series(K, beta, M + 1)
+    xi = TruncatedSeries.exponential_generating(K, rat(2, beta))
     x1 = xi.differentiate()
     x2 = x1.differentiate()
     x3 = x2.differentiate()
@@ -336,7 +319,7 @@ def ode_residual_wigner(p: DelayParams, order, perturb=None) -> ResidualReport:
             plus = engine.cumulants(n + step, shift_order, requester=n)
             here = K[:shift_order]
             reduced = [minus[j] + plus[j] - 2 * here[j] for j in range(shift_order)]
-            rho = _delay_series(reduced, beta, shift_order)
+            rho = TruncatedSeries.exponential_generating(reduced, rat(2, beta))
         else:
             rho = TruncatedSeries.zero(0)
         lhs = lhs - (12 * dn / beta) * rho.exponential().shift(3)

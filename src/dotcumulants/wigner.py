@@ -7,19 +7,18 @@ own q is recomputed from that fixed b, and an order shortfall aborts with an
 error naming the blocking lattice point.  For beta=2 the coupling d_n
 vanishes, and the same engine then runs at a single dimension.
 
-Each K_{l+1} is one ``rational.dot`` over four times the step's right-hand
-side (so that every weight is an integer), divided once by four times the
-leading coefficient; the quadratic sum is paired under i <-> l-1-i as in
-``conductance``, and each second difference is one ``dot``.  The gain was
-measured with the ``fractions`` backend only.
+``DelayEngine`` runs on ``conductance._Lattice``, the core the conductance
+engine uses, and supplies only the delay time's closed K_1..K_3, omega and
+the leading-coefficient constants per dimension, the step weights and d_n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .conductance import _leading, _second_difference, _symmetric_terms, bell_transform
+from .conductance import _Lattice
 from .ensembles import _raw_delay_coupling
 from .errors import (
     InsufficientOrderError,
@@ -28,8 +27,8 @@ from .errors import (
     NonexistentCumulantError,
     PoleError,
 )
-from .params import DelayParams, eta_factor, lattice_step
-from .rational import ONE, dot, rat
+from .params import DelayParams
+from .rational import ONE, ZERO, floor_rational, rat
 from .series import TruncatedSeries
 
 
@@ -94,47 +93,50 @@ def _coeff_B(beta, eta, i, l):
     return (l - i) * (6 * eta * (l - i - 1) * i + beta + 4 * beta * i)
 
 
-class DelayEngine:
-    """Memoized delay-time cumulants over the fixed-b dimension lattice."""
+class DelayEngine(_Lattice):
+    """Memoized delay-time cumulants over the fixed-b dimension lattice.
+
+    ``visited`` lists the (dimension, b) points in the order their closed
+    first cumulants were evaluated."""
 
     def __init__(self, beta, b):
-        self.beta = beta
         self.b = rat(b)
-        self.step = lattice_step(beta)
-        self._memo = {}  # dimension -> [K_1, ...]
-        self._reduced = {}  # dimension -> ([rho_1, rho_2, ...], [phi_0, phi_1, ...])
-        self._coupling = {}  # dimension -> d_n
-        self._constants = {}  # dimension -> (omega, (q2, P, Q))
+        # each step is four times the right-hand side, so that every weight is
+        # an integer: (12 d_n / beta) l(l-1)(l-2) (beta/2)^4 phi_{l-3}, times 4
+        super().__init__(beta, partial(_raw_delay_coupling, beta, self.b), 3 * beta**3, 4)
         self.visited = []
 
-    def coupling(self, n):
-        """d_n at dimension n, evaluated once per engine (a pole is raised
-        again on every request, never stored)."""
-        dn = self._coupling.get(n)
-        if dn is None:
-            dn = self._coupling[n] = _raw_delay_coupling(self.beta, self.b, n)
-        return dn
+    def _dimension_constants(self, n):
+        """(q2, P, Q) of ``conductance._leading`` at dimension n, with
+        P / q2 = omega (omega - 4 + 2 beta) and Q / q2 = omega (omega + 2 - beta),
+        and omega = b - 2 - beta(n-1)."""
+        beta = self.beta
+        omega = self.b - 2 - beta * (n - 1)
+        w, d = omega.numerator, omega.denominator
+        return (d * d, w * (w + (2 * beta - 4) * d), w * (w + (2 - beta) * d)), omega
 
-    def _dimension(self, n):
-        """omega = b - 2 - beta(n-1) at dimension n, and (q2, P, Q) of
-        ``conductance._leading`` with P / q2 = omega (omega - 4 + 2 beta) and
-        Q / q2 = omega (omega + 2 - beta)."""
-        c = self._constants.get(n)
-        if c is None:
-            beta = self.beta
-            omega = self.b - 2 - beta * (n - 1)
-            w, d = omega.numerator, omega.denominator
-            lead = (d * d, w * (w + (2 * beta - 4) * d), w * (w + (2 - beta) * d))
-            c = self._constants[n] = (omega, lead)
-        return c
+    def _initial(self, n):
+        # K_j has poles only at omega < j <= q <= omega: these are all finite
+        values = _initial_three(self.beta, self._dimension(n)[1], n, min(3, self.q_at(n)))
+        self.visited.append((n, self.b))
+        return values
+
+    def _weights(self, l):
+        return [-4 * math.comb(l, i) * _coeff_B(self.beta, self._eta, i, l) for i in range(l)]
+
+    def _linear_terms(self, l, K, omega):
+        return [(-4 * self.beta * l * (2 * l - 1), K[l - 1], ONE)]
+
+    def _fetch(self, n):
+        # a shifted point that falls short of the order names n in its error
+        return lambda m, order: self.cumulants(m, order, None if m == n else n)
 
     def q_at(self, n):
-        omega = self._dimension(n)[0]
-        return int(omega.numerator // omega.denominator)
+        return floor_rational(self._dimension(n)[1])
 
     def cumulants(self, n, order, requester=None):
         if n == 0:
-            return [rat(0)] * order
+            return [ZERO] * order
         q = self.q_at(n)
         if order > q:
             if requester is not None:
@@ -145,54 +147,7 @@ class DelayEngine:
             raise NonexistentCumulantError(
                 f"only q={q} cumulants exist at n={n} with b={self.b}"
             )
-        omega = self._dimension(n)[0]
-        cached = self._memo.get(n)
-        if cached is None:
-            cached = self._memo[n] = _initial_three(self.beta, omega, n, min(3, order))
-            self.visited.append((n, self.b))
-        elif len(cached) < min(3, order):
-            cached[:] = _initial_three(self.beta, omega, n, min(3, order))
-        while len(cached) < order:
-            self._extend(n, cached)
-        return cached[:order]
-
-    def _extend(self, n, K):
-        beta = self.beta
-        eta = eta_factor(beta)
-        l = len(K)  # recurrence index producing K_{l+1}
-        q2, P, Q = self._dimension(n)[1]
-        A = _leading(beta, l, q2, P, Q)
-        if A == 0:
-            raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
-        # four times the right-hand side, so that every weight is an integer
-        terms = _symmetric_terms(
-            [-4 * math.comb(l, i) * _coeff_B(beta, eta, i, l) for i in range(l)], K
-        )
-        terms.append((-4 * beta * l * (2 * l - 1), K[l - 1], ONE))
-        dn = self.coupling(n)
-        if dn != 0:
-            phi = self.reduced_moments(n, l - 3)
-            # (12 d_n / beta) l(l-1)(l-2) (beta/2)^4 phi_{l-3}, times four
-            terms.append((3 * beta**3 * l * (l - 1) * (l - 2), dn, phi[l - 3]))
-        K.append(dot(terms) / rat(4 * A, q2))
-
-    def reduced_moments(self, n, order):
-        """phi_0..phi_order from the fixed-b second differences of K.
-
-        Memoised per dimension and only extended, as in
-        ``ConductanceEngine.reduced_moments``; the returned list is the memo.
-        """
-        if order < 1:
-            return [rat(1)]
-        rho, phi = self._reduced.setdefault(n, ([], [rat(1)]))
-        minus = self.cumulants(n - self.step, order, requester=n)
-        plus = self.cumulants(n + self.step, order, requester=n)
-        here = self.cumulants(n, order)
-        rho.extend(
-            _second_difference(minus[j], plus[j], here[j])
-            for j in range(len(rho), order)
-        )
-        return bell_transform(rho, order, phi)
+        return self._fill(n, order)
 
 
 def wigner_cumulants(p: DelayParams, max_order) -> DelayCumulants:
@@ -248,11 +203,7 @@ def delay_generating_series(p: DelayParams, order) -> TruncatedSeries:
             f"series order {order} exceeds q={p.q}"
         )
     K = wigner_cumulants(p, order).values
-    scale = rat(2, p.beta)
-    coeffs = [rat(0)]
-    for l in range(1, order + 1):
-        coeffs.append(K[l - 1] * scale**l / math.factorial(l))
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries.exponential_generating(K, rat(2, p.beta))
 
 
 def chazy_residual(n, series_order, perturb=None) -> TruncatedSeries:

@@ -277,3 +277,52 @@ def test_beta_one_four_duality():
         assert four == [rat(-1, 2) ** l * k for l, k in enumerate(one, 1)], (a, d, n)
         compared += 1
     assert compared >= 87
+
+
+def test_traced_names_stay_where_the_benchmark_tracer_looks(monkeypatch):
+    """``perfbench/tracer.py`` wraps ``ConductanceEngine.kappas``,
+    ``DelayEngine.cumulants`` and ``JointEngine.table`` found in their own
+    class ``__dict__`` (an inherited method would go uncounted), and the
+    module-level ``conductance.bell_transform``.  Each must also be the name
+    the lattice recursion calls, so that a wrapper sees every lattice point."""
+    import inspect
+
+    from dotcumulants import conductance, jointcsn, wigner
+    from dotcumulants.params import DelayParams
+
+    assert inspect.isfunction(conductance.bell_transform)
+    assert conductance.bell_transform.__module__ == conductance.__name__
+    seen = {}
+    for cls, name in (
+        (conductance.ConductanceEngine, "kappas"),
+        (wigner.DelayEngine, "cumulants"),
+        (jointcsn.JointEngine, "table"),
+    ):
+        assert name in cls.__dict__, (cls, name)
+        original = cls.__dict__[name]
+
+        def counted(self, n, *args, _key=name, _original=original, **kwargs):
+            seen.setdefault(_key, set()).add(n)
+            return _original(self, n, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    bell_orders = []
+    bell = conductance.bell_transform
+
+    def counted_bell(r, order, mu=None):
+        bell_orders.append(order)
+        return bell(r, order, mu)
+
+    monkeypatch.setattr(conductance, "bell_transform", counted_bell)
+    for run, name, points in (
+        (lambda: conductance.conductance_cumulants(TransportParams(1, COE_HALF, 0, 8), 10),
+         "kappas", {6, 8, 10}),
+        (lambda: wigner.wigner_cumulants(DelayParams(4, 16), 8), "cumulants", {15, 16, 17}),
+        (lambda: jointcsn.joint_cumulants(TransportParams(4, 0, 0, 8), 2, 4),
+         "table", {7, 8, 9}),
+    ):
+        seen.clear()
+        bell_orders.clear()
+        run()
+        assert points <= seen[name], name
+        assert max(bell_orders) >= 1, name

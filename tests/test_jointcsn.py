@@ -299,3 +299,29 @@ def test_gaussian_factorization_small_n():
 def test_gaussian_factorization_w_to_zero():
     rep = gaussian_factorization_check(2, 1e-6)
     assert abs(rep["lhs"] - 1.0) < 1e-4 and abs(rep["rhs"] - 1.0) < 1e-4
+
+
+def test_beta_one_four_duality_of_the_joint_table():
+    """kappa^(4)_{l,k}(alpha, delta, n)
+    = (-1/2)^(l+k) kappa^(1)_{l,k}(-alpha/2, -delta/2, -2n) on the table
+    (4, 3), n = 4..8, over the sweep benchmark's (alpha, delta) grid.  A
+    point is skipped only where the recurrence poles or its conductance row
+    is unavailable on either side."""
+    from itertools import product
+
+    from dotcumulants.errors import BoundaryUnavailableError, PoleError
+    from dotcumulants.jointcsn import JointEngine
+    from test_conductance import DUALITY_ALPHAS, DUALITY_DELTAS
+
+    compared = 0
+    for a, d, n in product(DUALITY_ALPHAS, DUALITY_DELTAS, range(4, 9)):
+        alpha, delta = rat(a), rat(d)
+        try:
+            four = JointEngine(4, alpha, delta).table(n, 4, 3)
+            one = JointEngine(1, -alpha / 2, -delta / 2).table(-2 * n, 4, 3)
+        except (PoleError, BoundaryUnavailableError):
+            continue
+        for l, k in product(range(5), range(4)):
+            assert four[(l, k)] == rat(-1, 2) ** (l + k) * one[(l, k)], (a, d, n, l, k)
+        compared += 1
+    assert compared >= 92

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,20 @@ def test_series_algebra_matches_naive_fractions(a, b, s, k):
             A.differentiate()
     tail = [Fraction(0)] + a[1:]
     assert_series(build(tail).exponential(), naive_exp(tail))
+
+
+def naive_exponential_generating(values, s):
+    return [Fraction(0)] + [v * s**l / math.factorial(l) for l, v in enumerate(values, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(wide_rationals, max_size=9), wide_rationals)
+def test_exponential_generating_matches_naive_fractions(values, s):
+    series = TruncatedSeries.exponential_generating(
+        [rat(v.numerator, v.denominator) for v in values], rat(s.numerator, s.denominator)
+    )
+    assert series.order == len(values)
+    assert_series(series, naive_exponential_generating(values, s))
 
 
 @settings(max_examples=100, deadline=None)
