@@ -304,15 +304,13 @@ def limit_wigner(max_l) -> LimitCoefficients:
 # -- numerical extrapolation ------------------------------------------------------------
 
 
-def extrapolate_limit(samples, nu, model="inverse-n-polynomial"):
+def extrapolate_limit(samples, nu):
     """Richardson extrapolation of n^nu * value under a polynomial-in-1/n model.
 
     ``samples`` is a sequence of (n, exact_value) with strictly increasing n.
     Returns (estimate, error_bar); the error bar is the spread between the
     last two extrapolation levels.
     """
-    if model != "inverse-n-polynomial":
-        raise ValueError(f"unknown model {model!r}")
     if len(samples) < 3:
         raise IllConditionedError("need at least 3 samples")
     ns = [s[0] for s in samples]
@@ -330,5 +328,4 @@ def extrapolate_limit(samples, nu, model="inverse-n-polynomial"):
             row.append(num / (xs[i] - xs[i + j]))
         tab.append(row)
     estimate = tab[-1][0]
-    previous = tab[-2][0] if m >= 2 else estimate
-    return estimate, abs(estimate - previous)
+    return estimate, abs(estimate - tab[-2][0])

@@ -183,12 +183,14 @@ class JointEngine:
         return mu
 
     def _joint_reduced_cumulants(self, n, L, K):
+        """r_{l,k}, k >= 1, on the staircase profile of an (L, K) table: all
+        the 2-D Bell sum reads.  The k=0 row is the row walk's (``_row_reduced``)."""
         step = self.cond.step
         minus = self.table(n - step, L, K)
         plus = self.table(n + step, L, K)
         here = self.table(n, L, K)
-        r = self._r.setdefault(n, {(0, 0): rat(0)})
-        for k in range(K + 1):
+        r = self._r.setdefault(n, {})
+        for k in range(1, K + 1):
             for l in range(L + 2 * (K - k) + 1):
                 if (l, k) not in r:
                     r[(l, k)] = _second_difference(
@@ -222,8 +224,9 @@ def joint_reduced_table(p: TransportParams, max_l, max_k) -> JointReducedTable:
     if p.beta == 2:
         raise UnsupportedBetaError("beta=2 has no dimension lattice")
     engine = JointEngine(p.beta, p.alpha, p.delta)
-    r = engine._joint_reduced_cumulants(p.n, max_l, max_k)
     mu = engine._joint_reduced_moments(p.n, max_l, max_k)
+    row = engine._row_reduced[p.n][0][:max_l + 2 * max_k]
+    r = {(0, 0): rat(0), **{(l, 0): v for l, v in enumerate(row, 1)}, **engine._r[p.n]}
     return JointReducedTable(r=r, mu=mu)
 
 

@@ -2,25 +2,27 @@
 the three master equations, and the Jacobi-polynomial identity suite.
 
 The residual operations build the generating functions as truncated series
-straight from the computed cumulants, assemble the differential equation
-coefficient by coefficient in exact arithmetic, and assert the result is
-identically zero.  Each checker accepts a ``perturb`` hook so tests can
-confirm it detects a corrupted cumulant (a residual checker that cannot see
-a fault is itself broken).
+straight from the computed cumulants, assemble the differential equation in
+exact arithmetic, and assert the result is identically zero: the conductance
+and delay-time ODEs through one fourth-order assembly, the joint PDE as one
+``DoubleSeries`` expression.  Each checker accepts a ``perturb`` hook so
+tests can confirm it detects a corrupted cumulant (a residual checker that
+cannot see a fault is itself broken).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .conductance import ConductanceEngine
 from .ensembles import b_constant, d_constant
 from .errors import InsufficientOrderError, InvalidOrderError, UnsupportedParameterError
 from .jointcsn import JointEngine
 from .params import DelayParams, TransportParams
-from .rational import dot, rat
-from .series import TruncatedSeries, moments_to_cumulants
+from .rational import rat
+from .series import DoubleSeries, TruncatedSeries, moments_to_cumulants
 from .wigner import DelayEngine
 
 
@@ -48,23 +50,17 @@ class ResidualReport:
 
 
 def _report(equation, params, order, series_coeffs):
-    worst = rat(0)
-    first = None
-    for idx, c in series_coeffs:
-        if c != 0 and first is None:
-            first = idx
-        if abs(c) > worst:
-            worst = abs(c)
+    nonzero = [(idx, c) for idx, c in series_coeffs if c != 0]
     return ResidualReport(
         equation=equation,
         params=params,
         order_checked=order,
-        max_abs_coefficient=worst,
-        first_nonzero_index=first,
+        max_abs_coefficient=max((abs(c) for _, c in nonzero), default=rat(0)),
+        first_nonzero_index=nonzero[0][0] if nonzero else None,
     )
 
 
-# -- conductance ODE ---------------------------------------------------------------
+# -- the fourth-order ODEs ---------------------------------------------------------
 
 
 def _require_ode_order(order):
@@ -74,44 +70,32 @@ def _require_ode_order(order):
         raise InvalidOrderError(f"ODE residual order must be >= 3, got {order}")
 
 
-def ode_residual_conductance(p: TransportParams, order, perturb=None) -> ResidualReport:
-    """Residual series of the fourth-order conductance ODE, exact-zero contract."""
-    _require_ode_order(order)
-    M = order
-    beta, a, d, n = p.beta, p.alpha, p.delta, p.n
-    eta = p.eta14
-    engine = ConductanceEngine(beta, a, d)
+def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupling, perturb):
+    """Residual series to order M of the equation the conductance and the
+    delay time share,
+
+      eta z^3 s'''' + 6 eta z^3 s''^2 + beta (2 z^2 s''' + z s'^2 + 4 z^2 s' s'')
+        + z (p2/z) s'' + p1 s' + p0 - (12 c / beta) z^3 exp(rho),
+
+    with s = sum_l v_l (scale z)^l / l! over v = ``fetch(n, M + 1)``, (p0, p1,
+    p2/z) given as {power: coefficient} maps, c = ``coupling(p)``, taken after
+    v, and rho the same series of r_l = v_l(n - i) + v_l(n + i) - 2 v_l(n),
+    l <= M - 3.
+    """
+    M, n, beta, eta = order, p.n, p.beta, p.eta14
     # order M+1 is exactly what a residual valid to order M consumes; going
     # deeper risks the isolated orders where the recurrence coefficient
-    # vanishes and the cumulants are not recurrence-reachable.
-    kappas = list(engine.kappas(n, M + 1))
+    # vanishes and the values are not recurrence-reachable.
+    values = list(fetch(n, M + 1))
     if perturb is not None:
         idx, delta = perturb
-        kappas[idx - 1] = kappas[idx - 1] + rat(delta)
-    sigma = TruncatedSeries.exponential_generating(kappas, -1)
-    s1 = sigma.differentiate()
+        values[idx - 1] = values[idx - 1] + rat(delta)
+    s1 = TruncatedSeries.exponential_generating(values, scale).differentiate()
     s2 = s1.differentiate()
     s3 = s2.differentiate()
     s4 = s3.differentiate()
-
-    t = a + d / 2 + beta * n
-    p0 = TruncatedSeries.from_terms(
-        {0: -rat(n, 2) * (beta * n + 2 * a + 2 - beta) * (beta * n + d / 2 + a),
-         1: rat(n, 2) * (beta * n + 2 * a + 2 - beta)},
-        M,
-    )
-    p1 = TruncatedSeries.from_terms(
-        {0: -(t) * (t + 2 - beta), 1: beta * n + a - d / 2},
-        M,
-    )
     # p2 has no constant term; factoring out z keeps the product valid to M
-    p2_over_z = TruncatedSeries.from_terms(
-        {0: -(beta * n + a + d / 2 + 6 - 3 * beta) * (t + 2 - beta) + beta,
-         1: 2 * (beta * n + a - d / 2),
-         2: rat(-1)},
-        M,
-    )
-
+    p0, p1, p2_over_z = (TruncatedSeries.from_terms(terms, M) for terms in polynomials)
     lhs = (
         eta * s4.shift(3)
         + 6 * eta * (s2 * s2).shift(3)
@@ -120,101 +104,65 @@ def ode_residual_conductance(p: TransportParams, order, perturb=None) -> Residua
         + p1 * s1
         + p0
     )
-    bn = b_constant(p)
-    if bn != 0:
-        shift_order = M - 3
-        if shift_order >= 1:
-            step = p.i_shift
-            minus = engine.kappas(n - step, shift_order)
-            plus = engine.kappas(n + step, shift_order)
-            here = kappas[:shift_order]
-            reduced = [minus[j] + plus[j] - 2 * here[j] for j in range(shift_order)]
-            rho = TruncatedSeries.exponential_generating(reduced, -1)
-        else:
-            rho = TruncatedSeries.zero(0)
-        lhs = lhs - (12 * bn / beta) * rho.exponential().shift(3)
+    c = coupling(p)
+    if c != 0:
+        reduced = []
+        if M > 3:
+            minus, plus = (fetch(n + m * p.i_shift, M - 3) for m in (-1, 1))
+            reduced = [minus[j] + plus[j] - 2 * values[j] for j in range(M - 3)]
+        rho = TruncatedSeries.exponential_generating(reduced, scale)
+        lhs = lhs - (12 * c / beta) * rho.exponential().shift(3)
     res = lhs.truncate(M)
-    return _report(
-        "conductance-ode", p.describe(), M, list(enumerate(res.coefficients))
+    return _report(equation, p.describe(), M, list(enumerate(res.coefficients)))
+
+
+def ode_residual_conductance(p: TransportParams, order, perturb=None) -> ResidualReport:
+    """Residual series of the fourth-order conductance ODE, exact-zero contract."""
+    _require_ode_order(order)
+    beta, a, d, n = p.beta, p.alpha, p.delta, p.n
+    t = a + d / 2 + beta * n
+    polynomials = (
+        {0: -rat(n, 2) * (beta * n + 2 * a + 2 - beta) * (beta * n + d / 2 + a),
+         1: rat(n, 2) * (beta * n + 2 * a + 2 - beta)},
+        {0: -t * (t + 2 - beta), 1: beta * n + a - d / 2},
+        {0: -(beta * n + a + d / 2 + 6 - 3 * beta) * (t + 2 - beta) + beta,
+         1: 2 * (beta * n + a - d / 2),
+         2: -1},
+    )
+    return _fourth_order_residual(
+        "conductance-ode", p, order, ConductanceEngine(beta, a, d).kappas, -1, polynomials,
+        b_constant, perturb,
     )
 
 
-# -- joint PDE (index-wise on double Taylor coefficients) -------------------------------
+def ode_residual_wigner(p: DelayParams, order, perturb=None) -> ResidualReport:
+    """Residual series of the fourth-order delay-time ODE, exact-zero contract."""
+    _require_ode_order(order)
+    if order > p.q - 4:
+        raise InsufficientOrderError(
+            f"order must be <= q - 4 = {p.q - 4} (only q={p.q} cumulants exist)"
+        )
+    beta, n = p.beta, p.n
+    u = p.b - beta * n
+    polynomials = (
+        {0: n * u},
+        {0: -(u - 2 + beta) * u, 1: 2},
+        {0: beta - (u - 6 + 3 * beta) * (u - 2 + beta), 1: 4},
+    )
+    # at n itself order M + 1 <= q, so naming n as the requester changes nothing
+    fetch = partial(DelayEngine(beta, p.b).cumulants, requester=n)
+    return _fourth_order_residual(
+        "delay-ode", p, order, fetch, rat(2, beta), polynomials, d_constant, perturb
+    )
 
 
-def _dims(arr):
-    return len(arr) - 1, len(arr[0]) - 1
-
-def _deriv(arr, dl, dk):
-    L, K = _dims(arr)
-    out = []
-    for l in range(L - dl + 1):
-        row = []
-        for k in range(K - dk + 1):
-            c = arr[l + dl][k + dk]
-            for t in range(1, dl + 1):
-                c = c * (l + t)
-            for t in range(1, dk + 1):
-                c = c * (k + t)
-            row.append(c)
-        out.append(row)
-    return out
-
-def _shift(arr, dl, dk):
-    L, K = _dims(arr)
-    zero_row = [rat(0)] * (K + 1 + dk)
-    out = [list(zero_row) for _ in range(dl)]
-    for l in range(L + 1):
-        out.append([rat(0)] * dk + list(arr[l]))
-    return out
-
-def _combine(terms):
-    """Sum of (coefficient, array) pairs, clipped to the common rectangle."""
-    L = min(_dims(a)[0] for _, a in terms)
-    K = min(_dims(a)[1] for _, a in terms)
-    out = [[rat(0)] * (K + 1) for _ in range(L + 1)]
-    for c, a in terms:
-        for l in range(L + 1):
-            for k in range(K + 1):
-                out[l][k] = out[l][k] + c * a[l][k]
-    return out
-
-def _product(a, b):
-    La, Ka = _dims(a)
-    Lb, Kb = _dims(b)
-    L, K = min(La, Lb), min(Ka, Kb)
-    return [
-        [
-            dot((1, a[i][j], b[l - i][k - j]) for i in range(l + 1) for j in range(k + 1))
-            for k in range(K + 1)
-        ]
-        for l in range(L + 1)
-    ]
-
-def _bexp(arr):
-    """exp of a double series with zero constant term."""
-    L, K = _dims(arr)
-    E = [[rat(0)] * (K + 1) for _ in range(L + 1)]
-    E[0][0] = rat(1)
-    for k in range(1, K + 1):
-        E[0][k] = dot((b, arr[0][b], E[0][k - b]) for b in range(1, k + 1)) / k
-    for l in range(1, L + 1):
-        for k in range(K + 1):
-            E[l][k] = dot(
-                (i, arr[i][j], E[l - i][k - j]) for i in range(1, l + 1) for j in range(k + 1)
-            ) / l
-    return E
+# -- joint PDE ----------------------------------------------------------------------------
 
 
-def _joint_coeff_array(table, L, K):
-    """sigma double-coefficients s[l][k] = (-1)^{l+k} kappa_{l,k} / (l! k!)."""
-    return [
-        [
-            rat(-1) ** (l + k) * table[(l, k)] / (math.factorial(l) * math.factorial(k))
-            for k in range(K + 1)
-        ]
-        for l in range(L + 1)
-    ]
+def _signed_series(table, L, K):
+    """sum (-1)^(l+k) table[(l, k)] z^l w^k / (l! k!) on the (L, K) rectangle."""
+    signed = [(-1) ** (l + k) * table[(l, k)] for l in range(L + 1) for k in range(K + 1)]
+    return DoubleSeries(signed, (L, K))
 
 
 def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> ResidualReport:
@@ -224,109 +172,38 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
         raise InvalidOrderError(
             f"PDE residual orders must be >= 0, got ({order_z}, {order_w})"
         )
-    Mz, Mw = order_z, order_w
-    beta = p.beta
-    eta = p.eta14
+    Mz, Mw, beta, eta = order_z, order_w, p.beta, p.eta14
     engine = JointEngine(beta, p.alpha, p.delta)
     table = engine.table(p.n, Mz + 4, Mw + 2)
-    kap = {
-        (l, k): table[(l, k)] for l in range(Mz + 5) for k in range(Mw + 3)
-    }
+    kap = dict(table)
     if perturb is not None:
-        (pl, pk), delta = perturb
-        kap[(pl, pk)] = kap[(pl, pk)] + rat(delta)
-    s = _joint_coeff_array(kap, Mz + 4, Mw + 2)
-
+        kap[perturb[0]] = kap[perturb[0]] + rat(perturb[1])
+    s = _signed_series(kap, Mz + 4, Mw + 2)
+    s2 = s.derivative(2, 0)
     c = p.alpha + p.delta / 2 + p.n * beta + 2 - beta
-    terms = [
-        (rat(eta), _shift(_deriv(s, 4, 0), 0, 1)),       # eta w d4z
-        (rat(6 * eta), _shift(_product(_deriv(s, 2, 0), _deriv(s, 2, 0)), 0, 1)),
-        (rat(2), _shift(_deriv(s, 1, 1), 1, 0)),         # 2 z dz dw
-        (rat(3), _shift(_deriv(s, 0, 2), 0, 1)),         # 3 w d2w
-        (rat(2), _deriv(s, 0, 1)),                       # 2 dw
-        (2 * c, _deriv(s, 2, 0)),                        # 2c d2z
-        (rat(-1), _shift(_deriv(s, 2, 0), 0, 1)),        # -w d2z
-    ]
+    # eta w s_zzzz + 6 eta w s_zz^2 + 2 z s_zw + 3 w s_ww + 2 s_w + 2c s_zz - w s_zz
+    res = (
+        eta * s.derivative(4, 0).times(0, 1)
+        + 6 * eta * (s2 * s2).times(0, 1)
+        + 2 * s.derivative(1, 1).times(1, 0)
+        + 3 * s.derivative(0, 2).times(0, 1)
+        + 2 * s.derivative(0, 1)
+        + 2 * c * s2
+        - s2.times(0, 1)
+    )
     bn = b_constant(p)
     if bn != 0:
-        step = p.i_shift
         sKw = max(Mw - 1, 0)
-        minus = engine.table(p.n - step, Mz, sKw)
-        plus = engine.table(p.n + step, Mz, sKw)
-        rho = [
-            [
-                rat(-1) ** (l + k)
-                * (minus[(l, k)] + plus[(l, k)] - 2 * table[(l, k)])
-                / (math.factorial(l) * math.factorial(k))
-                for k in range(sKw + 1)
-            ]
-            for l in range(Mz + 1)
-        ]
-        terms.append((-12 * bn / beta, _shift(_bexp(rho), 0, 1)))
-    res = _combine(terms)
+        minus, plus = (engine.table(p.n + m * p.i_shift, Mz, sKw) for m in (-1, 1))
+        sigma = partial(_signed_series, L=Mz, K=sKw)
+        rho = sigma(minus) + sigma(plus) - 2 * sigma(table)  # table unperturbed
+        res = res - (12 * bn / beta) * rho.exponential().times(0, 1)
+    # reported as the double Taylor coefficients res[l,k] / (l! k!)
     coeffs = [
-        ((l, k), res[l][k]) for l in range(Mz + 1) for k in range(Mw + 1)
+        ((l, k), res.coefficient(l, k) / (math.factorial(l) * math.factorial(k)))
+        for l in range(Mz + 1) for k in range(Mw + 1)
     ]
     return _report("joint-pde", p.describe(), (Mz, Mw), coeffs)
-
-
-# -- delay-time ODE ----------------------------------------------------------------------
-
-
-def ode_residual_wigner(p: DelayParams, order, perturb=None) -> ResidualReport:
-    """Residual series of the fourth-order delay-time ODE, exact-zero contract."""
-    _require_ode_order(order)
-    M = order
-    if M > p.q - 4:
-        raise InsufficientOrderError(
-            f"order must be <= q - 4 = {p.q - 4} (only q={p.q} cumulants exist)"
-        )
-    beta, n, b = p.beta, p.n, p.b
-    eta = p.eta14
-    engine = DelayEngine(beta, b)
-    K = list(engine.cumulants(n, M + 1))
-    if perturb is not None:
-        idx, delta = perturb
-        K[idx - 1] = K[idx - 1] + rat(delta)
-    xi = TruncatedSeries.exponential_generating(K, rat(2, beta))
-    x1 = xi.differentiate()
-    x2 = x1.differentiate()
-    x3 = x2.differentiate()
-    x4 = x3.differentiate()
-
-    u = b - beta * n
-    p1 = TruncatedSeries.from_terms({0: -(u - 2 + beta) * u, 1: rat(2)}, M)
-    # p2 has no constant term; factor out z to keep validity at order M
-    p2_over_z = TruncatedSeries.from_terms(
-        {0: beta - (u - 6 + 3 * beta) * (u - 2 + beta), 1: rat(4)}, M
-    )
-    lhs = (
-        eta * x4.shift(3)
-        + 2 * beta * x3.shift(2)
-        + beta * (x1 * x1).shift(1)
-        + 4 * beta * (x2 * x1).shift(2)
-        + 6 * eta * (x2 * x2).shift(3)
-        + (p2_over_z * x2).shift(1)
-        + p1 * x1
-        + TruncatedSeries.constant(n * u, M)
-    )
-    dn = d_constant(p)
-    if dn != 0:
-        shift_order = M - 3
-        if shift_order >= 1:
-            step = p.i_shift
-            minus = engine.cumulants(n - step, shift_order, requester=n)
-            plus = engine.cumulants(n + step, shift_order, requester=n)
-            here = K[:shift_order]
-            reduced = [minus[j] + plus[j] - 2 * here[j] for j in range(shift_order)]
-            rho = TruncatedSeries.exponential_generating(reduced, rat(2, beta))
-        else:
-            rho = TruncatedSeries.zero(0)
-        lhs = lhs - (12 * dn / beta) * rho.exponential().shift(3)
-    res = lhs.truncate(M)
-    return _report(
-        "delay-ode", p.describe(), M, list(enumerate(res.coefficients))
-    )
 
 
 # -- quadrature oracle ------------------------------------------------------------------

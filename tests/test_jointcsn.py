@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -241,6 +243,31 @@ def test_joint_reduced_table_bell_structure():
     )
     with pytest.raises(UBE):
         joint_reduced_table(TransportParams(2, 0, 0, 8), 2, 1)
+
+
+def _digest(table):
+    text = json.dumps(sorted((str(k), str(v)) for k, v in table.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("args, max_l, max_k, r_digest, mu_digest", [
+    # digests of the tables as computed when the k=0 row was still taken
+    # from the shifted joint tables
+    ((1, COE_HALF, 0, 8), 3, 2, "3a4a8d87e4d43c2d", "90f1e860e806c04c"),
+    ((4, 1, 0, 6), 2, 2, "40d889699de2ef3b", "2dea4fa646c5a361"),
+    ((1, rat(1, 2), 1, 10), 2, 3, "7c96d915b2ae8ee6", "75375e434cba7d75"),
+    ((4, 0, 1, 5), 4, 0, "1c21f3cd027e3a60", "06f754130b573529"),
+])
+def test_joint_reduced_table_row_comes_from_the_row_walk(args, max_l, max_k, r_digest, mu_digest):
+    from dotcumulants.conductance import reduced_moments
+    from dotcumulants.jointcsn import joint_reduced_table
+
+    p = TransportParams(*args)
+    red = joint_reduced_table(p, max_l, max_k)
+    row = reduced_moments(p, max_l + 2 * max_k).r_values
+    assert [red.r[(l, 0)] for l in range(1, max_l + 2 * max_k + 1)] == list(row)
+    assert red.r[(0, 0)] == 0
+    assert (_digest(red.r), _digest(red.mu)) == (r_digest, mu_digest)
 
 
 @pytest.mark.parametrize("beta, alpha, n", [(1, COE_HALF, 24), (4, 1, 12)])

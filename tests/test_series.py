@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dotcumulants.rational import rat
-from dotcumulants.series import TruncatedSeries
+from dotcumulants.series import DoubleSeries, TruncatedSeries, moments_to_cumulants
 
 
 def S(*coeffs):
@@ -228,3 +228,193 @@ def test_equal_series_built_differently_are_equal(a, b):
     if any(a):
         assert A != TruncatedSeries.zero(A.order)
     assert (A == build(a[:-1] + [a[-1] + 1])) is False
+
+
+# -- DoubleSeries against a naive Fraction transcription on double Taylor dicts --
+#
+# A double Taylor dict maps (l, k) to the ordinary coefficient a[l,k] of
+# z^l w^k; the DoubleSeries holding it has c[l,k] = a[l,k] l! k!.
+
+#: small rationals for the exponential, whose naive transcription multiplies
+#: up to L + K series together
+narrow_rationals = st.builds(
+    Fraction, st.integers(-(2**20), 2**20), st.sampled_from([1, 2, 3, 4, 6, 7, 12, 97])
+)
+
+
+def fact(l, k):
+    return math.factorial(l) * math.factorial(k)
+
+
+@st.composite
+def taylor_dicts(draw, values=wide_rationals, max_l=3, max_k=3, zero_constant=False):
+    L, K = draw(st.integers(0, max_l)), draw(st.integers(0, max_k))
+    a = {(l, k): draw(values) for l in range(L + 1) for k in range(K + 1)}
+    if zero_constant:
+        a[(0, 0)] = Fraction(0)
+    return a, (L, K)
+
+
+def to_double(a, shape):
+    L, K = shape
+    return DoubleSeries(
+        [rat(a[(l, k)] * fact(l, k)) for l in range(L + 1) for k in range(K + 1)], shape
+    )
+
+
+def assert_double(series, expected, shape):
+    """Same double Taylor coefficients on the same rectangle, and equal to
+    the series built from them directly, so the stored triple is canonical."""
+    L, K = shape
+    got = {
+        (l, k): series.coefficient(l, k) / fact(l, k) for l in range(L + 1) for k in range(K + 1)
+    }
+    assert got == {key: rat(v) for key, v in expected.items()}
+    assert series == to_double(expected, shape)
+    assert series.is_zero() == (not any(expected.values()))
+
+
+def clip(a, shape):
+    L, K = shape
+    return {(l, k): a.get((l, k), Fraction(0)) for l in range(L + 1) for k in range(K + 1)}
+
+
+def naive_double_mul(a, b, shape):
+    L, K = shape
+    return {
+        (l, k): sum(
+            (a[(i, j)] * b[(l - i, k - j)] for i in range(l + 1) for j in range(k + 1)), Fraction(0)
+        )
+        for l in range(L + 1) for k in range(K + 1)
+    }
+
+
+def naive_double_derivative(a, shape, dl, dk):
+    L, K = shape
+    return {
+        (l, k): a[(l + dl, k + dk)] * math.perm(l + dl, dl) * math.perm(k + dk, dk)
+        for l in range(L - dl + 1) for k in range(K - dk + 1)
+    }
+
+
+def naive_double_exp(a, shape):
+    # exp(a) = sum_m a^m / m!, and a^m vanishes for m > L + K
+    out = clip({(0, 0): Fraction(1)}, shape)
+    term = dict(out)
+    for m in range(1, shape[0] + shape[1] + 1):
+        term = {key: v / m for key, v in naive_double_mul(term, a, shape).items()}
+        out = {key: out[key] + term[key] for key in out}
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    taylor_dicts(), taylor_dicts(), wide_rationals,
+    st.integers(-5, 5), st.integers(0, 2), st.integers(0, 2),
+)
+def test_double_series_matches_naive_fractions(fa, fb, s, n, dl, dk):
+    (a, sa), (b, sb) = fa, fb
+    A, B = to_double(a, sa), to_double(b, sb)
+    common = (min(sa[0], sb[0]), min(sa[1], sb[1]))
+    assert_double(A, a, sa)
+    assert_double(A + B, {key: a[key] + b[key] for key in clip(a, common)}, common)
+    assert_double(A - B, {key: a[key] - b[key] for key in clip(a, common)}, common)
+    assert_double(A * B, naive_double_mul(a, b, common), common)
+    assert_double(B * A, naive_double_mul(a, b, common), common)
+    scalar = rat(s.numerator, s.denominator)
+    assert_double(A * scalar, {key: v * s for key, v in a.items()}, sa)
+    assert_double(scalar * A, {key: v * s for key, v in a.items()}, sa)
+    assert_double(n * A, {key: v * n for key, v in a.items()}, sa)
+    grown = (sa[0] + dl, sa[1] + dk)
+    shifted = clip({(l + dl, k + dk): v for (l, k), v in a.items()}, grown)
+    assert_double(A.times(dl, dk), shifted, grown)
+    if dl <= sa[0] and dk <= sa[1]:
+        shrunk = (sa[0] - dl, sa[1] - dk)
+        assert_double(A.derivative(dl, dk), naive_double_derivative(a, sa, dl, dk), shrunk)
+    else:
+        with pytest.raises(ValueError):
+            A.derivative(dl, dk)
+
+
+@settings(max_examples=80, deadline=None)
+@given(taylor_dicts(values=narrow_rationals, zero_constant=True))
+def test_double_series_exponential_matches_naive_fractions(fa):
+    a, shape = fa
+    assert_double(to_double(a, shape).exponential(), naive_double_exp(a, shape), shape)
+
+
+def test_double_series_exponential_rejects_constant_term():
+    with pytest.raises(ValueError, match="zero constant term"):
+        DoubleSeries([1, 1], (1, 0)).exponential()
+
+
+def integer_series(shape, constant):
+    rest = (shape[0] + 1) * (shape[1] + 1) - 1
+    tail = st.lists(st.integers(-(2**70), 2**70), min_size=rest, max_size=rest)
+    return st.tuples(constant, tail).map(lambda parts: DoubleSeries([parts[0], *parts[1]], shape))
+
+
+@pytest.mark.parametrize("k_range", [(0, 0), (1, 3)], ids=["K=0", "K>0"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_exact_quotient_and_sqrt_invert_the_product(k_range, data):
+    shape = (data.draw(st.integers(0, 4)), data.draw(st.integers(*k_range)))
+    f = data.draw(integer_series(shape, st.integers(-(2**70), 2**70)))
+    g = data.draw(integer_series(shape, st.integers(-(2**70), 2**70).filter(bool)))
+    assert (f * g).exact_quotient(g) == f
+    h = data.draw(integer_series(shape, st.integers(1, 2**70)))
+    assert (h * h).sqrt() == h
+
+
+def test_exact_division_and_sqrt_refuse_what_they_cannot_do():
+    three, two = DoubleSeries([3, 1], (0, 1)), DoubleSeries([2, 0], (0, 1))
+    with pytest.raises(ValueError):
+        three.exact_quotient(two)  # 3/2 is not an integer
+    with pytest.raises(ValueError):
+        DoubleSeries([rat(1, 2), 0], (1, 0)).exact_quotient(DoubleSeries([1, 0], (1, 0)))
+    with pytest.raises(ValueError):
+        DoubleSeries([2, 1], (1, 0)).sqrt()  # 2 is not a square
+    with pytest.raises(ValueError):
+        DoubleSeries([4, 1], (1, 0)).sqrt()  # 1 / (2 * 2) is not an integer
+    with pytest.raises(ValueError):
+        DoubleSeries([rat(1, 4), 0], (1, 0)).sqrt()
+    with pytest.raises(ValueError):
+        DoubleSeries([1, 2, 3], (1, 1))
+    with pytest.raises(IndexError):
+        DoubleSeries([1, 2], (0, 1)).coefficient(1, 0)  # flat index 2 would wrap rows
+
+
+def naive_moments_to_cumulants(moments, max_l, max_k):
+    """The bivariate triangle written out term by term, in total-degree order."""
+    kappa = {}
+    for total in range(1, max_l + max_k + 1):
+        for l in range(min(total, max_l) + 1):
+            k = total - l
+            if k > max_k:
+                continue
+            acc = moments[(l, k)]
+            if l >= 1:
+                for a in range(l):
+                    for b in range(k + 1):
+                        if (a, b) != (l - 1, k):
+                            acc = acc - (
+                                math.comb(l - 1, a) * math.comb(k, b)
+                                * kappa[(a + 1, b)] * moments[(l - 1 - a, k - b)]
+                            )
+            else:
+                for b in range(k - 1):
+                    acc = acc - math.comb(k - 1, b) * kappa[(0, b + 1)] * moments[(0, k - 1 - b)]
+            kappa[(l, k)] = acc
+    return kappa
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 4), st.booleans(), st.data())
+def test_moments_to_cumulants_matches_the_triangle(max_l, max_k, floats, data):
+    values = st.floats(-1e3, 1e3, allow_nan=False) if floats else narrow_rationals
+    moments = {(l, k): data.draw(values) for l in range(max_l + 1) for k in range(max_k + 1)}
+    moments[(0, 0)] = 1.0 if floats else Fraction(1)
+    got = moments_to_cumulants(moments, max_l, max_k)
+    want = naive_moments_to_cumulants(moments, max_l, max_k)
+    # the same operations in the same order: floats agree bit for bit, in key order
+    assert repr(list(got.items())) == repr(list(want.items()))

@@ -1,4 +1,9 @@
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +74,36 @@ def test_joint_pde_residual_detects_fault():
         TransportParams(4, 1, 0, 5), 4, 2, perturb=((2, 1), rat(1, 1000))
     )
     assert not rep.passed
+
+
+#: perturbed residual reports, (first_nonzero_index, max_abs_coefficient),
+#: as the assembly on per-coefficient rationals reported them before the
+#: shared series algebra
+PERTURBED_REPORTS = [
+    ("conductance", (1, COE_HALF, 0, 8), 6, (5, rat(1)), 4, "1475/96"),
+    ("conductance", (4, 1, 0, 6), 6, (2, rat(1, 3)), 1, "336"),
+    ("conductance", (2, 0, 0, 5), 8, (7, rat(-2, 5)), 6, "56/225"),
+    ("delay", (1, 20), 4, (3, rat(1, 1000)), 2, "132/125"),
+    ("delay", (2, 10), 6, (1, rat(3)), 0, "300"),
+    ("delay", (4, 6), 4, (5, rat(-1, 7)), 4, "85/672"),
+    ("joint", (4, 1, 0, 5), (4, 2), ((2, 1), rat(1, 1000)), (0, 1), "19/500"),
+    ("joint", (1, COE_HALF, 0, 8), (4, 2), ((3, 0), rat(2)), (1, 0), "34"),
+    ("joint", (2, 0, 0, 4), (5, 3), ((0, 4), rat(-1, 9)), (0, 3), "11/54"),
+]
+
+
+@pytest.mark.parametrize("which, args, order, perturb, first, worst", PERTURBED_REPORTS)
+def test_perturbed_residual_reports_are_pinned(which, args, order, perturb, first, worst):
+    if which == "conductance":
+        rep = ode_residual_conductance(TransportParams(*args), order, perturb=perturb)
+    elif which == "delay":
+        rep = ode_residual_wigner(DelayParams(*args), order, perturb=perturb)
+    else:
+        rep = pde_residual_joint(TransportParams(*args), *order, perturb=perturb)
+    assert not rep.passed
+    assert rep.first_nonzero_index == first
+    assert rep.max_abs_coefficient == rat(worst)
+    assert rep.order_checked == order
 
 
 def test_wigner_ode_residual_zero_all_betas():
@@ -186,3 +221,39 @@ def test_adaptive_quadrature_reports_achieved_bound():
     with pytest.raises(QuadratureFailureError) as err:
         _adaptive(never_converges, 1e-10, "synthetic")
     assert err.value.achieved is not None and err.value.achieved > 0.1
+
+
+# -- oracle independence ----------------------------------------------------------------
+
+#: the engines' reduced-moment machinery, which an oracle must not reuse
+ENGINE_NAMES = {"bell_transform", "_reduced_walk", "_joint_reduced_moments"}
+
+
+def test_exact_moment_oracle_loads_no_engine():
+    script = (
+        "import sys\n"
+        "import dotcumulants.exactmoments\n"
+        "print(sorted(m for m in ('conductance', 'jointcsn', 'wigner')\n"
+        "             if 'dotcumulants.' + m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["series.py", "exactmoments.py", "verify.py"])
+def test_oracles_never_name_the_engine_bell_machinery(module):
+    path = Path(__file__).resolve().parents[1] / "src" / "dotcumulants" / module
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+    assert not names & ENGINE_NAMES
