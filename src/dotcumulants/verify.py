@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from functools import partial
 
 from .conductance import ConductanceEngine
+from .doubleseries import DoubleSeries, moments_to_cumulants
 from .ensembles import b_constant, d_constant
 from .errors import InsufficientOrderError, InvalidOrderError, UnsupportedParameterError
 from .jointcsn import JointEngine
 from .params import DelayParams, TransportParams
 from .rational import rat
-from .series import DoubleSeries, TruncatedSeries, moments_to_cumulants
+from .series import TruncatedSeries
 from .wigner import DelayEngine
 
 

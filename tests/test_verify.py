@@ -245,7 +245,7 @@ def test_exact_moment_oracle_loads_no_engine():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("module", ["series.py", "exactmoments.py", "verify.py"])
+@pytest.mark.parametrize("module", ["series.py", "doubleseries.py", "exactmoments.py", "verify.py"])
 def test_oracles_never_name_the_engine_bell_machinery(module):
     path = Path(__file__).resolve().parents[1] / "src" / "dotcumulants" / module
     names = set()
