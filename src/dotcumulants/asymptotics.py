@@ -9,6 +9,10 @@ Scaling conventions (the power nu with n^nu * cumulant -> limit):
   conductance: nu(l) = l - eps(l), eps(l) = 1 for even l, 0 for odd l;
   joint:       nu(l,k) = l + k - eps(l);
   delay time:  nu(l) = 2l - 2.
+
+The beta=2 delay-time series (Omega, the generating function F and their
+residuals) are ``DoubleSeries`` on (L, 0) rectangles, read through their
+Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .doubleseries import DoubleSeries
 from .errors import (
     ExcludedIndexError,
     IllConditionedError,
@@ -24,7 +29,6 @@ from .errors import (
 )
 from .params import TransportParams
 from .rational import dot, is_integral, rat
-from .series import TruncatedSeries
 
 #: Indices where the uniform-scaling limit statement does not apply
 #: (mean/variance-type entries with their own universal constants).
@@ -207,6 +211,12 @@ def limit_wigner_recurrence(max_l):
     return p
 
 
+def _omega(zetas):
+    """Omega(z) = 1 + sum zeta_k z^k on the (len(zetas), 0) rectangle."""
+    egf = [1] + [z * math.factorial(k) for k, z in enumerate(zetas, start=1)]
+    return DoubleSeries.univariate(egf, len(zetas))
+
+
 def zeta_coefficients(max_k):
     """Integer expansion coefficients of the quartic-equation branch
     Omega(z) = 1 + sum zeta_k z^k, via the Lagrange-inversion binomial sum.
@@ -226,68 +236,47 @@ def zeta_coefficients(max_k):
         if not is_integral(val):
             raise IntegralityViolationError(f"zeta_{k} = {val} is not an integer")
         zetas.append(int(val))
-    omega = TruncatedSeries([rat(1)] + [rat(z) for z in zetas])
-    if not quartic_residual(omega).is_zero():
+    if not quartic_residual(_omega(zetas)).is_zero():
         raise IntegralityViolationError("Omega series fails the quartic equation")
     return zetas
 
 
-def quartic_residual(omega: TruncatedSeries) -> TruncatedSeries:
-    """4 z O^4 + 8 z O^3 + (4z - 3) O^2 + 2 O + 1 as a truncated series."""
-    order = omega.order
+def quartic_residual(omega: DoubleSeries) -> DoubleSeries:
+    """4 z O^4 + 8 z O^3 + (4z - 3) O^2 + 2 O + 1 on the rectangle of Omega."""
     o2 = omega * omega
     o3 = o2 * omega
-    o4 = o3 * omega
-    res = (
-        4 * o4.shift(1)
-        + 8 * o3.shift(1)
-        + 4 * o2.shift(1)
-        - 3 * o2
-        + 2 * omega
-        + TruncatedSeries.constant(1, order)
-    )
-    return res.truncate(order)
+    one = DoubleSeries.univariate([1], omega.shape[0])
+    return (4 * (o3 * omega) + 8 * o3 + 4 * o2).times(1) - 3 * o2 + 2 * omega + one
 
 
-def wigner_limit_generating_series(max_l) -> TruncatedSeries:
-    """F(z) = 3/2 - (3/2) Omega + 2 z Omega^3 + 3 z Omega^2 + 2 z Omega, whose
-    coefficients are the p_l; independent closed-form path."""
-    zetas = zeta_coefficients(max_l)
-    omega = TruncatedSeries([rat(1)] + [rat(z) for z in zetas])
+def wigner_limit_generating_series(max_l) -> DoubleSeries:
+    """F(z) = 3/2 - (3/2) Omega + 2 z Omega^3 + 3 z Omega^2 + 2 z Omega on the
+    (max_l, 0) rectangle, whose Taylor coefficients are the p_l; independent
+    closed-form path."""
+    omega = _omega(zeta_coefficients(max_l))
     o2 = omega * omega
-    o3 = o2 * omega
-    F = (
-        TruncatedSeries.constant(rat(3, 2), max_l)
+    return (
+        DoubleSeries.univariate([rat(3, 2)], max_l)
         - rat(3, 2) * omega
-        + 2 * o3.shift(1)
-        + 3 * o2.shift(1)
-        + 2 * omega.shift(1)
+        + (2 * (o2 * omega) + 3 * o2 + 2 * omega).times(1)
     )
-    return F.truncate(max_l)
 
 
-def dalembert_residual(F: TruncatedSeries) -> TruncatedSeries:
+def dalembert_residual(F: DoubleSeries) -> DoubleSeries:
     """2F + F' - 4zF' - 6z(F')^2 + 4FF' - 1; identically zero for the
     delay-time limit generating function."""
-    Fp = F.differentiate()
-    res = (
-        2 * F
-        + Fp
-        - 4 * Fp.shift(1)
-        - 6 * (Fp * Fp).shift(1)
-        + 4 * (F * Fp)
-        - TruncatedSeries.constant(1, F.order)
-    )
-    return res.truncate(F.order - 1)
+    Fp = F.derivative(1)
+    one = DoubleSeries.univariate([1], Fp.shape[0])
+    return 2 * F + Fp - (4 * Fp + 6 * (Fp * Fp)).times(1) + 4 * (F * Fp) - one
 
 
 def limit_wigner(max_l) -> LimitCoefficients:
     """Limiting delay-time cumulants K_l(0) = p_l (l-1)! for beta=2, with the
     recurrence and generating-function paths cross-checked exactly."""
     p_rec = limit_wigner_recurrence(max_l)
-    F = wigner_limit_generating_series(max_l)
+    taylor = wigner_limit_generating_series(max_l).taylor()
     for l in range(1, max_l + 1):
-        if F.coefficient(l) != p_rec[l - 1]:
+        if taylor[l] != p_rec[l - 1]:
             raise AssertionError(
                 f"generating-function and recurrence paths disagree at l={l}"
             )

@@ -377,16 +377,18 @@ def _cmd_verify_ode(ns, argv):
 
 
 def _cmd_verify_chazy(ns, argv):
+    from .rational import rational_str
     from .wigner import chazy_residual
 
     res = chazy_residual(_positive("--n", ns.n), _positive("--order", ns.order))
+    coefficients = res.taylor()
     payload = {
         "equation": "chazy-first-integral",
         "n": ns.n,
         "order_checked": ns.order,
-        "coefficients": res.to_strings(),
+        "coefficients": [rational_str(c) for c in coefficients],
         "passed": res.is_zero(),
-        "first_nonzero_index": res.first_nonzero_index(),
+        "first_nonzero_index": next((l for l, c in enumerate(coefficients) if c), None),
     }
     _emit_json(ns, payload, {"n": ns.n, "beta": 2}, argv)
     return 0 if res.is_zero() else 1

@@ -1,5 +1,6 @@
-"""The bivariate series algebra of the oracles, in the layout of
-``series.TruncatedSeries``; the engines never import it.
+"""The one series algebra of the package: exponential generating functions
+in z and w, with exact rational coefficients.  The oracles' residuals, the
+exact moments and the limit series run on it; the engines never import it.
 
 ``moments_to_cumulants`` turns raw joint moments into joint cumulants, for
 float or exact moment values alike.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import add, sub
+from operator import add, mul, sub
 
 from .rational import ZERO, ONE, dot, rat
 
@@ -24,6 +25,20 @@ def _product_terms(L, K):
               for a in range(l + 1) for b in range(k + 1))
         for l in range(L + 1) for k in range(width)
     )
+
+
+@cache
+def _shift_weights(L, K, dl, dk):
+    """Per index l*(K+1)+k of the (L, K) rectangle, (l + dl)!/l! (k + dk)!/k!;
+    memoised per shape and shift."""
+    return tuple(math.perm(l + dl, dl) * math.perm(k + dk, dk)
+                 for l in range(L + 1) for k in range(K + 1))
+
+
+@cache
+def _factorials(L, K):
+    """Per index l*(K+1)+k of the (L, K) rectangle, l! k!; memoised per shape."""
+    return tuple(math.factorial(l) * math.factorial(k) for l in range(L + 1) for k in range(K + 1))
 
 
 def _double(nums, den, shape):
@@ -42,9 +57,10 @@ class DoubleSeries:
 
     The coefficients are exponential-generating, so a derivative is an index
     shift and a product a binomial-weighted convolution.  They are stored row
-    by row (index l*(K+1)+k) as integer numerators over one denominator, in
-    lowest terms as in ``TruncatedSeries``, so ``==`` compares them directly.
-    Binary operations clip to the common rectangle; none modifies a series.
+    by row (index l*(K+1)+k) as integer numerators over one positive
+    denominator, with no factor common to all of them, so ``==`` compares
+    them directly.  A series in z alone has the shape (L, 0).  Binary
+    operations clip to the common rectangle; none modifies a series.
     """
 
     __slots__ = ("_nums", "_den", "_shape")
@@ -59,6 +75,38 @@ class DoubleSeries:
             den = math.lcm(*(c.denominator for c in nums))
             nums = [c.numerator * (den // c.denominator) for c in nums]
         self._nums, self._den, self._shape = nums, den, tuple(shape)
+
+    @classmethod
+    def univariate(cls, values, L, scale=1):
+        """sum_l values[l] (scale z)^l / l! on the (L, 0) rectangle, zero past
+        the last value; a Taylor coefficient t_l enters as the value t_l l!.
+        The values are ints or backend rationals.
+
+        With scale = a/b, D the lcm of the values' denominators and m the
+        last power, c[l] is the integer v_l D a^l b^(m-l) over D b^m,
+        reduced once."""
+        if len(values) > L + 1:
+            raise ValueError(f"{len(values)} values do not fit a ({L}, 0) rectangle")
+        scale = rat(scale)
+        a, b = scale.numerator, scale.denominator
+        den = math.lcm(*(v.denominator for v in values))
+        top = max(len(values) - 1, 0)
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        if a != 1 or b != 1:
+            nums = [x * a**l * b ** (top - l) for l, x in enumerate(nums)]
+        return _double(nums + [0] * (L + 1 - len(nums)), den * b**top, (L, 0))
+
+    @property
+    def shape(self):
+        """(L, K): the series holds the coefficients l <= L, k <= K."""
+        return self._shape
+
+    def taylor(self):
+        """The ordinary coefficients c[l,k] / (l! k!), row by row, as backend
+        rationals; for a series in z alone, entry l is that of z^l."""
+        den = self._den
+        return [rat(x, den * f) if x else ZERO
+                for x, f in zip(self._nums, _factorials(*self._shape))]
 
     def coefficient(self, l, k):
         L, K = self._shape
@@ -78,10 +126,14 @@ class DoubleSeries:
         return f"DoubleSeries({[str(rat(x, self._den)) for x in self._nums]}, {self._shape})"
 
     def _block(self, l0, k0, L, K):
-        """The numerators of rows l0..l0+L, columns k0..k0+K."""
-        width = self._shape[1] + 1
-        rows, cols = range(l0, l0 + L + 1), range(k0, k0 + K + 1)
-        return [self._nums[l * width + k] for l in rows for k in cols]
+        """The numerators of rows l0..l0+L, columns k0..k0+K, a row slice at a time."""
+        nums, width = self._nums, self._shape[1] + 1
+        if K + 1 == width:  # whole rows
+            return nums[l0 * width:(l0 + L + 1) * width]
+        block = []
+        for start in range(l0 * width + k0, (l0 + L + 1) * width, width):
+            block += nums[start:start + K + 1]
+        return block
 
     def _common(self, other):
         """Both numerator lists on the common rectangle, and its shape."""
@@ -129,11 +181,14 @@ class DoubleSeries:
         """Multiply by z^dl w^dk: c[l,k] (l + dl)!/l! (k + dk)!/k! moves to
         (l + dl, k + dk), and the shape grows to (L + dl, K + dk)."""
         L, K = self._shape
-        nums = [0] * ((K + dk + 1) * dl)
-        for l in range(L + 1):
-            nums += [0] * dk + [math.perm(l + dl, dl) * math.perm(k + dk, dk) * x
-                                for k, x in enumerate(self._block(l, 0, 0, K))]
-        return _double(nums, self._den, (L + dl, K + dk))
+        nums = list(map(mul, _shift_weights(L, K, dl, dk), self._nums))
+        if dk:  # dk zero columns open every row
+            rows, width, pad = nums, K + 1, [0] * dk
+            nums = []
+            for start in range(0, len(rows), width):
+                nums += pad
+                nums += rows[start:start + width]
+        return _double([0] * ((K + dk + 1) * dl) + nums, self._den, (L + dl, K + dk))
 
     def exponential(self):
         """exp(a) for a zero constant term: along l = 0 from e_w = a_w e, then

@@ -112,27 +112,33 @@ def _matrix(p: TransportParams, max_l, max_k):
             for j in range(2 * n)]
 
 
-def exact_moments(p: TransportParams, max_l, max_k=0):
-    """Exact raw moments E[G^l P^k] over the full (max_l, max_k) rectangle."""
+def _normalised_partition_function(p: TransportParams, max_l, max_k):
+    """Z(s,u)/Z(0,0) on the (max_l, max_k) rectangle: its coefficients are the
+    raw moments E[G^l P^k]."""
     if p.beta not in (2, 4):
         raise UnsupportedBetaError("exact moment determinant needs even beta")
     matrix = _matrix(p, max_l, max_k)
     z = _det(matrix) if p.beta == 2 else _pfaffian(matrix)
-    z0 = z.coefficient(0, 0)
-    return {(a, b): z.coefficient(a, b) / z0 for a in range(max_l + 1) for b in range(max_k + 1)}
+    return z * (1 / z.coefficient(0, 0))
+
+
+def exact_moments(p: TransportParams, max_l, max_k=0):
+    """Exact raw moments E[G^l P^k] over the full (max_l, max_k) rectangle."""
+    z = _normalised_partition_function(p, max_l, max_k)
+    return {(a, b): z.coefficient(a, b) for a in range(max_l + 1) for b in range(max_k + 1)}
 
 
 def exact_transport_cumulants(p: TransportParams, max_l, max_k=0):
     """Exact joint cumulants from the determinant moments (even beta), in
     order of total degree."""
-    moments = exact_moments(p, max_l, max_k)  # row by row over the rectangle
-    kappa = DoubleSeries(moments.values(), (max_l, max_k)).log()
-    return {key: kappa.coefficient(*key) for key in sorted(moments, key=sum)[1:]}
+    kappa = _normalised_partition_function(p, max_l, max_k).log()
+    keys = sorted(((a, b) for a in range(max_l + 1) for b in range(max_k + 1)), key=sum)
+    return {key: kappa.coefficient(*key) for key in keys[1:]}
 
 
 def exact_conductance_cumulant_row(p: TransportParams, max_l):
     """Exact kappa_1..kappa_max_l of the conductance from the determinant
     moments; the boundary fallback where the recurrence's leading
     coefficient vanishes (even beta)."""
-    kappa = DoubleSeries(exact_moments(p, max_l).values(), (max_l, 0)).log()
+    kappa = _normalised_partition_function(p, max_l, 0).log()
     return [kappa.coefficient(l, 0) for l in range(1, max_l + 1)]

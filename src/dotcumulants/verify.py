@@ -1,13 +1,14 @@
 """Independent oracles: quadrature moments, exact ODE/PDE residual checks for
 the three master equations, and the Jacobi-polynomial identity suite.
 
-The residual operations build the generating functions as truncated series
+The residual operations build the generating functions as ``DoubleSeries``
 straight from the computed cumulants, assemble the differential equation in
-exact arithmetic, and assert the result is identically zero: the conductance
-and delay-time ODEs through one fourth-order assembly, the joint PDE as one
-``DoubleSeries`` expression.  Each checker accepts a ``perturb`` hook so
-tests can confirm it detects a corrupted cumulant (a residual checker that
-cannot see a fault is itself broken).
+exact arithmetic, and assert that its Taylor coefficients are identically
+zero: the conductance and delay-time ODEs through one fourth-order assembly
+on (M, 0) rectangles, the joint PDE as one expression on a double rectangle.
+Each checker accepts a ``perturb`` hook so tests can confirm it detects a
+corrupted cumulant (a residual checker that cannot see a fault is itself
+broken).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import InsufficientOrderError, InvalidOrderError, UnsupportedParame
 from .jointcsn import JointEngine
 from .params import DelayParams, TransportParams
 from .rational import rat
-from .series import TruncatedSeries
 from .wigner import DelayEngine
 
 
@@ -79,9 +79,11 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
         + z (p2/z) s'' + p1 s' + p0 - (12 c / beta) z^3 exp(rho),
 
     with s = sum_l v_l (scale z)^l / l! over v = ``fetch(n, M + 1)``, (p0, p1,
-    p2/z) given as {power: coefficient} maps, c = ``coupling(p)``, taken after
-    v, and rho the same series of r_l = v_l(n - i) + v_l(n + i) - 2 v_l(n),
-    l <= M - 3.
+    p2/z) given by their exponential-generating coefficients (t_l l! for the
+    Taylor coefficient t_l), c = ``coupling(p)``, taken after v, and rho the
+    same series of r_l = v_l(n - i) + v_l(n + i) - 2 v_l(n), l <= M - 3.
+    Grouped by the power of z in front, each group is a series of order M
+    once multiplied by it, and so is their sum.
     """
     M, n, beta, eta = order, p.n, p.beta, p.eta14
     # order M+1 is exactly what a residual valid to order M consumes; going
@@ -91,30 +93,27 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
     if perturb is not None:
         idx, delta = perturb
         values[idx - 1] = values[idx - 1] + rat(delta)
-    s1 = TruncatedSeries.exponential_generating(values, scale).differentiate()
-    s2 = s1.differentiate()
-    s3 = s2.differentiate()
-    s4 = s3.differentiate()
+    s = DoubleSeries.univariate([0, *values], M + 1, scale)
+    s1, s2, s3, s4 = (s.derivative(d) for d in (1, 2, 3, 4))
     # p2 has no constant term; factoring out z keeps the product valid to M
-    p0, p1, p2_over_z = (TruncatedSeries.from_terms(terms, M) for terms in polynomials)
-    lhs = (
-        eta * s4.shift(3)
-        + 6 * eta * (s2 * s2).shift(3)
-        + beta * (2 * s3.shift(2) + (s1 * s1).shift(1) + 4 * (s1 * s2).shift(2))
-        + (p2_over_z * s2).shift(1)
-        + p1 * s1
-        + p0
-    )
+    p0, p1, p2_over_z = (DoubleSeries.univariate(egf, M) for egf in polynomials)
+    cubic = eta * (s4 + 6 * (s2 * s2))
     c = coupling(p)
     if c != 0:
         reduced = []
         if M > 3:
             minus, plus = (fetch(n + m * p.i_shift, M - 3) for m in (-1, 1))
             reduced = [minus[j] + plus[j] - 2 * values[j] for j in range(M - 3)]
-        rho = TruncatedSeries.exponential_generating(reduced, scale)
-        lhs = lhs - (12 * c / beta) * rho.exponential().shift(3)
-    res = lhs.truncate(M)
-    return _report(equation, p.describe(), M, list(enumerate(res.coefficients)))
+        rho = DoubleSeries.univariate([0, *reduced], M - 3, scale)
+        cubic = cubic - (12 * c / beta) * rho.exponential()
+    res = (
+        cubic.times(3)
+        + (beta * (2 * s3 + 4 * (s1 * s2))).times(2)
+        + (beta * (s1 * s1) + p2_over_z * s2).times(1)
+        + p1 * s1
+        + p0
+    )
+    return _report(equation, p.describe(), M, enumerate(res.taylor()))
 
 
 def ode_residual_conductance(p: TransportParams, order, perturb=None) -> ResidualReport:
@@ -123,12 +122,12 @@ def ode_residual_conductance(p: TransportParams, order, perturb=None) -> Residua
     beta, a, d, n = p.beta, p.alpha, p.delta, p.n
     t = a + d / 2 + beta * n
     polynomials = (
-        {0: -rat(n, 2) * (beta * n + 2 * a + 2 - beta) * (beta * n + d / 2 + a),
-         1: rat(n, 2) * (beta * n + 2 * a + 2 - beta)},
-        {0: -t * (t + 2 - beta), 1: beta * n + a - d / 2},
-        {0: -(beta * n + a + d / 2 + 6 - 3 * beta) * (t + 2 - beta) + beta,
-         1: 2 * (beta * n + a - d / 2),
-         2: -1},
+        (-rat(n, 2) * (beta * n + 2 * a + 2 - beta) * (beta * n + d / 2 + a),
+         rat(n, 2) * (beta * n + 2 * a + 2 - beta)),
+        (-t * (t + 2 - beta), beta * n + a - d / 2),
+        (-(beta * n + a + d / 2 + 6 - 3 * beta) * (t + 2 - beta) + beta,
+         2 * (beta * n + a - d / 2),
+         -2),  # the z^2 coefficient -1, times 2!
     )
     return _fourth_order_residual(
         "conductance-ode", p, order, ConductanceEngine(beta, a, d).kappas, -1, polynomials,
@@ -146,9 +145,9 @@ def ode_residual_wigner(p: DelayParams, order, perturb=None) -> ResidualReport:
     beta, n = p.beta, p.n
     u = p.b - beta * n
     polynomials = (
-        {0: n * u},
-        {0: -(u - 2 + beta) * u, 1: 2},
-        {0: beta - (u - 6 + 3 * beta) * (u - 2 + beta), 1: 4},
+        (n * u,),
+        (-(u - 2 + beta) * u, 2),
+        (beta - (u - 6 + 3 * beta) * (u - 2 + beta), 4),
     )
     # at n itself order M + 1 <= q, so naming n as the requester changes nothing
     fetch = partial(DelayEngine(beta, p.b).cumulants, requester=n)
@@ -199,11 +198,10 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
         sigma = partial(_signed_series, L=Mz, K=sKw)
         rho = sigma(minus) + sigma(plus) - 2 * sigma(table)  # table unperturbed
         res = res - (12 * bn / beta) * rho.exponential().times(0, 1)
-    # reported as the double Taylor coefficients res[l,k] / (l! k!)
-    coeffs = [
-        ((l, k), res.coefficient(l, k) / (math.factorial(l) * math.factorial(k)))
-        for l in range(Mz + 1) for k in range(Mw + 1)
-    ]
+    # reported as the double Taylor coefficients res[l,k] / (l! k!), k <= Mw
+    L, K = res.shape
+    keys = [(l, k) for l in range(L + 1) for k in range(K + 1)]
+    coeffs = [(key, c) for key, c in zip(keys, res.taylor()) if key[1] <= Mw]
     return _report("joint-pde", p.describe(), (Mz, Mw), coeffs)
 
 

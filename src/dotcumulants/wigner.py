@@ -29,7 +29,6 @@ from .errors import (
 )
 from .params import DelayParams
 from .rational import ONE, ZERO, floor_rational, rat
-from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -196,24 +195,17 @@ def wigner_fourth_closed(beta, n):
     return 12 * (53 * n**2 - 77) / den
 
 
-def delay_generating_series(p: DelayParams, order) -> TruncatedSeries:
-    """xi(z) = sum_{l=1..order} K_l (2z/beta)^l / l!, truncated at ``order``."""
-    if order > p.q:
-        raise NonexistentCumulantError(
-            f"series order {order} exceeds q={p.q}"
-        )
-    K = wigner_cumulants(p, order).values
-    return TruncatedSeries.exponential_generating(K, rat(2, p.beta))
-
-
-def chazy_residual(n, series_order, perturb=None) -> TruncatedSeries:
+def chazy_residual(n, series_order, perturb=None):
     """Residual of the first integral of the Chazy-class ODE satisfied by
-    H(z) = -z * xi'(-z) when beta=2 (default b).  The contract is that every
-    coefficient up to ``series_order`` is exactly zero.
+    H(z) = -z * xi'(-z) when beta=2 (default b), as a ``DoubleSeries`` on the
+    (series_order, 0) rectangle.  The contract is that every coefficient is
+    exactly zero.
 
     ``perturb`` is a test hook: a (order, delta) pair added to one cumulant
     to confirm the residual detects faults.
     """
+    from .doubleseries import DoubleSeries  # the oracles' algebra, loaded on first use
+
     if series_order < 1:
         raise InvalidOrderError(f"series_order must be >= 1, got {series_order}")
     p = DelayParams(2, n)
@@ -226,24 +218,22 @@ def chazy_residual(n, series_order, perturb=None) -> TruncatedSeries:
     if perturb is not None:
         idx, delta = perturb
         K[idx - 1] = K[idx - 1] + rat(delta)
-    b = p.b
-    # H(z) = -z xi'(-z) has coefficients H_l = (-1)^l K_l / (l-1)!.
-    h = [rat(0)] + [
-        (-1) ** l * K[l - 1] / math.factorial(l - 1) for l in range(1, need + 1)
-    ]
-    H = TruncatedSeries(h)
-    Hp = H.differentiate()                      # order: need - 1 = series_order
-    Hpp = Hp.differentiate()                    # order: series_order - 1
-    zHpp = Hpp.shift(1)                         # order: series_order
-    c = b - 2 * n
-    lhs = zHpp * zHpp
-    term1 = 4 * (H * (Hp * Hp - Hp))
+    c = p.b - 2 * n
+    # H(z) = -z xi'(-z) has Taylor coefficients H_l = (-1)^l K_l / (l-1)!,
+    # that is exponential-generating ones (-1)^l l K_l
+    H = DoubleSeries.univariate([0] + [(-1) ** l * l * K[l - 1] for l in range(1, need + 1)], need)
+    Hp = H.derivative(1)
+    zHpp = H.derivative(2).times(1)
+    Hp2 = Hp * Hp
+    # (z H'')^2 - 4 H (H'^2 - H') + (4 z H'^2 - (c^2 + 4z) H' - 2nc) H' - n^2
     bracket = (
-        4 * (Hp * Hp).shift(1)
-        - TruncatedSeries.from_terms({0: c * c, 1: 4}, series_order) * Hp
-        - TruncatedSeries.constant(2 * n * c, series_order)
+        4 * Hp2.times(1)
+        - DoubleSeries.univariate([c * c, 4], series_order) * Hp
+        - DoubleSeries.univariate([2 * n * c], series_order)
     )
-    residual = lhs - term1 + bracket * Hp - TruncatedSeries.constant(
-        rat(n) ** 2, series_order
+    return (
+        zHpp * zHpp
+        - 4 * (H * (Hp2 - Hp))
+        + bracket * Hp
+        - DoubleSeries.univariate([n * n], series_order)
     )
-    return residual.truncate(series_order)

@@ -220,14 +220,15 @@ def test_criterion_6():
 def test_criterion_7():
     zetas = asy.zeta_coefficients(40)  # raises on any non-integer
     assert len(zetas) == 40 and zetas[0] == 4
-    from dotcumulants.series import TruncatedSeries
+    from dotcumulants.doubleseries import DoubleSeries
 
-    omega = TruncatedSeries([rat(1)] + [rat(z) for z in zetas])
+    # Omega = 1 + sum zeta_k z^k enters by its coefficients zeta_k k!
+    omega = DoubleSeries.univariate([1] + [z * math.factorial(k) for k, z in enumerate(zetas, 1)], 40)
     assert asy.quartic_residual(omega).is_zero()
-    F = asy.wigner_limit_generating_series(20)
+    F = asy.wigner_limit_generating_series(20).taylor()
     p_rec = asy.limit_wigner_recurrence(20)
     for l in range(1, 21):
-        assert F.coefficient(l) == p_rec[l - 1]
+        assert F[l] == p_rec[l - 1]
 
 
 @criterion(8, "exact-zero residual suites with fault injection")

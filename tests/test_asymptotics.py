@@ -3,12 +3,19 @@ import math
 import pytest
 
 from dotcumulants import asymptotics as asy
+from dotcumulants.doubleseries import DoubleSeries
 from dotcumulants.errors import ExcludedIndexError, IllConditionedError, UnsupportedBetaError
 from dotcumulants.params import DelayParams, TransportParams
 from dotcumulants.rational import rat
 from dotcumulants.wigner import wigner_cumulants
 
 COE = TransportParams(1, rat(-1, 2), 0, 10)
+
+
+def z_series(taylor, L):
+    """sum taylor[l] z^l on the (L, 0) rectangle, zero past the given coefficients."""
+    return DoubleSeries.univariate([rat(t) * math.factorial(l) for l, t in enumerate(taylor)], L)
+
 CSE = TransportParams(4, 1, 0, 10)
 
 
@@ -87,41 +94,33 @@ def test_staircase_collapse_identity():
 
 def test_generating_function_odes():
     # rescaled closed forms satisfy their first-order ODEs to order 20
-    from dotcumulants.series import TruncatedSeries
-
     order = 20
-    odd = TruncatedSeries(
-        [rat(0)] + [rat(1)] * order
-    )  # y/(1-y) = sum_{l>=1} y^l
-    even = TruncatedSeries(
-        [rat(0), rat(0)]
+    odd = z_series([0] + [1] * order, order)  # y/(1-y) = sum_{l>=1} y^l
+    even = z_series(
+        [0, 0]
         + [
             rat(math.factorial(2 * l - 2) * math.comb(2 * l, l), 4**l)
             / math.factorial(2 * l - 1)
             for l in range(2, order + 1)
-        ]
+        ],
+        order,
     )
     # cross-check the even series against sqrt: 1 - y/2 - sqrt(1-y)
     sqrt_coeffs = [rat(1)]
     for j in range(1, order + 1):
         sqrt_coeffs.append(sqrt_coeffs[-1] * (rat(3, 2) - j) / j * -1)
-    sqrt_series = TruncatedSeries(sqrt_coeffs)  # (1-y)^{1/2}
-    alt = TruncatedSeries.from_terms({0: 1, 1: rat(-1, 2)}, order) - sqrt_series
+    sqrt_series = z_series(sqrt_coeffs, order)  # (1-y)^{1/2}
+    alt = z_series([1, rat(-1, 2)], order) - sqrt_series
     assert even == alt
 
-    d_odd = odd.differentiate()
-    poly = TruncatedSeries.from_terms({1: 2, 2: -8, 3: 6}, order)  # 2y(1-3y)(1-y)
-    res = poly * d_odd + TruncatedSeries.from_terms({0: 1, 1: -3, 2: 6}, order) * odd \
-        - TruncatedSeries.from_terms({1: 3, 2: -6}, order)
-    assert res.truncate(order - 1).is_zero()
+    d_odd = odd.derivative(1)  # the residuals below hold to order - 1
+    poly = z_series([0, 2, -8, 6], order)  # 2y(1-3y)(1-y)
+    res = poly * d_odd + z_series([1, -3, 6], order) * odd - z_series([0, 3, -6], order)
+    assert res.shape == (order - 1, 0) and res.is_zero()
 
-    d_even = even.differentiate()
-    res = (
-        TruncatedSeries.from_terms({0: 4, 1: -4}, order) * d_even
-        + 2 * even
-        - TruncatedSeries.from_terms({1: 1}, order)
-    )
-    assert res.truncate(order - 1).is_zero()
+    d_even = even.derivative(1)
+    res = z_series([4, -4], order) * d_even + 2 * even - z_series([0, 1], order)
+    assert res.shape == (order - 1, 0) and res.is_zero()
 
 
 def test_limit_wigner_first_values_and_table():
@@ -141,10 +140,8 @@ def test_zeta_coefficients_integrality_and_value():
 
 
 def test_quartic_residual_zero():
-    from dotcumulants.series import TruncatedSeries
-
     zs = asy.zeta_coefficients(20)
-    omega = TruncatedSeries([rat(1)] + [rat(z) for z in zs])
+    omega = z_series([1] + zs, 20)
     assert asy.quartic_residual(omega).is_zero()
 
 
@@ -154,10 +151,10 @@ def test_dalembert_ode():
 
 
 def test_generating_function_matches_recurrence():
-    F = asy.wigner_limit_generating_series(20)
+    F = asy.wigner_limit_generating_series(20).taylor()
     p = asy.limit_wigner_recurrence(20)
     for l in range(1, 21):
-        assert F.coefficient(l) == p[l - 1]
+        assert F[l] == p[l - 1]
 
 
 def test_beta2_delay_limits_from_finite_n_extrapolation():

@@ -47,6 +47,20 @@ def test_chazy_command_pass(capsys):
     assert doc["payload"]["passed"] is True
 
 
+def test_chazy_command_reports_a_failing_residual(capsys, monkeypatch):
+    from dotcumulants import wigner
+
+    exact = wigner.chazy_residual
+    monkeypatch.setattr(wigner, "chazy_residual",
+                        lambda n, order: exact(n, order, perturb=(2, rat(1, 1000))))
+    code, doc = run_json(capsys, "verify", "chazy", "--n", "10", "--order", "3")
+    payload = doc["payload"]
+    assert code == 1 and payload["passed"] is False
+    first = payload["first_nonzero_index"]
+    assert payload["coefficients"][:first] == ["0"] * first
+    assert payload["coefficients"][first] != "0"
+
+
 def test_computation_error_exit_code(capsys):
     code = dispatch(
         ["cumulants", "wigner", "--beta", "2", "--n", "2", "--max-order", "5"]
@@ -271,7 +285,7 @@ def test_cli_import_loads_no_computation_module(tmp_path):
     assert state["import"] == ["dotcumulants", "dotcumulants.cli", "dotcumulants.errors"]
     assert state["wigner_exit"] == 0
     unused = ("verify", "jointcsn", "asymptotics", "report", "montecarlo", "quadrature",
-              "exactmoments")
+              "exactmoments", "doubleseries")
     assert not {f"dotcumulants.{m}" for m in unused} & set(state["wigner"])
     assert state["names"] == ["TransportParams", "DelayParams", "1/2", BACKEND]
     assert state["unknown"] == "AttributeError"

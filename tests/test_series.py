@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -5,13 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dotcumulants.rational import rat
+from dotcumulants import asymptotics as asy
+from dotcumulants.cli import dispatch
 from dotcumulants.doubleseries import DoubleSeries, moments_to_cumulants
-from dotcumulants.series import TruncatedSeries
+from dotcumulants.errors import CumulantError
+from dotcumulants.params import DelayParams, TransportParams
+from dotcumulants.rational import rat, rational_str
+from dotcumulants.verify import ode_residual_conductance, ode_residual_wigner
+from dotcumulants.wigner import chazy_residual
+
+# -- series in z alone: DoubleSeries on (L, 0) rectangles, by Taylor coefficients --
 
 
-def S(*coeffs):
-    return TruncatedSeries([rat(c) for c in coeffs])
+def S(*taylor):
+    """sum t_l z^l on the (len - 1, 0) rectangle, from its Taylor coefficients."""
+    egf = [rat(t) * math.factorial(l) for l, t in enumerate(taylor)]
+    return DoubleSeries(egf, (len(taylor) - 1, 0))
 
 
 def test_multiply_difference_of_squares():
@@ -22,8 +33,7 @@ def test_multiply_difference_of_squares():
 
 def test_multiply_identity():
     s = S(3, "1/2", -7, "22/7")
-    one = TruncatedSeries.constant(1, s.order)
-    assert one * s == s
+    assert S(1, 0, 0, 0) * s == s
 
 
 def test_multiply_hand_convolution():
@@ -35,7 +45,8 @@ def test_multiply_hand_convolution():
 def test_multiply_truncates_to_min_order():
     a = S(1, 1, 1, 1)
     b = S(1, 1)
-    assert (a * b).order == 1
+    assert (a * b).shape == (1, 0)
+    assert a * b == S(1, 2)
 
 
 def test_exponential_of_zero():
@@ -57,39 +68,38 @@ def test_exponential_rejects_constant_term():
 
 
 def test_differentiate_power_rule():
-    assert S(1, 1, 1).differentiate() == S(1, 2)
-    assert S(5, 0, 0, 0).differentiate() == S(0, 0, 0)
-    assert S(0, 0, 0, 3).differentiate() == S(0, 0, 9)
+    assert S(1, 1, 1).derivative(1) == S(1, 2)
+    assert S(5, 0, 0, 0).derivative(1) == S(0, 0, 0)
+    assert S(0, 0, 0, 3).derivative(1) == S(0, 0, 9)
 
 
 def test_differentiate_rejects_order_zero():
     with pytest.raises(ValueError):
-        S(1).differentiate()
+        S(1).derivative(1)
 
 
 def test_shift_extends_order():
     s = S(1, 2)
-    assert s.shift(2) == S(0, 0, 1, 2)
+    assert s.times(2) == S(0, 0, 1, 2)
 
 
 def test_addition_truncates_to_min_order():
     a = S(1, 1, 1, 1)
     b = S(1, 1)
     assert (a + b) == S(2, 2)
-    assert (a - b).order == 1
+    assert (a - b).shape == (1, 0)
 
 
 def test_truncate_and_scalar_ops():
     s = S(1, 2, 3, 4)
-    assert s.truncate(1) == S(1, 2)
-    assert s.truncate(9) is s
+    assert s + S(0, 0) == S(1, 2)  # truncation is clipping to the smaller rectangle
     assert 2 * s == S(2, 4, 6, 8)
-    assert (s + 1).coefficient(0) == 2
-    assert (1 - s) == S(0, -2, -3, -4)
+    assert s * rat(1, 2) == S("1/2", 1, "3/2", 2)
+    assert S(1, 0, 0, 0) - s == S(0, -2, -3, -4)
 
 
 def test_serialization_strings():
-    assert S("1/2", 3, "-7/3").to_strings() == ["1/2", "3", "-7/3"]
+    assert [rational_str(c) for c in S("1/2", 3, "-7/3").taylor()] == ["1/2", "3", "-7/3"]
 
 
 small_rationals = st.builds(
@@ -101,23 +111,21 @@ def series_strategy(order, first_zero=False):
     lo = 1 if first_zero else 0
     return st.lists(
         small_rationals, min_size=order + 1 - lo, max_size=order + 1 - lo
-    ).map(lambda cs: TruncatedSeries(([rat(0)] * lo) + cs))
+    ).map(lambda cs: S(*([rat(0)] * lo + cs)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(series_strategy(6, first_zero=True))
 def test_exponential_inverse_property(a):
-    assert (a.exponential() * (-a).exponential()) == TruncatedSeries.constant(
-        1, a.order
-    )
+    assert (a.exponential() * (-1 * a).exponential()) == S(1, *[0] * a.shape[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(series_strategy(6, first_zero=True))
 def test_exponential_derivative_property(a):
     e = a.exponential()
-    lhs = e.differentiate()
-    rhs = a.differentiate() * e
+    lhs = e.derivative(1)
+    rhs = a.derivative(1) * e
     assert lhs == rhs
 
 
@@ -128,7 +136,7 @@ def test_multiplication_commutative_associative(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-# -- the integer-numerator representation against a naive Fraction transcription --
+# -- series in z alone against a naive Fraction transcription of Taylor lists ------
 
 #: numerators up to 2**80 in size and denominators that are coprime primes,
 #: shared factors or large; zero coefficients are drawn often
@@ -158,60 +166,66 @@ def naive_exp(a):
     return out
 
 
+def build(taylor):
+    return S(*(rat(c.numerator, c.denominator) for c in taylor))
+
+
 def assert_series(series, expected):
-    """Same coefficients, and equal (with equal hashes) to the series built
-    from them directly, so the stored pair is canonical."""
+    """The same Taylor coefficients on the same rectangle, and equal to the
+    series built from them directly, so the stored triple is canonical."""
     expected = [rat(c.numerator, c.denominator) for c in expected]
-    assert list(series.coefficients) == expected
-    direct = TruncatedSeries(expected)
-    assert series == direct and hash(series) == hash(direct)
+    assert series.taylor() == expected
+    assert series.shape == (len(expected) - 1, 0)
+    assert series == build(expected)
     assert series.is_zero() == (not any(expected))
-    nonzero = [k for k, c in enumerate(expected) if c]
-    assert series.first_nonzero_index() == (nonzero[0] if nonzero else None)
-
-
-def build(coeffs):
-    return TruncatedSeries([rat(c.numerator, c.denominator) for c in coeffs])
 
 
 @settings(max_examples=150, deadline=None)
-@given(wide_series(), wide_series(), wide_rationals, st.integers(0, 3))
-def test_series_algebra_matches_naive_fractions(a, b, s, k):
+@given(wide_series(), wide_series(), wide_rationals, st.integers(-5, 5), st.integers(0, 3))
+def test_series_algebra_matches_naive_fractions(a, b, s, n, k):
     A, B = build(a), build(b)
     m = min(len(a), len(b))
     scalar = rat(s.numerator, s.denominator)
     assert_series(A, a)
     assert_series(A + B, [x + y for x, y in zip(a, b)])
     assert_series(A - B, [x - y for x, y in zip(a, b)])
-    assert_series(-A, [-x for x in a])
-    assert_series(A + scalar, [a[0] + s] + a[1:])
-    assert_series(scalar - A, [s - a[0]] + [-x for x in a[1:]])
     assert_series(A * scalar, [x * s for x in a])
     assert_series(scalar * A, [x * s for x in a])
+    assert_series(n * A, [x * n for x in a])
     assert_series(A * B, naive_mul(a, b))
-    assert_series(A.shift(k), [Fraction(0)] * k + a)
-    assert_series(A.truncate(m - 1), a[:m])
+    assert_series(A.times(k), [Fraction(0)] * k + a)
+    assert_series(A + build([Fraction(0)] * m), a[:m])
     if len(a) > 1:
-        assert_series(A.differentiate(), [j * x for j, x in enumerate(a) if j])
+        assert_series(A.derivative(1), [j * x for j, x in enumerate(a) if j])
     else:
         with pytest.raises(ValueError):
-            A.differentiate()
+            A.derivative(1)
     tail = [Fraction(0)] + a[1:]
     assert_series(build(tail).exponential(), naive_exp(tail))
 
 
-def naive_exponential_generating(values, s):
-    return [Fraction(0)] + [v * s**l / math.factorial(l) for l, v in enumerate(values, 1)]
+def naive_exponential_generating(values, s, L):
+    taylor = [v * s**l / math.factorial(l) for l, v in enumerate(values)]
+    return taylor + [Fraction(0)] * (L + 1 - len(values))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(wide_rationals, max_size=9), wide_rationals)
-def test_exponential_generating_matches_naive_fractions(values, s):
-    series = TruncatedSeries.exponential_generating(
-        [rat(v.numerator, v.denominator) for v in values], rat(s.numerator, s.denominator)
+@given(st.lists(wide_rationals, max_size=9), wide_rationals, st.integers(0, 3))
+def test_exponential_generating_matches_naive_fractions(values, s, pad):
+    L = max(len(values) - 1, 0) + pad
+    series = DoubleSeries.univariate(
+        [rat(v.numerator, v.denominator) for v in values], L, rat(s.numerator, s.denominator)
     )
-    assert series.order == len(values)
-    assert_series(series, naive_exponential_generating(values, s))
+    assert_series(series, naive_exponential_generating(values, s, L))
+    # Taylor coefficients t_l enter as the values t_l l!, and read back as t_l
+    taylor = series.taylor()
+    assert DoubleSeries.univariate([t * math.factorial(l) for l, t in enumerate(taylor)], L) == series
+    assert build(taylor) == series
+
+
+def test_univariate_rejects_values_past_the_rectangle():
+    with pytest.raises(ValueError, match="do not fit"):
+        DoubleSeries.univariate([1, 2, 3], 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,15 +233,18 @@ def test_exponential_generating_matches_naive_fractions(values, s):
 def test_equal_series_built_differently_are_equal(a, b):
     A, B = build(a), build(b)
     m = min(len(a), len(b))
-    # (A + B) - B and A truncated to the common order, built two ways
+    zero = build([Fraction(0)] * len(a))
+    # (A + B) - B and A clipped to the common order, built two ways
     left = (A + B) - B
-    right = A.truncate(m - 1)
-    assert left == right and hash(left) == hash(right)
-    assert A * TruncatedSeries.constant(1, A.order) == A
-    assert TruncatedSeries.zero(A.order) == A * 0 == A - A
-    assert TruncatedSeries.from_terms(dict(enumerate(A.coefficients)), A.order) == A
+    right = A + build([Fraction(0)] * m)
+    assert left == right
+    assert A * S(1, *[0] * (len(a) - 1)) == A
+    assert zero == A * 0 == A - A
+    assert build(A.taylor()) == A
+    egf = [rat(x) * math.factorial(l) for l, x in enumerate(a)]
+    assert DoubleSeries.univariate(egf, len(a) - 1) == A == DoubleSeries(egf, (len(a) - 1, 0))
     if any(a):
-        assert A != TruncatedSeries.zero(A.order)
+        assert A != zero
     assert (A == build(a[:-1] + [a[-1] + 1])) is False
 
 
@@ -437,3 +454,104 @@ def test_moments_to_cumulants_matches_the_triangle(max_l, max_k, floats, data):
     want = naive_moments_to_cumulants(moments, max_l, max_k)
     # the same operations in the same order: floats agree bit for bit, in key order
     assert repr(list(got.items())) == repr(list(want.items()))
+
+
+# -- outputs of the series callers, pinned ---------------------------------------------
+#
+# SHA-256 of the canonical strings of every output the series algebra
+# produces; a change of coefficient convention or assembly must leave them
+# as they are.
+
+#: the physical (alpha, delta) grid of the benchmark's sweep
+ALPHAS, DELTAS = ("-1/2", "0", "1/2", "1", "3/2"), ("-1", "0", "1", "2")
+
+
+def _report_line(residual, p, order, perturb):
+    try:
+        return json.dumps(residual(p, order, perturb=perturb).describe(), sort_keys=True)
+    except CumulantError as err:
+        return f"{err.token}: {err}"
+
+
+def ode_report_lines():
+    """The conductance ODE at order 6 over the grid and n = 1..6, and the
+    delay ODE for beta 1, 2, 4 and n = 16..40, each with and without a
+    perturbation: 870 reports."""
+    for beta in (1, 2, 4):
+        for alpha in ALPHAS:
+            for delta in DELTAS:
+                for n in range(1, 7):
+                    p = TransportParams(beta, rat(alpha), rat(delta), n)
+                    for perturb in (None, (1 + n % 7, rat(1, 1000))):
+                        yield _report_line(ode_residual_conductance, p, 6, perturb)
+    for beta in (1, 2, 4):
+        for n in range(16, 41):
+            p = DelayParams(beta, n)
+            order = min(6, p.q - 4)
+            for perturb in (None, (1 + n % (order + 1), rat(-1, 7))):
+                yield _report_line(ode_residual_wigner, p, order, perturb)
+
+
+def cli_payload(capsys, *argv):
+    code = dispatch(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+#: digests of the 870 ODE reports, the 120 Chazy payloads (n = 2..16, every
+#: order 1..q-1), the values of limit_wigner(40), and (command, exit code,
+#: payload SHA-256) of four edge commands
+ODE_REPORTS = "d9fcca1c3b9cab044e791dbb146b346b30ac6045a74bb4cbe53b94d8349ac6d7"
+CHAZY_PAYLOADS = "55f83218318df1a6c4af80e7890d20f9ff68ebab8127bbb25f3d217333193cec"
+WIGNER_LIMITS = "e0555dd851c003dd8a889593e196968c34df0d59fa0c4e2778185d59d98744d6"
+EDGE_COMMANDS = [
+    (["asymptotic", "wigner", "--max-index", "0"], 0,
+     "1d0b6c3a5bb2e3ec8c1f58d55cc17a4d69ea30b98b4d6502c02e1a041da645da"),
+    (["asymptotic", "wigner", "--max-index", "1"], 0,
+     "f3cef8d6e81fe1ca3b25e417f60e79b57f62316b342cca8dc422c556e9cc6062"),
+    (["verify", "chazy", "--n", "2", "--order", "1"], 0,
+     "9d4c3914951672cc0030b7cccb77d7d7fb36528da3658fda2621c13da9df2278"),
+    (["verify", "ode", "--which", "conductance", "--beta", "1", "--alpha", "0", "--delta", "0",
+      "--n", "1", "--order", "3"], 0,
+     "1fdc949bc9284a37ad6a9a0874149aef578eeb3bdfd3fe2348aca6e5ecbeb68e"),
+]
+#: Taylor coefficients of wigner_limit_generating_series(20), and of the
+#: Chazy residuals over the same (n, order) with one cumulant perturbed
+LIMIT_SERIES = "dd5f78b023ac857d010e90947082464e263fb02f01b29de675aaabf3104b8b23"
+PERTURBED_CHAZY = "dc598687b560d39395d09a47fb8848e8a8a760c2e19cb7b3296190c98684ac75"
+
+
+def chazy_orders():
+    for n in range(2, 17):
+        for order in range(1, DelayParams(2, n).q):
+            yield n, order
+
+
+def test_series_outputs_match_their_pinned_digests(capsys):
+    assert digest(ode_report_lines()) == ODE_REPORTS
+    chazy = []
+    for n, order in chazy_orders():
+        code, doc = cli_payload(capsys, "verify", "chazy", "--n", str(n), "--order", str(order))
+        payload = doc["payload"]
+        chazy.append(f"{n} {order} {code} " + " ".join(payload["coefficients"])
+                     + f" {payload['first_nonzero_index']}")
+    assert digest(chazy) == CHAZY_PAYLOADS
+    limits = asy.limit_wigner(40).values
+    assert digest(f"{l}:{rational_str(v)}" for l, v in limits.items()) == WIGNER_LIMITS
+    for argv, exit_code, sha in EDGE_COMMANDS:
+        code, doc = cli_payload(capsys, *argv)
+        assert (code, doc["manifest"]["payload_sha256"]) == (exit_code, sha), argv
+
+
+def test_series_readouts_match_their_pinned_digests():
+    F = asy.wigner_limit_generating_series(20)
+    assert F.shape == (20, 0)
+    assert digest(rational_str(c) for c in F.taylor()) == LIMIT_SERIES
+    perturbed = [
+        chazy_residual(n, order, perturb=(1 + n % (order + 1), rat(1, 1000))).taylor()
+        for n, order in chazy_orders()
+    ]
+    assert digest(" ".join(map(rational_str, taylor)) for taylor in perturbed) == PERTURBED_CHAZY

@@ -229,12 +229,13 @@ def test_adaptive_quadrature_reports_achieved_bound():
 ENGINE_NAMES = {"bell_transform", "_reduced_walk", "_joint_reduced_moments"}
 
 
-def test_exact_moment_oracle_loads_no_engine():
+def loaded_by(imports, candidates):
+    """The modules of ``dotcumulants`` among ``candidates`` that a fresh
+    interpreter has loaded after importing ``imports``."""
     script = (
         "import sys\n"
-        "import dotcumulants.exactmoments\n"
-        "print(sorted(m for m in ('conductance', 'jointcsn', 'wigner')\n"
-        "             if 'dotcumulants.' + m in sys.modules))\n"
+        + "".join(f"import dotcumulants.{m}\n" for m in imports)
+        + f"print(sorted(m for m in {tuple(candidates)!r} if 'dotcumulants.' + m in sys.modules))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -242,10 +243,19 @@ def test_exact_moment_oracle_loads_no_engine():
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
 
 
-@pytest.mark.parametrize("module", ["series.py", "doubleseries.py", "exactmoments.py", "verify.py"])
+def test_exact_moment_oracle_loads_no_engine():
+    assert loaded_by(["exactmoments"], ["conductance", "jointcsn", "wigner"]) == "[]"
+
+
+def test_engines_load_no_series_algebra():
+    engines = ["conductance", "jointcsn", "wigner"]
+    assert loaded_by(engines, ["series", "doubleseries"]) == "[]"
+
+
+@pytest.mark.parametrize("module", ["doubleseries.py", "exactmoments.py", "verify.py"])
 def test_oracles_never_name_the_engine_bell_machinery(module):
     path = Path(__file__).resolve().parents[1] / "src" / "dotcumulants" / module
     names = set()
