@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+from itertools import islice
 
 from .errors import CumulantError
 
@@ -134,22 +135,43 @@ def _emit_json(ns, payload, params_desc, argv):
         sys.stdout.write(text)
 
 
-def _emit_csv(ns, header, rows, params_desc, argv):
-    from .manifest import atomic_write_text, attach_checksum, build_manifest
+#: rows per CSV block: each block is written and hashed before the next is
+#: drawn, so emission holds one block of text, not the payload
+_CSV_BLOCK_ROWS = 4096
 
+
+def _csv_blocks(header, rows):
+    """The CSV text of the header and rows, one block of rows at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue()
-    manifest = attach_checksum(build_manifest(argv, params_desc), text)
-    if getattr(ns, "out", None):
-        atomic_write_text(ns.out, text)
-        atomic_write_text(
-            ns.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n"
-        )
-    else:
-        sys.stdout.write(text)
+    rows = iter(rows)
+    while True:
+        writer.writerows(islice(rows, _CSV_BLOCK_ROWS))
+        block = buf.getvalue()
+        if not block:
+            return
+        yield block
+        buf.seek(0)
+        buf.truncate()
+
+
+def _emit_csv(ns, header, rows, params_desc, argv):
+    """Streams the CSV of any iterable of rows; with ``--out``, into the file
+    and the payload checksum of its ``.manifest.json`` sidecar."""
+    blocks = _csv_blocks(header, rows)
+    if not getattr(ns, "out", None):
+        sys.stdout.writelines(blocks)
+        return
+    from .manifest import TextChecksum, atomic_write_text, atomic_writer, build_manifest
+
+    checksum = TextChecksum()
+    with atomic_writer(ns.out) as handle:
+        for block in blocks:
+            checksum.update(block)
+            handle.write(block)
+    manifest = dict(build_manifest(argv, params_desc), payload_sha256=checksum.hexdigest())
+    atomic_write_text(ns.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _rationals_payload(values):
@@ -494,8 +516,7 @@ def _cmd_mc_sample(ns, argv):
         batch = pair.g if ns.statistic == "G" else pair.p
     desc = dict(p.describe())
     desc.update({"statistic": ns.statistic, "count": ns.count, "seed": ns.seed})
-    rows = [(i, repr(v)) for i, v in enumerate(batch.values)]
-    _emit_csv(ns, ("index", "value"), rows, desc, argv)
+    _emit_csv(ns, ("index", "value"), enumerate(map(repr, batch.values)), desc, argv)
     return 0
 
 

@@ -5,7 +5,8 @@ The residual operations build the generating functions as ``DoubleSeries``
 straight from the computed cumulants, assemble the differential equation in
 exact arithmetic, and assert that its Taylor coefficients are identically
 zero: the conductance and delay-time ODEs through one fourth-order assembly
-on (M, 0) rectangles, the joint PDE as one expression on a double rectangle.
+on (M, 0) rectangles, the joint PDE on a double rectangle.  Every product is
+taken on the rectangle the residual reads of it, no larger.
 Each checker accepts a ``perturb`` hook so tests can confirm it detects a
 corrupted cumulant (a residual checker that cannot see a fault is itself
 broken).
@@ -93,11 +94,21 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
     if perturb is not None:
         idx, delta = perturb
         values[idx - 1] = values[idx - 1] + rat(delta)
-    s = DoubleSeries.univariate([0, *values], M + 1, scale)
+
+    def s_to(L):
+        """s on the (L, 0) rectangle."""
+        return DoubleSeries.univariate([0, *values[:L]], L, scale)
+
+    s = s_to(M + 1)
     s1, s2, s3, s4 = (s.derivative(d) for d in (1, 2, 3, 4))
+    # each product is taken on the rectangle its group reads, from the
+    # derivatives of a shorter s: s''^2 to M - 3, s' s'' to M - 2, s'^2 to M - 1
+    t = s_to(M)
+    t1, t2 = t.derivative(1), t.derivative(2)
+    u2 = s_to(M - 1).derivative(2)
     # p2 has no constant term; factoring out z keeps the product valid to M
     p0, p1, p2_over_z = (DoubleSeries.univariate(egf, M) for egf in polynomials)
-    cubic = eta * (s4 + 6 * (s2 * s2))
+    cubic = eta * (s4 + 6 * (u2 * u2))
     c = coupling(p)
     if c != 0:
         reduced = []
@@ -108,8 +119,8 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
         cubic = cubic - (12 * c / beta) * rho.exponential()
     res = (
         cubic.times(3)
-        + (beta * (2 * s3 + 4 * (s1 * s2))).times(2)
-        + (beta * (s1 * s1) + p2_over_z * s2).times(1)
+        + (beta * (2 * s3 + 4 * (t1 * t2))).times(2)
+        + (beta * (t1 * t1) + p2_over_z * s2).times(1)
         + p1 * s1
         + p0
     )
@@ -174,35 +185,38 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
         )
     Mz, Mw, beta, eta = order_z, order_w, p.beta, p.eta14
     engine = JointEngine(beta, p.alpha, p.delta)
-    table = engine.table(p.n, Mz + 4, Mw + 2)
+    # s_w, s_zw and s_ww read column Mw + 1 and no further; a deeper table
+    # runs the conductance row deeper, into orders the residual never reads
+    table = engine.table(p.n, Mz + 4, Mw + 1)
     kap = dict(table)
     if perturb is not None:
         kap[perturb[0]] = kap[perturb[0]] + rat(perturb[1])
-    s = _signed_series(kap, Mz + 4, Mw + 2)
-    s2 = s.derivative(2, 0)
+    s_to = partial(_signed_series, kap)  # s on an (L, K) rectangle
+    s = s_to(Mz + 4, Mw + 1)
     c = p.alpha + p.delta / 2 + p.n * beta + 2 - beta
-    # eta w s_zzzz + 6 eta w s_zz^2 + 2 z s_zw + 3 w s_ww + 2 s_w + 2c s_zz - w s_zz
+    # 2 z s_zw + 2 s_w + 2c s_zz
+    #   + w (eta s_zzzz + 6 eta s_zz^2 + 3 s_ww - s_zz - (12 b_n / beta) exp(rho)),
+    # each term on the rectangle the (Mz, Mw) residual reads: the group in
+    # front of w to column Mw - 1, so none of it when Mw = 0
     res = (
-        eta * s.derivative(4, 0).times(0, 1)
-        + 6 * eta * (s2 * s2).times(0, 1)
-        + 2 * s.derivative(1, 1).times(1, 0)
-        + 3 * s.derivative(0, 2).times(0, 1)
+        2 * s.derivative(1, 1).times(1, 0)
         + 2 * s.derivative(0, 1)
-        + 2 * c * s2
-        - s2.times(0, 1)
+        + 2 * c * s_to(Mz + 2, Mw).derivative(2, 0)
     )
-    bn = b_constant(p)
-    if bn != 0:
-        sKw = max(Mw - 1, 0)
-        minus, plus = (engine.table(p.n + m * p.i_shift, Mz, sKw) for m in (-1, 1))
-        sigma = partial(_signed_series, L=Mz, K=sKw)
-        rho = sigma(minus) + sigma(plus) - 2 * sigma(table)  # table unperturbed
-        res = res - (12 * bn / beta) * rho.exponential().times(0, 1)
-    # reported as the double Taylor coefficients res[l,k] / (l! k!), k <= Mw
-    L, K = res.shape
+    if Mw > 0:
+        s2 = s_to(Mz + 2, Mw - 1).derivative(2, 0)
+        group = eta * (s.derivative(4, 0) + 6 * (s2 * s2)) + 3 * s.derivative(0, 2) - s2
+        bn = b_constant(p)
+        if bn != 0:
+            minus, plus = (engine.table(p.n + m * p.i_shift, Mz, Mw - 1) for m in (-1, 1))
+            sigma = partial(_signed_series, L=Mz, K=Mw - 1)
+            rho = sigma(minus) + sigma(plus) - 2 * sigma(table)  # table unperturbed
+            group = group - (12 * bn / beta) * rho.exponential()
+        res = res + group.times(0, 1)
+    # reported as the double Taylor coefficients res[l,k] / (l! k!)
+    L, K = res.shape  # (Mz, Mw)
     keys = [(l, k) for l in range(L + 1) for k in range(K + 1)]
-    coeffs = [(key, c) for key, c in zip(keys, res.taylor()) if key[1] <= Mw]
-    return _report("joint-pde", p.describe(), (Mz, Mw), coeffs)
+    return _report("joint-pde", p.describe(), (Mz, Mw), zip(keys, res.taylor()))
 
 
 # -- quadrature oracle ------------------------------------------------------------------

@@ -69,6 +69,18 @@ def test_joint_pde_degenerate_slice_matches_conductance_row():
     assert rep.passed
 
 
+@pytest.mark.parametrize("args, orders", [
+    ((4, 0, 0, 2), (5, 0)),
+    ((1, COE_HALF, -1, 5), (3, 1)),
+])
+def test_joint_pde_residual_tables_stop_at_the_columns_it_reads(args, orders):
+    # the residual reads columns k <= order_w + 1 of the table, and the
+    # shifted tables only for order_w >= 1; one column more used to run the
+    # boundary row two orders deeper, into a spurious pole
+    # (beta=4) or boundary-unavailable (beta=1)
+    assert pde_residual_joint(TransportParams(*args), *orders).passed
+
+
 def test_joint_pde_residual_detects_fault():
     rep = pde_residual_joint(
         TransportParams(4, 1, 0, 5), 4, 2, perturb=((2, 1), rat(1, 1000))
