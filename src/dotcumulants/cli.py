@@ -91,6 +91,14 @@ def _require(cfg, field):
     return cfg[field]
 
 
+def _integer(field, value):
+    """beta or n: an int or an integer string; a float or a boolean is
+    refused, not truncated or read as 1."""
+    if type(value) not in (int, str):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _transport_params(ns, default_n=None):
     from .params import TransportParams
     from .rational import parse_rational
@@ -102,10 +110,10 @@ def _transport_params(ns, default_n=None):
     beta = _require(cfg, "beta")
     with _parsing("parameters"):
         return TransportParams(
-            beta=int(beta),
+            beta=_integer("beta", beta),
             alpha=parse_rational(cfg.get("alpha", 0)),
             delta=parse_rational(cfg.get("delta", 0)),
-            n=int(n),
+            n=_integer("n", n),
         )
 
 
@@ -117,8 +125,8 @@ def _delay_params(ns):
     beta, n, b = _require(cfg, "beta"), _require(cfg, "n"), cfg.get("b")
     with _parsing("parameters"):
         return DelayParams(
-            beta=int(beta),
-            n=int(n),
+            beta=_integer("beta", beta),
+            n=_integer("n", n),
             b=parse_rational(b) if b is not None else None,
         )
 

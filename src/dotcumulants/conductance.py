@@ -14,8 +14,10 @@ step is one ``rational.dot`` of its quadratic, linear and coupling terms,
 divided once; the quadratic sum is symmetric under i <-> l-1-i, so each
 pair is multiplied once.  ``ConductanceEngine`` and ``wigner.DelayEngine``
 supply only their closed first values, per-dimension constants, step
-weights and coupling.  ``_reduced_walk`` is the one second-difference +
-Bell walk; the joint engine's k=0 row and ``reduced_moments`` run it too.
+weights and coupling.  ``jointcsn.JointEngine`` is a ``ConductanceEngine``
+whose values are its k=0 row, so that row's reduced moments share the
+lattice memo.  ``_reduced_walk`` is the one second-difference + Bell walk;
+``reduced_moments`` runs it too.
 """
 
 from __future__ import annotations

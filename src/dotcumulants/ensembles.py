@@ -11,7 +11,9 @@ are scaled by the common denominator q of their values, the factors are
 multiplied as ints, and one rational is built from the two products at the
 end.  The powers of q cancel between numerator and denominator, except in
 d_n, whose numerator carries four factors fewer and is multiplied by q^4.
-The engines evaluate each constant once per dimension.
+Only the beta=1 forms are written out: beta=4 evaluates them at the dual
+point, b_n at (-alpha/2, -delta/2, -2n) and 16 d_n at (-b/2, -2n).  The
+engines evaluate each constant once per dimension.
 """
 
 from __future__ import annotations
@@ -61,15 +63,13 @@ def transport_coupling_beta1(alpha, delta, n):
     return _quotient(num, den, "b_n(beta=1)")
 
 
-def transport_coupling_beta4(alpha, delta, n):
-    q, (a, h, n) = _scaled(alpha, rat(delta) / 2, n)  # h = delta/2
-    s = a + h
-    num = [2, n, 2 * n + q, a + 2 * n, a + 2 * n - q, h + 2 * n,
-           h + 2 * n - q, s + 2 * n - q, s + 2 * n - 2 * q]
-    t = s + 4 * n
-    den = [t, t - 2 * q, t - 2 * q, t - 4 * q,
-           t + q, t - q, t - q, t - 3 * q]
-    return _quotient(num, den, "b_n(beta=4)")
+def _at_dual_point(closed_form, what, *args):
+    """A beta=1 closed form evaluated at the beta=4 dual point ``args``; a
+    vanishing denominator factor is reported under the beta=4 name ``what``."""
+    try:
+        return closed_form(*args)
+    except PoleError:
+        raise PoleError(f"{what}: denominator factor vanishes") from None
 
 
 def _raw_coupling(beta, alpha, delta, n):
@@ -79,7 +79,9 @@ def _raw_coupling(beta, alpha, delta, n):
         return rat(0)
     if beta == 1:
         return transport_coupling_beta1(alpha, delta, n)
-    return transport_coupling_beta4(alpha, delta, n)
+    return _at_dual_point(
+        transport_coupling_beta1, "b_n(beta=4)", -rat(alpha) / 2, -rat(delta) / 2, -2 * n
+    )
 
 
 def b_constant(p: TransportParams):
@@ -95,15 +97,6 @@ def delay_coupling_beta1(b, n):
     return _quotient(num, den, "d_n(beta=1)")
 
 
-def delay_coupling_beta4(b, n):
-    q, (b, n) = _scaled(b, n)
-    num = [2 * q**4, n, 2 * n + q, b + 2 * q - 2 * n, b + q - 2 * n]
-    t = b - 4 * n
-    den = [t + 3 * q, t + q, t + q, t + 2 * q,
-           t + 2 * q, t - q, t, t + 4 * q]
-    return _quotient(num, den, "d_n(beta=4)")
-
-
 def _raw_delay_coupling(beta, b, n):
     """d_n at weight exponent b, evaluated at any integer dimension (0 for
     beta=2 and at the lattice point n=0)."""
@@ -111,7 +104,7 @@ def _raw_delay_coupling(beta, b, n):
         return rat(0)
     if beta == 1:
         return delay_coupling_beta1(b, n)
-    return delay_coupling_beta4(b, n)
+    return _at_dual_point(delay_coupling_beta1, "d_n(beta=4)", -rat(b) / 2, -2 * n) / 16
 
 
 def d_constant(p: DelayParams):

@@ -17,11 +17,11 @@ division is exact.  The constant term of each pivot is a leading principal
 minor or Pfaffian, the partition function of fewer channels, which is
 positive for alpha > -1 and delta > -2, so no pivot search is needed.
 
-This is an oracle independent of the recurrences, and it supplies the
-conductance boundary row where the recurrence's leading coefficient vanishes
-(for beta=2 that coefficient factors as (l+1)(l - t)(l + t) with
-t = alpha + delta/2 + beta*n, so the recurrence degenerates at order t
-whenever t is an integer).
+This is an oracle independent of the recurrences, and it supplies the joint
+engine's conductance row, stored as that engine's own lattice values, where
+the recurrence's leading coefficient vanishes (for beta=2 that coefficient
+factors as (l+1)(l - t)(l + t) with t = alpha + delta/2 + beta*n, so the
+recurrence degenerates at order t whenever t is an integer).
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def exact_transport_cumulants(p: TransportParams, max_l, max_k=0):
 
 def exact_conductance_cumulant_row(p: TransportParams, max_l):
     """Exact kappa_1..kappa_max_l of the conductance from the determinant
-    moments; the boundary fallback where the recurrence's leading
+    moments; the joint engine's row where the recurrence's leading
     coefficient vanishes (even beta)."""
     kappa = _normalised_partition_function(p, max_l, 0).log()
     return [kappa.coefficient(l, 0) for l in range(1, max_l + 1)]

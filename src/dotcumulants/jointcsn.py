@@ -7,12 +7,13 @@ front.  For beta in {1,4} the right-hand side consumes joint reduced moments,
 i.e. joint tables at the shifted dimensions, recursively with decreasing
 column depth.  Every entry depends only on (n, l, k), so the memoised table
 at each dimension, and its joint reduced moments, are grown in place when a
-deeper staircase is requested.  The k=0 row is the conductance engine's
-(``conductance.ConductanceEngine``, or the exact determinant moments where
-an even-beta row degenerates), and its reduced moments run the conductance
-module's ``_reduced_walk``.  Dimension 0 is the empty ensemble (all
-cumulants zero); negative lattice dimensions are evaluated by the same
-rational continuation the conductance row uses.
+deeper staircase is requested.  ``JointEngine`` is its k=0 row's own
+conductance lattice (``conductance.ConductanceEngine``): where an even-beta
+row degenerates, its ``kappas`` supplies the exact determinant moments
+instead and stores them as the row, so the row's reduced moments, memoised
+once per dimension by the lattice, read the same fallback rows.  Dimension 0
+is the empty ensemble (all cumulants zero); negative lattice dimensions are
+evaluated by the same rational continuation the conductance row uses.
 
 Each entry is one ``rational.dot`` with one reduction, divided once by its
 integer leading coefficient 2l + 3k + 2; the double sum is symmetric under
@@ -26,12 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conductance import (
-    ConductanceEngine,
-    CumulantSequence,
-    _reduced_walk,
-    _second_difference,
-)
+from .conductance import ConductanceEngine, CumulantSequence, _second_difference
 from .ensembles import b_constant
 from .errors import (
     BoundaryUnavailableError,
@@ -68,43 +64,35 @@ class JointReducedTable:
     mu: dict
 
 
-class JointEngine:
-    """Memoized joint-table computation across the dimension lattice."""
+class JointEngine(ConductanceEngine):
+    """Memoized joint-table computation across the dimension lattice; the
+    lattice's own values are the k=0 row."""
 
     def __init__(self, beta, alpha, delta, center=None):
-        self.beta = beta
-        self.cond = ConductanceEngine(beta, alpha, delta, center=center)
-        self._exact_rows = {}  # dimension -> exact-moment conductance row
+        super().__init__(beta, alpha, delta, center=center)
         # dimension -> {(l, k): value}, each grown in place; an entry is
         # stored only once computed, so a failed fill leaves a valid prefix
         self._kappa = {}
         self._r = {}
         self._mu = {}
-        self._row_reduced = {}  # dimension -> (r, mu) of the k=0 row
 
-    def _boundary(self, n, order):
-        if n == 0:
-            return [rat(0)] * order
-        row = self._exact_rows.get(n)
-        if row is not None and len(row) >= order:
-            return list(row[:order])
+    def kappas(self, n, order):
+        """The conductance row at dimension n.  Even-beta rows degenerate at
+        isolated orders (the leading coefficient vanishes at l = t for beta=2
+        and l = t/2 - 1 for beta=4, t = alpha + delta/2 + beta n); there the
+        exact determinant moments are stored as the row.  A beta=1 failure
+        passes through, for ``table`` to report."""
         try:
-            return self.cond.kappas(n, order)
-        except CumulantError as exc:
-            # even-beta rows degenerate at isolated orders (the leading
-            # coefficient vanishes at l = t for beta=2 and l = t/2 - 1 for
-            # beta=4, t = alpha + delta/2 + beta n); the exact determinant
-            # moments supply the row instead
-            if self.beta in (2, 4):
-                from .exactmoments import exact_conductance_cumulant_row
+            return super().kappas(n, order)
+        except CumulantError:
+            if self.beta == 1:
+                raise
+            from .exactmoments import exact_conductance_cumulant_row
 
-                row = self._exact_rows[n] = exact_conductance_cumulant_row(
-                    TransportParams(self.beta, self.cond.alpha, self.cond.delta, n), order
-                )
-                return list(row)
-            raise BoundaryUnavailableError(
-                f"conductance row failed at dimension {n}: {exc}"
-            ) from exc
+            row = self._values[n] = exact_conductance_cumulant_row(
+                TransportParams(self.beta, self.alpha, self.delta, n), order
+            )
+            return list(row)
 
     def table(self, n, max_l, max_k):
         """kappa_{l,k} at dimension n; column k holds l <= max_l + 2*(max_k-k).
@@ -121,38 +109,40 @@ class JointEngine:
         # exactly L + 2K.  Computing deeper would risk spurious poles at
         # parameters where a higher-order leading coefficient happens to vanish.
         row_order = max_l + 2 * max_k
-        if n == 0:
-            for k in range(max_k + 1):
-                for l in range(max_l + 2 * (max_k - k) + 1):
-                    kappa[(l, k)] = rat(0)
-        else:
-            row = self._boundary(n, row_order)
-            c = self.cond.alpha + self.cond.delta / 2 + self.beta * n + 2 - self.beta
-            eta = eta_factor(self.beta)
-            bn = self.cond.coupling(n)
-            mu = None
-            if bn != 0 and max_k >= 2:
-                # the consumed entries mu[(l, k-1)] fit exactly the staircase
-                # profile of a (max_l, max_k - 2) table
-                mu = self._joint_reduced_moments(n, max_l, max_k - 2)
-            # stored only after the recursion above returns, so requests made
-            # inside it find the cache a build from scratch would find
-            for l in range(1, row_order + 1):
-                kappa[(l, 0)] = row[l - 1]
-            for k in range(max_k):
-                extent = max_l + 2 * (max_k - k - 1)
-                for l in range(extent + 1):
-                    if (l, k + 1) in kappa:
-                        continue
-                    terms = [(2, c, kappa[(l + 2, k)])]
-                    if k >= 1:
-                        if bn != 0:
-                            terms.append((12 // self.beta * k, bn, mu[(l, k - 1)]))
-                        terms.append((-eta * k, kappa[(l + 4, k - 1)], ONE))
-                        terms.append((k, kappa[(l + 2, k - 1)], ONE))
-                        terms.extend(_double_sum(kappa, l, k, -6 * eta * k))
-                    # the leading coefficient 2l + 3k + 2 is at least 2
-                    kappa[(l, k + 1)] = dot(terms) / (2 * l + 3 * k + 2)
+        try:
+            row = self.kappas(n, row_order)
+        except CumulantError as exc:
+            if self.beta != 1:
+                raise
+            raise BoundaryUnavailableError(
+                f"conductance row failed at dimension {n}: {exc}"
+            ) from exc
+        c = self.alpha + self.delta / 2 + self.beta * n + 2 - self.beta
+        eta = eta_factor(self.beta)
+        bn = self.coupling(n)
+        mu = None
+        if bn != 0 and max_k >= 2:
+            # the consumed entries mu[(l, k-1)] fit exactly the staircase
+            # profile of a (max_l, max_k - 2) table
+            mu = self._joint_reduced_moments(n, max_l, max_k - 2)
+        # stored only after the recursion above returns, so requests made
+        # inside it find the cache a build from scratch would find
+        for l in range(1, row_order + 1):
+            kappa[(l, 0)] = row[l - 1]
+        for k in range(max_k):
+            extent = max_l + 2 * (max_k - k - 1)
+            for l in range(extent + 1):
+                if (l, k + 1) in kappa:
+                    continue
+                terms = [(2, c, kappa[(l + 2, k)])]
+                if k >= 1:
+                    if bn != 0:
+                        terms.append((12 // self.beta * k, bn, mu[(l, k - 1)]))
+                    terms.append((-eta * k, kappa[(l + 4, k - 1)], ONE))
+                    terms.append((k, kappa[(l + 2, k - 1)], ONE))
+                    terms.extend(_double_sum(kappa, l, k, -6 * eta * k))
+                # the leading coefficient 2l + 3k + 2 is at least 2
+                kappa[(l, k + 1)] = dot(terms) / (2 * l + 3 * k + 2)
         return kappa
 
     def _joint_reduced_moments(self, n, L, K):
@@ -165,10 +155,7 @@ class JointEngine:
         r = self._joint_reduced_cumulants(n, L, K)
         mu = self._mu.setdefault(n, {})
         row_len = L + 2 * K
-        mu_row = _reduced_walk(
-            self._row_reduced.setdefault(n, ([], [ONE])),
-            n, self.cond.step, row_len, self._boundary,
-        )
+        mu_row = self.reduced_moments(n, row_len)
         for l in range(row_len + 1):
             mu[(l, 0)] = mu_row[l]
         for k in range(1, K + 1):
@@ -184,8 +171,8 @@ class JointEngine:
 
     def _joint_reduced_cumulants(self, n, L, K):
         """r_{l,k}, k >= 1, on the staircase profile of an (L, K) table: all
-        the 2-D Bell sum reads.  The k=0 row is the row walk's (``_row_reduced``)."""
-        step = self.cond.step
+        the 2-D Bell sum reads.  The k=0 row is the lattice's (``reduced_moments``)."""
+        step = self.step
         minus = self.table(n - step, L, K)
         plus = self.table(n + step, L, K)
         here = self.table(n, L, K)
@@ -225,7 +212,7 @@ def joint_reduced_table(p: TransportParams, max_l, max_k) -> JointReducedTable:
         raise UnsupportedBetaError("beta=2 has no dimension lattice")
     engine = JointEngine(p.beta, p.alpha, p.delta)
     mu = engine._joint_reduced_moments(p.n, max_l, max_k)
-    row = engine._row_reduced[p.n][0][:max_l + 2 * max_k]
+    row = engine._reduced[p.n][0][:max_l + 2 * max_k]
     r = {(0, 0): rat(0), **{(l, 0): v for l, v in enumerate(row, 1)}, **engine._r[p.n]}
     return JointReducedTable(r=r, mu=mu)
 
@@ -243,8 +230,8 @@ def joint_cumulants(p: TransportParams, max_l, max_k) -> JointCumulantTable:
     }
     boundary = CumulantSequence(
         params=p,
-        values=tuple(engine._boundary(p.n, max(max_l, 1))),
-        lattice_radius=engine.cond.radius,
+        values=tuple(engine.kappas(p.n, max(max_l, 1))),
+        lattice_radius=engine.radius,
         extended_validity=p.extended_validity,
     )
     return JointCumulantTable(

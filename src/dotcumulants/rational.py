@@ -90,8 +90,9 @@ def dot(terms):
 
 
 def parse_rational(text):
-    """Parse ``"p/q"`` or ``"p"`` (ints allowed) into an exact rational."""
-    if isinstance(text, (int,)):
+    """Parse ``"p/q"`` or ``"p"`` (ints allowed, booleans refused) into an
+    exact rational."""
+    if type(text) is int:
         return rat(text)
     return rat(str(text).strip())
 

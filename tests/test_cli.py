@@ -171,14 +171,25 @@ def test_missing_parameter_is_usage_error(capsys):
     ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "0.5:1.5:3", "--seed", "-1"],
     ["report", "table2", "--n-list="],
     ["asymptotic", "extrapolate", "--n-list", "4,6", "--target", "x"],
+    # beta and n are integers, and no parameter is a boolean: neither is
+    # truncated or read as 1
+    ["cumulants", "conductance", "--config", "{fractional}", "--max-order", "2", "--out", "{out}"],
+    ["cumulants", "wigner", "--config", "{fractional}", "--max-order", "2", "--out", "{out}"],
+    ["cumulants", "conductance", "--config", "{true_beta}", "--max-order", "2", "--out", "{out}"],
+    ["cumulants", "conductance", "--config", "{true_alpha}", "--max-order", "2", "--out", "{out}"],
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "garbled.json").write_text('{"beta": 2,')
     (tmp_path / "array.json").write_text("[2, 4]")
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "garbled", "array")}
+    (tmp_path / "fractional.json").write_text('{"beta": 1.5, "n": 8.7}')
+    (tmp_path / "true_beta.json").write_text('{"beta": true, "n": 4}')
+    (tmp_path / "true_alpha.json").write_text('{"beta": 1, "alpha": true, "n": 4}')
+    names = ("missing", "garbled", "array", "fractional", "true_beta", "true_alpha", "out")
+    paths = {name: str(tmp_path / f"{name}.json") for name in names}
     code = dispatch([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2
+    assert not os.path.exists(paths["out"])
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err

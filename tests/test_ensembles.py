@@ -5,14 +5,14 @@ import pytest
 
 from dotcumulants.conductance import _initial_three
 from dotcumulants.ensembles import (
+    _raw_coupling,
+    _raw_delay_coupling,
     b_constant,
     d_constant,
     delay_coupling_beta1,
-    delay_coupling_beta4,
     log_delay_norm,
     log_selberg,
     transport_coupling_beta1,
-    transport_coupling_beta4,
 )
 from dotcumulants.errors import InvalidGammaArgumentError, PoleError
 from dotcumulants.params import DelayParams, TransportParams
@@ -229,6 +229,17 @@ def _reference_initial_three(beta, a, d, n):
     return (k1, k2, 2 * k2 * (d / 2 - a) * (s + 2 - beta) / den3)
 
 
+def _dual_b4(alpha, delta, n):
+    """b_n for beta=4 by the closed form the engines evaluate: the beta=1 one
+    at the dual point (unlike ``_raw_coupling``, not short-cut to 0 at n=0)."""
+    return transport_coupling_beta1(-rat(alpha) / 2, -rat(delta) / 2, -2 * n)
+
+
+def _dual_d4(b, n):
+    """d_n for beta=4 as 1/16 of the beta=1 closed form at the dual point."""
+    return delay_coupling_beta1(-rat(b) / 2, -2 * n) / 16
+
+
 _ALPHAS = [rat(x) for x in ("-1/2", "0", "1/2", "1", "3/2", "-1/3", "7/5")]
 _DELTAS = [rat(x) for x in ("-1", "0", "1", "2", "1/3", "-5/7")]
 _DIMENSIONS = list(range(-12, 41))
@@ -252,7 +263,7 @@ def test_integer_transport_couplings_match_fraction_reference(alpha):
     for delta in _DELTAS:
         for n in _DIMENSIONS:
             values += _same(transport_coupling_beta1, _reference_b1, alpha, delta, n)
-            values += _same(transport_coupling_beta4, _reference_b4, alpha, delta, n)
+            values += _same(_dual_b4, _reference_b4, alpha, delta, n)
     assert values > len(_DELTAS) * len(_DIMENSIONS)
 
 
@@ -261,7 +272,7 @@ def test_integer_delay_couplings_match_fraction_reference(b):
     values = 0
     for n in _DIMENSIONS:
         values += _same(delay_coupling_beta1, _reference_d1, b, n)
-        values += _same(delay_coupling_beta4, _reference_d4, b, n)
+        values += _same(_dual_d4, _reference_d4, b, n)
     assert values > len(_DIMENSIONS)
 
 
@@ -275,10 +286,10 @@ def test_integer_couplings_at_duality_and_rational_arguments():
         for alpha in _ALPHAS:
             for delta in _DELTAS:
                 _same(transport_coupling_beta1, _reference_b1, alpha, delta, n)
-                _same(transport_coupling_beta4, _reference_b4, alpha, delta, n)
+                _same(_dual_b4, _reference_b4, alpha, delta, n)
         for b in _ALPHAS + _DELTAS:
             _same(delay_coupling_beta1, _reference_d1, b, n)
-            _same(delay_coupling_beta4, _reference_d4, b, n)
+            _same(_dual_d4, _reference_d4, b, n)
 
 
 @pytest.mark.parametrize("beta", [1, 2, 4])
@@ -298,3 +309,9 @@ def test_couplings_reject_a_vanishing_denominator_factor():
     # b - n = 0
     with pytest.raises(PoleError):
         delay_coupling_beta1(rat(5), 5)
+    # beta=4 evaluates the beta=1 forms at the dual point, and names its own
+    # constant when a factor vanishes there (d/2 + a + 4n - 3 = 0; b + 1 - 4n = 0)
+    with pytest.raises(PoleError, match=r"^b_n\(beta=4\): denominator factor vanishes$"):
+        _raw_coupling(4, rat(-1, 2), rat(-1), 1)
+    with pytest.raises(PoleError, match=r"^d_n\(beta=4\): denominator factor vanishes$"):
+        _raw_delay_coupling(4, rat(7), 2)

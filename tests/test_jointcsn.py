@@ -352,3 +352,48 @@ def test_beta_one_four_duality_of_the_joint_table():
             assert four[(l, k)] == rat(-1, 2) ** (l + k) * one[(l, k)], (a, d, n, l, k)
         compared += 1
     assert compared >= 92
+
+
+def test_one_reduced_row_per_dimension(monkeypatch):
+    """The k=0 row's reduced moments are memoised once per dimension, by the
+    lattice the row comes from: the Bell transform extends at most one r list
+    per dimension of the table."""
+    from dotcumulants import conductance
+    from dotcumulants.jointcsn import JointEngine
+
+    extended = {}
+    bell = conductance.bell_transform
+
+    def recording(r, order, mu=None):
+        extended[id(r)] = r  # kept alive, so an id is never reused
+        return bell(r, order, mu)
+
+    monkeypatch.setattr(conductance, "bell_transform", recording)
+    engine = JointEngine(1, COE_HALF, 0)
+    engine.table(16, 6, 6)
+    assert extended
+    assert len(extended) <= len(engine._kappa)
+
+
+def test_failing_joint_calls_keep_their_tokens_and_messages():
+    """Every failing ``joint_cumulants`` call on the sweep benchmark's
+    (alpha, delta) grid at (4,2) and (6,4), n = 1..8: a beta=1 row failure is
+    wrapped in ``boundary-unavailable`` once, naming the table's dimension,
+    and an even-beta failure passes through unwrapped."""
+    from itertools import product
+
+    from test_conductance import DUALITY_ALPHAS, DUALITY_DELTAS
+
+    failures = []
+    for beta, a, d, n, (L, K) in product(
+        (1, 2, 4), DUALITY_ALPHAS, DUALITY_DELTAS, range(1, 9), ((4, 2), (6, 4))
+    ):
+        try:
+            joint_cumulants(TransportParams(beta, rat(a), rat(d), n), L, K)
+        except CumulantError as exc:
+            failures.append([beta, a, d, n, L, K, exc.token, str(exc)])
+    assert len(failures) == 65
+    assert sum(f[0] == 1 for f in failures) == 45
+    assert not any(f[7].count("conductance row failed") > 1 for f in failures)
+    text = json.dumps(failures)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f99109bde1010f72"
