@@ -534,8 +534,8 @@ def _cmd_mc_edgeworth(ns, argv):
     with _parsing("--grid (lo:hi:steps)"):
         lo, hi, steps = ns.grid.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
-    if not (lo < hi and steps >= 2):
-        raise _UsageError("--grid needs lo < hi and at least 2 steps")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and steps >= 2):
+        raise _UsageError("--grid needs finite lo < hi and at least 2 steps")
     import numpy as np
 
     from .montecarlo import edgeworth_density, sample_delay_times

@@ -11,9 +11,12 @@ are scaled by the common denominator q of their values, the factors are
 multiplied as ints, and one rational is built from the two products at the
 end.  The powers of q cancel between numerator and denominator, except in
 d_n, whose numerator carries four factors fewer and is multiplied by q^4.
-Only the beta=1 forms are written out: beta=4 evaluates them at the dual
-point, b_n at (-alpha/2, -delta/2, -2n) and 16 d_n at (-b/2, -2n).  The
-engines evaluate each constant once per dimension.
+Only the beta=1 forms are written out, each as one integer core over the
+scaled arguments: beta=4 evaluates them at the dual point, b_n at
+(-alpha/2, -delta/2, -2n) and 16 d_n at (-b/2, -2n).  Halving and
+negation act on the integers q*x, with the scale doubled once per halving,
+so no rational is negated or halved.  The engines evaluate each
+constant once per dimension.
 """
 
 from __future__ import annotations
@@ -49,10 +52,8 @@ def _quotient(num_factors, den_factors, what):
     return rat(num, den)
 
 
-def transport_coupling_beta1(alpha, delta, n):
-    """Closed form of b_n for beta=1; n may be any rational (used by the
-    beta=4 duality, which evaluates it at negative arguments)."""
-    q, (a, h, n) = _scaled(alpha, rat(delta) / 2, n)  # h = delta/2
+def _transport_coupling(q, a, h, n, what):
+    """b_n(beta=1) at alpha = a/q, delta/2 = h/q and dimension n/q."""
     s = a + h
     num = [n, n - q, 2 * a + n, 2 * a + n + q, 2 * h + n, 2 * h + n + q,
            2 * s + n + q, 2 * s + n + 2 * q]
@@ -60,16 +61,13 @@ def transport_coupling_beta1(alpha, delta, n):
            s + n, s + n + q, s + n + q, s + n + 2 * q,
            2 * s + 2 * n - q, 2 * s + 2 * n + q, 2 * s + 2 * n + q,
            2 * s + 2 * n + 3 * q]
-    return _quotient(num, den, "b_n(beta=1)")
+    return _quotient(num, den, what)
 
 
-def _at_dual_point(closed_form, what, *args):
-    """A beta=1 closed form evaluated at the beta=4 dual point ``args``; a
-    vanishing denominator factor is reported under the beta=4 name ``what``."""
-    try:
-        return closed_form(*args)
-    except PoleError:
-        raise PoleError(f"{what}: denominator factor vanishes") from None
+def transport_coupling_beta1(alpha, delta, n):
+    """Closed form of b_n for beta=1; n may be any rational."""
+    q, (a, d, n) = _scaled(alpha, delta, n)
+    return _transport_coupling(2 * q, 2 * a, d, 2 * n, "b_n(beta=1)")
 
 
 def _raw_coupling(beta, alpha, delta, n):
@@ -79,9 +77,9 @@ def _raw_coupling(beta, alpha, delta, n):
         return rat(0)
     if beta == 1:
         return transport_coupling_beta1(alpha, delta, n)
-    return _at_dual_point(
-        transport_coupling_beta1, "b_n(beta=4)", -rat(alpha) / 2, -rat(delta) / 2, -2 * n
-    )
+    # the dual point (-alpha/2, -delta/2, -2n), with delta/2 on the scale 4q
+    q, (a, d) = _scaled(alpha, delta)
+    return _transport_coupling(4 * q, -2 * a, -d, -8 * q * n, "b_n(beta=4)")
 
 
 def b_constant(p: TransportParams):
@@ -89,12 +87,17 @@ def b_constant(p: TransportParams):
     return _raw_coupling(p.beta, p.alpha, p.delta, p.n)
 
 
+def _delay_coupling(q, b, n, what, outer=1):
+    """d_n(beta=1) / ``outer`` at weight exponent b/q and dimension n/q."""
+    num = [q**4, n, n - q, 2 * b - 2 * q - n, 2 * b - q - n]
+    den = [outer, b - n, 2 * b - 2 * n + q, b - n - 2 * q, 2 * b - 2 * n - 3 * q,
+           b - q - n, b - q - n, 2 * b - 2 * n - q, 2 * b - 2 * n - q]
+    return _quotient(num, den, what)
+
+
 def delay_coupling_beta1(b, n):
     q, (b, n) = _scaled(b, n)
-    num = [q**4, n, n - q, 2 * b - 2 * q - n, 2 * b - q - n]
-    den = [b - n, 2 * b - 2 * n + q, b - n - 2 * q, 2 * b - 2 * n - 3 * q,
-           b - q - n, b - q - n, 2 * b - 2 * n - q, 2 * b - 2 * n - q]
-    return _quotient(num, den, "d_n(beta=1)")
+    return _delay_coupling(q, b, n, "d_n(beta=1)")
 
 
 def _raw_delay_coupling(beta, b, n):
@@ -104,7 +107,9 @@ def _raw_delay_coupling(beta, b, n):
         return rat(0)
     if beta == 1:
         return delay_coupling_beta1(b, n)
-    return _at_dual_point(delay_coupling_beta1, "d_n(beta=4)", -rat(b) / 2, -2 * n) / 16
+    # 16 d_n(beta=4) is d_n(beta=1) at the dual point (-b/2, -2n), scale 2q
+    q, (b,) = _scaled(b)
+    return _delay_coupling(2 * q, -b, -4 * q * n, "d_n(beta=4)", 16)
 
 
 def d_constant(p: DelayParams):

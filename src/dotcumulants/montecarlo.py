@@ -1,6 +1,6 @@
 """Monte Carlo sampling of transmission eigenvalues and proper delay times,
-unbiased cumulant estimation (k-statistics), and the five-cumulant Edgeworth
-density.
+unbiased cumulant estimation (Fisher's k-statistics, from their closed forms
+through order 5), and the five-cumulant Edgeworth density.
 
 Randomness: numpy's PCG64 seeded through SeedSequence.  Batches are drawn in
 fixed-size sub-batches whose seeds are spawned from the master seed, so the
@@ -267,79 +267,44 @@ def sample_jacobi_spectrum(p: TransportParams, count, seed) -> JacobiSample:
 
 # -- k-statistics --------------------------------------------------------------------
 
+_KSTAT_ORDERS = "k-statistics implemented through order 5"
 
-def _integer_partitions(r):
-    if r == 0:
-        yield ()
-        return
-    def rec(rest, largest):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, largest), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first,) + tail
-    yield from rec(r, r)
-
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def _falling(N, p):
-    out = Fraction(1)
-    for t in range(p):
-        out *= N - t
-    return out
+#: Fisher's k-statistics: per order r, the numerator polynomial in N of the
+#: coefficient of prod_i S_{lambda_i} for each power-sum partition lambda of
+#: r, over the falling factorial N (N-1) ... (N-r+1) (Fisher 1930; Kendall &
+#: Stuart, Advanced Theory of Statistics vol. 1, ch. 12).  Partitions run
+#: from (r) down to (1, ..., 1), the order in which ``_kstat`` adds terms.
+_FISHER = (
+    {(1,): lambda N: 1},
+    {(2,): lambda N: N, (1, 1): lambda N: -1},
+    {(3,): lambda N: N**2, (2, 1): lambda N: -3 * N, (1, 1, 1): lambda N: 2},
+    {
+        (4,): lambda N: N**3 + N**2,
+        (3, 1): lambda N: -4 * (N**2 + N),
+        (2, 2): lambda N: -3 * (N**2 - N),
+        (2, 1, 1): lambda N: 12 * N,
+        (1, 1, 1, 1): lambda N: -6,
+    },
+    {
+        (5,): lambda N: N**4 + 5 * N**3,
+        (4, 1): lambda N: -5 * (N**3 + 5 * N**2),
+        (3, 2): lambda N: -10 * (N**3 - N**2),
+        (3, 1, 1): lambda N: 20 * (N**2 + 2 * N),
+        (2, 2, 1): lambda N: 30 * (N**2 - N),
+        (2, 1, 1, 1): lambda N: -60 * N,
+        (1, 1, 1, 1, 1): lambda N: 24,
+    },
+)
 
 
-@lru_cache(maxsize=None)
 def kstat_coefficients(N, r):
     """Coefficients c_lambda with k_r = sum_lambda c_lambda prod_i S_{lambda_i}
-    (S_a = power sums), solved exactly from the unbiasedness requirement
-    E[k_r] = kappa_r for an i.i.d. sample of size N.
-
-    Both sides are expanded in the population raw moments: E[prod S_{a_i}]
-    = sum over set partitions of the index multiset of falling(N, blocks)
-    times a product of raw moments, and kappa_r is the Moebius expansion
-    over set partitions of {1..r}.  Equating coefficients per raw-moment
-    partition gives a square exact linear system.
-    """
-    lambdas = list(_integer_partitions(r))
-    targets = {lam: Fraction(0) for lam in lambdas}
-    for part in _set_partitions(list(range(r))):
-        key = tuple(sorted((len(b) for b in part), reverse=True))
-        p = len(part)
-        targets[key] += Fraction((-1) ** (p - 1) * math.factorial(p - 1))
-    rows = {}
-    for lam in lambdas:
-        row = {t: Fraction(0) for t in lambdas}
-        for part in _set_partitions(list(range(len(lam)))):
-            key = tuple(
-                sorted((sum(lam[i] for i in block) for block in part), reverse=True)
-            )
-            row[key] += _falling(N, len(part))
-        rows[lam] = row
-    # exact Gaussian elimination on the (lambda x target-partition) system
-    mat = [[rows[lam][t] for lam in lambdas] + [targets[t]] for t in lambdas]
-    m = len(lambdas)
-    for col in range(m):
-        piv = next(i for i in range(col, m) if mat[i][col] != 0)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for i in range(m):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-    return {lam: mat[i][m] for i, lam in enumerate(lambdas)}
+    (S_a = power sums), the unbiased estimator of kappa_r from an i.i.d.
+    sample of size N, for r = 1..5."""
+    if not 1 <= r <= len(_FISHER):
+        raise InsufficientSamplesError(_KSTAT_ORDERS)
+    falling = math.perm(N, r)
+    return {lam: Fraction(num(N), falling) for lam, num in _FISHER[r - 1].items()}
 
 
 def _kstat_terms(N, max_order):
@@ -385,8 +350,8 @@ def estimate_cumulants(batch: SampleBatch, max_order=5):
     block, before its powers are formed: k_2.. and every gap are unchanged
     by a shift, and power sums about c do not cancel when the batch sits far
     from zero.  Only k_1 gets c added back."""
-    if max_order > 5:
-        raise InsufficientSamplesError("k-statistics implemented through order 5")
+    if max_order > len(_FISHER):
+        raise InsufficientSamplesError(_KSTAT_ORDERS)
     x = np.asarray(batch.values, dtype=float)
     N = len(x)
     if N <= max_order:

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -177,6 +179,9 @@ def test_missing_parameter_is_usage_error(capsys):
     ["cumulants", "wigner", "--config", "{fractional}", "--max-order", "2", "--out", "{out}"],
     ["cumulants", "conductance", "--config", "{true_beta}", "--max-order", "2", "--out", "{out}"],
     ["cumulants", "conductance", "--config", "{true_alpha}", "--max-order", "2", "--out", "{out}"],
+    # grid bounds are finite: an infinite one fails before any sampling
+    ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "0.4:inf:81", "--out", "{out}"],
+    ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid=-inf:1.8:5", "--out", "{out}"],
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "garbled.json").write_text('{"beta": 2,')
@@ -374,6 +379,38 @@ def test_mc_sample_csv_with_manifest_sidecar(capsys, tmp_path):
     )
     sidecar2 = json.loads((tmp_path / "samples2.csv.manifest.json").read_text())
     assert sidecar["payload_sha256"] == sidecar2["payload_sha256"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_commands():
+    """The ``dotcumulants ...`` lines of the README's "Command line" block,
+    each split as a shell would, without the program name."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [words[1:] for words in lines if words[:1] == ["dotcumulants"]]
+
+
+def _benchmark_commands():
+    """The ``README_COMMANDS`` tuple of the benchmark's workloads, read from
+    the source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [
+            getattr(t, "id", None) for t in node.targets
+        ] == ["README_COMMANDS"]:
+            return [shlex.split(c) for c in ast.literal_eval(node.value)]
+    raise AssertionError("README_COMMANDS not found")
+
+
+def test_readme_commands_are_the_benchmarks():
+    """The cli workload pins the outputs of the README's commands; an edit to
+    either list alone would leave those digests measuring other commands."""
+    readme = _readme_commands()
+    assert len(readme) == 17
+    assert readme == _benchmark_commands()
 
 
 #: the README's sampling command, and the SHA-256 of the file it writes and

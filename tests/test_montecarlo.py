@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -28,6 +29,10 @@ from dotcumulants.rational import rat
 from dotcumulants.wigner import wigner_cumulants
 
 COE_HALF = rat(-1, 2)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _z(estimate, se, target):
@@ -183,6 +188,70 @@ def test_kstats_unbiased_coefficients_exact():
     coeffs = kstat_coefficients(10, 2)
     assert coeffs[(2,)] == Fraction(1, 9)
     assert coeffs[(1, 1)] == Fraction(-1, 90)
+
+
+def test_kstats_are_exactly_unbiased_on_a_finite_population():
+    """E[k_r] = kappa_r for r = 1..5, over every sample of N = 6 draws from
+    {0, 1, 3} with probabilities (1/2, 1/3, 1/6), in exact arithmetic; the
+    cumulants come from the exact raw moments, not from the k-statistics."""
+    from fractions import Fraction
+    from itertools import product
+
+    from dotcumulants.doubleseries import moments_to_cumulants
+
+    N = 6
+    law = {0: Fraction(1, 2), 1: Fraction(1, 3), 3: Fraction(1, 6)}
+    moments = {(r, 0): sum(p * x**r for x, p in law.items()) for r in range(6)}
+    kappa = moments_to_cumulants(moments, 5)
+    expected = [Fraction(0)] * 5
+    for sample in product(law, repeat=N):
+        weight = math.prod(law[x] for x in sample)
+        S = [None] + [sum(x**a for x in sample) for a in range(1, 6)]
+        for r in range(1, 6):
+            k = sum(c * math.prod(S[a] for a in lam)
+                    for lam, c in kstat_coefficients(N, r).items())
+            expected[r - 1] += weight * k
+    assert expected == [kappa[(r, 0)] for r in range(1, 6)]
+
+
+#: SHA-256 of ``str(kstat_coefficients(N, r))`` for r = 1..5, per N
+KSTAT_COEFFICIENT_DIGESTS = {
+    6: ["7622c945437279c5ea5dec51a36dde74ba307056d0473e3870ed34d20efa2170",
+        "c05d00f3a3c540aeb803f9b1e0e0856d7bcb4d7382eba356b1ec8a758a9b72b6",
+        "8f5c47d81e7a8d8f69a302c72687e338f57769095386aefc13de964c3a0df58a",
+        "30ca4b8ac48e63f445f4f26697ea4e241edb276549e5a15c96933e31c0153ff7",
+        "3e3c34451dd7684722a03af0003f0f39667146c8916d018fc9cbf99d064911cd"],
+    10: ["59cf575a5feb56684707dfe19f9d7301d998d66431456341f13bb8103e252620",
+         "4c32f791c49fbcd80af262e649fa446e2ae224606c6664a4e6698a592c7cdd59",
+         "c6e0e213428d338b4bede50d97dea3fca764f1853e7157246cfd966ff5996210",
+         "ed40ba5d2d26b163886276ccb715879fe57c1dc8dbcb5a0234a4b37a511a4806",
+         "46c8b995d9019cfff30ac4a26ad623aca76346d20b6333df2bd855209f64823d"],
+    250000: ["302aa45bd6a8c32f49ff7201a20b7091247954e56ad839ae1df88a3fed4f9a6f",
+             "28a16cd1403eb6ae2e227f10a7a0a29c5a474ff2390263b25d00af2bb9b73966",
+             "65594e2158911526078b58cd1c1cb0099f3650859e31d1e6b4bc9e43bf745f32",
+             "ebbc4f4c8d7ebaa53bba8784ad4e370344990882652775dca5a0172b8027d847",
+             "94a58f8243af5a8b14c3a5d64971b6f7ce7785e16668efd89d81be3edd14ae9e"],
+}
+
+#: SHA-256 of the ``repr`` of the k-statistics through order 5, with their
+#: standard errors, of 100000 delay-time draws at beta=1, n=20, seed 2718
+DELAY_KSTATS_DIGEST = "efb56f021afbc3ea94328cfd569c53b3b0c3bb360fd772795ca06b41e5cfcc62"
+
+
+def test_kstat_coefficients_and_estimates_are_pinned():
+    """The coefficients keep their values and their key order (the order in
+    which the terms of each k_r are added), so the estimates keep every bit."""
+    for N, digests in KSTAT_COEFFICIENT_DIGESTS.items():
+        got = [_sha256(str(kstat_coefficients(N, r))) for r in range(1, 6)]
+        assert got == digests, N
+    batch = sample_delay_times(DelayParams(1, 20), 100000, seed=2718)
+    assert _sha256(repr(estimate_cumulants(batch, 5))) == DELAY_KSTATS_DIGEST
+
+
+def test_kstat_coefficients_stop_at_order_five():
+    for r in (0, 6):
+        with pytest.raises(InsufficientSamplesError, match="through order 5"):
+            kstat_coefficients(10, r)
 
 
 def test_kstats_delay_batch_matches_exact():
