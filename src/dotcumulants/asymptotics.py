@@ -39,6 +39,14 @@ def eps(l):
     return 1 if l % 2 == 0 else 0
 
 
+def scaling_exponent(kind, l, k=0):
+    """The power nu with n^nu * cumulant -> limit, for kind "conductance",
+    "joint" or "wigner" (the delay time); see the module docstring."""
+    if kind == "wigner":
+        return 2 * l - 2
+    return l + k - eps(l)
+
+
 @dataclass(frozen=True)
 class LimitCoefficients:
     kind: str
@@ -286,7 +294,7 @@ def limit_wigner(max_l) -> LimitCoefficients:
     return LimitCoefficients(
         kind="wigner",
         values=values,
-        scaling_exponent={l: 2 * l - 2 for l in range(1, max_l + 1)},
+        scaling_exponent={l: scaling_exponent("wigner", l) for l in range(1, max_l + 1)},
     )
 
 

@@ -20,7 +20,7 @@ import math
 import sys
 from itertools import islice
 
-from .errors import CumulantError
+from .errors import CumulantError, ExcludedIndexError
 
 
 class _UsageError(Exception):
@@ -205,7 +205,7 @@ def _cmd_cumulants_conductance(ns, argv):
         "orders": list(range(1, ns.max_order + 1)),
         **_rationals_payload(seq.values),
         "lattice_radius": seq.lattice_radius,
-        "extended_validity": seq.extended_validity,
+        "extended_validity": p.extended_validity,
     }
     if ns.format == "csv":
         rows = [
@@ -269,7 +269,7 @@ def _cmd_cumulants_wigner(ns, argv):
 
 
 def _cmd_asymptotic(ns, argv):
-    from .asymptotics import limit_conductance, limit_joint, limit_wigner
+    from .asymptotics import limit_conductance, limit_joint, limit_wigner, scaling_exponent
     from .rational import rational_str
 
     kind = ns.kind
@@ -292,7 +292,7 @@ def _cmd_asymptotic(ns, argv):
         values = {
             str(l): limit_conductance(p, l) for l in range(3, ns.max_index + 1)
         }
-        scaling = {l: l - (1 if l % 2 == 0 else 0) for l in range(3, ns.max_index + 1)}
+        scaling = {l: scaling_exponent(kind, l) for l in range(3, ns.max_index + 1)}
     else:
         values = {}
         scaling = {}
@@ -300,9 +300,9 @@ def _cmd_asymptotic(ns, argv):
             for k in range(0, ns.max_index + 1 - l):
                 try:
                     values[f"{l},{k}"] = limit_joint(p, l, k)
-                except CumulantError:
+                except ExcludedIndexError:
                     continue
-                scaling[f"{l},{k}"] = l + k - (1 if l % 2 == 0 else 0)
+                scaling[f"{l},{k}"] = scaling_exponent(kind, l, k)
     payload = {
         "kind": kind,
         "params": p.describe(),
@@ -349,27 +349,25 @@ def _parse_target(spec, n_list):
 
 
 def _cmd_asymptotic_extrapolate(ns, argv):
-    from .asymptotics import extrapolate_limit
+    from .asymptotics import extrapolate_limit, scaling_exponent
 
     n_list = _int_list("--n-list", ns.n_list)
     kind, indices, params = _parse_target(ns.target, n_list)
     l = indices[0]
+    nu = scaling_exponent(kind, *indices)
     if kind == "wigner":
         from .wigner import wigner_cumulants
 
         samples = [(p.n, wigner_cumulants(p, l)[l]) for p in params]
-        nu = 2 * l - 2
     elif kind == "conductance":
         from .conductance import conductance_cumulants
 
         samples = [(p.n, conductance_cumulants(p, l)[l]) for p in params]
-        nu = l - (1 if l % 2 == 0 else 0)
     else:
         from .jointcsn import joint_cumulants
 
         k = indices[1]
         samples = [(p.n, joint_cumulants(p, l, k)[(l, k)]) for p in params]
-        nu = l + k - (1 if l % 2 == 0 else 0)
     estimate, error_bar = extrapolate_limit(samples, nu)
     payload = {
         "target": ns.target,

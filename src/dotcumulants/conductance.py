@@ -9,7 +9,9 @@ rational functions of n.
 
 ``_Lattice`` is the one engine core.  Per dimension it memoises the values,
 the coupling constant, the integer constants of the step's leading
-coefficient and the reduced moments, which grow by one term per order.  A
+coefficient and the reduced moments, which grow by one term per order.  Its
+``visited`` list is the one record of the dimensions a computation touched,
+and it holds the one rule for dimension 0, the empty ensemble: all zero.  A
 step is one ``rational.dot`` of its quadratic, linear and coupling terms,
 divided once; the quadratic sum is symmetric under i <-> l-1-i, so each
 pair is multiplied once.  ``ConductanceEngine`` and ``wigner.DelayEngine``
@@ -39,16 +41,11 @@ class CumulantSequence:
     params: TransportParams
     values: tuple
     lattice_radius: int
-    extended_validity: bool
 
     def __getitem__(self, order):
         if not 1 <= order <= len(self.values):
             raise InvalidOrderError(f"cumulant order {order} not computed")
         return self.values[order - 1]
-
-    @property
-    def max_order(self):
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -188,6 +185,10 @@ class _Lattice:
     ((q2, P, Q) of ``_leading``, g); ``_weights(l)``, the w_i;
     ``_linear_terms(l, values, g)``; and ``_fetch(n)``, the
     (dimension, order) -> values callable the reduced moments at n read.
+
+    ``visited`` lists the dimensions in the order their closed first values
+    were set.  Dimension 0 is the empty ensemble: its values are all zero,
+    and it is neither evaluated nor visited.
     """
 
     def __init__(self, beta, coupling, coupling_weight, scale):
@@ -201,6 +202,7 @@ class _Lattice:
         self._reduced = {}  # dimension -> ([r_1, r_2, ...], [mu_0, mu_1, ...])
         self._couplings = {}  # dimension -> coupling constant
         self._constants = {}  # dimension -> ((q2, P, Q), g)
+        self.visited = []
 
     def coupling(self, n):
         """The coupling at dimension n, once per engine (a pole is not stored)."""
@@ -216,10 +218,15 @@ class _Lattice:
         return c
 
     def _fill(self, n, order):
-        """v_1..v_order at dimension n, extending its memo."""
+        """v_1..v_order at dimension n, extending its memo; empty below order 1."""
+        if order < 1:
+            return []
+        if n == 0:
+            return [ZERO] * order
         values = self._values.get(n)
         if values is None:
             values = self._values[n] = self._initial(n)
+            self.visited.append(n)
         while len(values) < order:
             self._extend(n, values)
         return values[:order]
@@ -252,31 +259,14 @@ def _coeff_B(l, i, chi):
 class ConductanceEngine(_Lattice):
     """Memoized cumulant computation across the dimension lattice for a fixed
     (beta, alpha, delta).  Single-threaded per instance; finished sequences
-    are immutable and freely shareable.
+    are immutable and freely shareable."""
 
-    ``radius`` records the farthest lattice point visited, in steps from
-    ``center``; a visit beyond ``max_radius`` is an internal error.
-    """
-
-    def __init__(self, beta, alpha, delta, center=None, max_radius=None):
+    def __init__(self, beta, alpha, delta):
         self.alpha = rat(alpha)
         self.delta = rat(delta)
         coupling = partial(_raw_coupling, beta, self.alpha, self.delta)
         super().__init__(beta, coupling, 12 // beta, 1)
         self._chi = 2 if beta == 2 else 1
-        self.radius = 0
-        self._center = center
-        self._max_radius = max_radius
-
-    def _note_visit(self, n):
-        if self._center is None or n == self._center:
-            return
-        r = abs(n - self._center) // self.step
-        if self._max_radius is not None and r > self._max_radius:
-            raise AssertionError(
-                f"lattice visit at dimension {n} exceeds radius bound {self._max_radius}"
-            )
-        self.radius = max(self.radius, r)
 
     def _dimension_constants(self, n):
         """(q2, P, Q) of ``_leading`` at dimension n, and alpha - delta/2 + beta n.
@@ -305,12 +295,7 @@ class ConductanceEngine(_Lattice):
         return self.kappas
 
     def kappas(self, n, order):
-        """kappa_1..kappa_order at dimension n (n=0 yields an empty sum: all zero)."""
-        if order < 1:
-            return []
-        if n == 0:
-            return [ZERO] * order
-        self._note_visit(n)
+        """kappa_1..kappa_order at dimension n."""
         return self._fill(n, order)
 
 
@@ -318,18 +303,20 @@ def conductance_cumulants(p: TransportParams, max_order) -> CumulantSequence:
     """kappa_1..kappa_L exactly, engaging the dimension lattice when beta != 2."""
     if max_order < 1:
         raise InvalidOrderError("max_order must be >= 1")
-    # order l consumes reduced data to order l-3; each recursion level drops
-    # the needed order, so this radius is a safe ceiling.
-    engine = ConductanceEngine(
-        p.beta, p.alpha, p.delta,
-        center=p.n, max_radius=(max(max_order - 3, 0) + 2) // 3 + 1,
-    )
+    engine = ConductanceEngine(p.beta, p.alpha, p.delta)
     values = tuple(engine.kappas(p.n, max_order))
+    # the farthest dimension visited, in lattice steps from n; order l
+    # consumes reduced data to order l-3 and each recursion level drops the
+    # needed order, so max_radius is a safe ceiling
+    radii = {m: abs(m - p.n) // engine.step for m in engine.visited if m != p.n}
+    max_radius = (max(max_order - 3, 0) + 2) // 3 + 1
+    for m, r in radii.items():
+        if r > max_radius:
+            raise AssertionError(
+                f"lattice visit at dimension {m} exceeds radius bound {max_radius}"
+            )
     return CumulantSequence(
-        params=p,
-        values=values,
-        lattice_radius=engine.radius,
-        extended_validity=p.extended_validity,
+        params=p, values=values, lattice_radius=max(radii.values(), default=0)
     )
 
 

@@ -12,8 +12,10 @@ conductance lattice (``conductance.ConductanceEngine``): where an even-beta
 row degenerates, its ``kappas`` supplies the exact determinant moments
 instead and stores them as the row, so the row's reduced moments, memoised
 once per dimension by the lattice, read the same fallback rows.  Dimension 0
-is the empty ensemble (all cumulants zero); negative lattice dimensions are
-evaluated by the same rational continuation the conductance row uses.
+is the empty ensemble, whose row the lattice gives as all zero; negative
+lattice dimensions are evaluated by the same rational continuation the
+conductance row uses.  A table's k=0 column is that row; ``JointCumulantTable``
+holds no other copy of it.
 
 Each entry is one ``rational.dot`` with one reduction, divided once by its
 integer leading coefficient 2l + 3k + 2; the double sum is symmetric under
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conductance import ConductanceEngine, CumulantSequence, _second_difference
+from .conductance import ConductanceEngine, _second_difference
 from .ensembles import b_constant
 from .errors import (
     BoundaryUnavailableError,
@@ -46,7 +48,6 @@ class JointCumulantTable:
 
     params: TransportParams
     values: dict
-    boundary: CumulantSequence
     max_l: int
     max_k: int
 
@@ -68,8 +69,8 @@ class JointEngine(ConductanceEngine):
     """Memoized joint-table computation across the dimension lattice; the
     lattice's own values are the k=0 row."""
 
-    def __init__(self, beta, alpha, delta, center=None):
-        super().__init__(beta, alpha, delta, center=center)
+    def __init__(self, beta, alpha, delta):
+        super().__init__(beta, alpha, delta)
         # dimension -> {(l, k): value}, each grown in place; an entry is
         # stored only once computed, so a failed fill leaves a valid prefix
         self._kappa = {}
@@ -221,22 +222,13 @@ def joint_cumulants(p: TransportParams, max_l, max_k) -> JointCumulantTable:
     """Exact kappa_{l,k} for the rectangle l <= max_l, k <= max_k."""
     if max_l < 0 or max_k < 0:
         raise InvalidOrderError("orders must be nonnegative")
-    engine = JointEngine(p.beta, p.alpha, p.delta, center=p.n)
-    kappa = engine.table(p.n, max_l, max_k)
+    kappa = JointEngine(p.beta, p.alpha, p.delta).table(p.n, max_l, max_k)
     values = {
         (l, k): kappa[(l, k)]
         for l in range(max_l + 1)
         for k in range(max_k + 1)
     }
-    boundary = CumulantSequence(
-        params=p,
-        values=tuple(engine.kappas(p.n, max(max_l, 1))),
-        lattice_radius=engine.radius,
-        extended_validity=p.extended_validity,
-    )
-    return JointCumulantTable(
-        params=p, values=values, boundary=boundary, max_l=max_l, max_k=max_k
-    )
+    return JointCumulantTable(params=p, values=values, max_l=max_l, max_k=max_k)
 
 
 def shot_noise_variance_closed(p: TransportParams):
@@ -315,10 +307,16 @@ def altland_identity_check(n, max_k):
     }
 
 
-def gaussian_factorization_check(n, w, rel_tol=1e-6):
+#: relative tolerance of ``gaussian_factorization_check``; each of its three
+#: integrals is taken to a quarter of it
+GAUSS_FACTOR_REL_TOL = 1e-6
+
+
+def gaussian_factorization_check(n, w):
     """Numerically verifies the generating-function factorization
     M_n(0, -4w) = M_{N1}(-w)|_{delta=-1} * M_{N2}(-w)|_{delta=+1}
-    (beta=2, alpha=0) by quadrature of all three integrals."""
+    (beta=2, alpha=0) by quadrature of all three integrals, to relative
+    tolerance ``GAUSS_FACTOR_REL_TOL``."""
     if n > 3:
         raise UnsupportedParameterError("quadrature cost limits the check to n <= 3")
     if not w > 0:
@@ -326,18 +324,13 @@ def gaussian_factorization_check(n, w, rel_tol=1e-6):
     from .quadrature import transport_mgf_value  # loads numpy/scipy on first use
 
     n1, n2 = (n + 1) // 2, n // 2
-    lhs = transport_mgf_value(
-        TransportParams(2, 0, 0, n), z=0.0, w=-4.0 * w, rel_tol=rel_tol / 4
-    )
+    tol = GAUSS_FACTOR_REL_TOL / 4
+    lhs = transport_mgf_value(TransportParams(2, 0, 0, n), z=0.0, w=-4.0 * w, rel_tol=tol)
     rhs = 1.0
     if n1 >= 1:
-        rhs *= transport_mgf_value(
-            TransportParams(2, 0, -1, n1), z=-w, w=0.0, rel_tol=rel_tol / 4
-        )
+        rhs *= transport_mgf_value(TransportParams(2, 0, -1, n1), z=-w, w=0.0, rel_tol=tol)
     if n2 >= 1:
-        rhs *= transport_mgf_value(
-            TransportParams(2, 0, 1, n2), z=-w, w=0.0, rel_tol=rel_tol / 4
-        )
+        rhs *= transport_mgf_value(TransportParams(2, 0, 1, n2), z=-w, w=0.0, rel_tol=tol)
     lhs, rhs = float(lhs), float(rhs)
     rel_err = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     return {
@@ -346,5 +339,5 @@ def gaussian_factorization_check(n, w, rel_tol=1e-6):
         "lhs": lhs,
         "rhs": rhs,
         "rel_err": rel_err,
-        "ok": bool(rel_err <= rel_tol),
+        "ok": bool(rel_err <= GAUSS_FACTOR_REL_TOL),
     }

@@ -5,7 +5,7 @@ flagged."""
 
 from __future__ import annotations
 
-from .asymptotics import extrapolate_limit, limit_wigner
+from .asymptotics import extrapolate_limit, limit_wigner, scaling_exponent
 from .params import DelayParams
 from .rational import rat, rational_str
 from .wigner import wigner_cumulants
@@ -48,7 +48,7 @@ def limiting_delay_table(max_order=8, n_list=(64, 96, 128, 192, 256)):
         col = []
         for l in range(1, max_order + 1):
             samples = [(n, row[l]) for n, row in rows]
-            est, err = extrapolate_limit(samples, 2 * l - 2)
+            est, err = extrapolate_limit(samples, scaling_exponent("wigner", l))
             target = TABLE2_TARGETS[beta][l - 1]
             rel = abs(est / float(target) - 1.0)
             col.append(

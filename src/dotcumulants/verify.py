@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+from .asymptotics import staircase_sum
 from .conductance import ConductanceEngine
 from .doubleseries import DoubleSeries, moments_to_cumulants
 from .ensembles import b_constant, d_constant
@@ -222,12 +223,13 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
 # -- quadrature oracle ------------------------------------------------------------------
 
 
-def quadrature_moments(p: TransportParams, statistic, max_total_order, rel_tol=1e-8):
+def quadrature_moments(p: TransportParams, statistic, max_total_order):
     """Cumulants from adaptive quadrature of the raw moments (n <= 3).
 
     ``statistic`` is "G", "P" or "mixed"; for "mixed" the full rectangle
     l + k <= max_total_order is returned, keyed (l, k).  Relative error
-    target 1e-8 by way of a tighter internal quadrature tolerance.
+    target 1e-8 by way of the tighter 1e-10 quadrature tolerance of
+    ``transport_raw_moments``.
     """
     if max_total_order < 1:
         raise InvalidOrderError(f"max_order must be >= 1, got {max_total_order}")
@@ -251,7 +253,7 @@ def quadrature_moments(p: TransportParams, statistic, max_total_order, rel_tol=1
         ]
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
-    moments, err = transport_raw_moments(p, pairs, rel_tol=min(rel_tol / 100, 1e-10))
+    moments, err = transport_raw_moments(p, pairs)
     moments = dict(moments)
     moments[(0, 0)] = 1.0
     # fill the rectangle needed by the triangle with zero-padding never
@@ -302,17 +304,12 @@ def jacobi_polynomial_value(degree, a, b, x):
 def jacobi_identity_check(lmax, kmax):
     """Exact check of the binomial-sum/Jacobi-polynomial identity and the
     four-term contiguity relation behind the staircase collapse, on the grid
-    l <= lmax, k <= kmax."""
+    l <= lmax, k <= kmax.  The binomial sum is ``asymptotics.staircase_sum``,
+    the one the joint limits run."""
     failures = []
     for l in range(lmax + 1):
         for k in range(kmax + 1):
-            lhs = rat(0)
-            for j in range(k + 1):
-                lhs += (
-                    math.comb(2 * j + 2 * l, j + l)
-                    * math.comb(k, j)
-                    * rat(-1, 2) ** j
-                )
+            lhs = staircase_sum(2 * l, k)
             rhs = (
                 rat(math.factorial(2 * l) * math.factorial(k))
                 / (math.factorial(l) * math.factorial(k + l))

@@ -28,7 +28,7 @@ from .errors import (
     PoleError,
 )
 from .params import DelayParams
-from .rational import ONE, ZERO, floor_rational, rat
+from .rational import ONE, floor_rational, rat
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,6 @@ class DelayCumulants:
         if not 1 <= order <= len(self.values):
             raise NonexistentCumulantError(f"cumulant order {order} not computed")
         return self.values[order - 1]
-
-    @property
-    def max_order(self):
-        return len(self.values)
 
 
 def _initial_three(beta, omega, n, upto):
@@ -93,17 +89,13 @@ def _coeff_B(beta, eta, i, l):
 
 
 class DelayEngine(_Lattice):
-    """Memoized delay-time cumulants over the fixed-b dimension lattice.
-
-    ``visited`` lists the (dimension, b) points in the order their closed
-    first cumulants were evaluated."""
+    """Memoized delay-time cumulants over the fixed-b dimension lattice."""
 
     def __init__(self, beta, b):
         self.b = rat(b)
         # each step is four times the right-hand side, so that every weight is
         # an integer: (12 d_n / beta) l(l-1)(l-2) (beta/2)^4 phi_{l-3}, times 4
         super().__init__(beta, partial(_raw_delay_coupling, beta, self.b), 3 * beta**3, 4)
-        self.visited = []
 
     def _dimension_constants(self, n):
         """(q2, P, Q) of ``conductance._leading`` at dimension n, with
@@ -116,9 +108,7 @@ class DelayEngine(_Lattice):
 
     def _initial(self, n):
         # K_j has poles only at omega < j <= q <= omega: these are all finite
-        values = _initial_three(self.beta, self._dimension(n)[1], n, min(3, self.q_at(n)))
-        self.visited.append((n, self.b))
-        return values
+        return _initial_three(self.beta, self._dimension(n)[1], n, min(3, self.q_at(n)))
 
     def _weights(self, l):
         return [-4 * math.comb(l, i) * _coeff_B(self.beta, self._eta, i, l) for i in range(l)]
@@ -134,8 +124,6 @@ class DelayEngine(_Lattice):
         return floor_rational(self._dimension(n)[1])
 
     def cumulants(self, n, order, requester=None):
-        if n == 0:
-            return [ZERO] * order
         q = self.q_at(n)
         if order > q:
             if requester is not None:
@@ -160,7 +148,7 @@ def wigner_cumulants(p: DelayParams, max_order) -> DelayCumulants:
     engine = DelayEngine(p.beta, p.b)
     values = tuple(engine.cumulants(p.n, max_order))
     return DelayCumulants(
-        params=p, values=values, lattice_note=tuple(engine.visited)
+        params=p, values=values, lattice_note=tuple((m, engine.b) for m in engine.visited)
     )
 
 

@@ -123,6 +123,13 @@ def test_generating_function_odes():
     assert res.shape == (order - 1, 0) and res.is_zero()
 
 
+def test_scaling_exponents_per_kind():
+    # n^{l - eps(l)} kappa_l, n^{l + k - eps(l)} kappa_{l,k} and n^{2l-2} K_l
+    assert [asy.scaling_exponent("conductance", l) for l in range(1, 7)] == [1, 1, 3, 3, 5, 5]
+    assert [asy.scaling_exponent("joint", l, 2) for l in range(0, 5)] == [1, 3, 3, 5, 5]
+    assert [asy.scaling_exponent("wigner", l) for l in range(1, 5)] == [0, 2, 4, 6]
+
+
 def test_limit_wigner_first_values_and_table():
     lim = asy.limit_wigner(8)
     expected = [1, 2, 24, 636, 27360, 1657440, 130515840, 12698673120]

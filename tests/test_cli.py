@@ -540,6 +540,20 @@ def test_asymptotic_conductance_and_joint_commands(capsys):
     assert doc["payload"]["values"]["0,3"] == "0"
 
 
+@pytest.mark.parametrize("kind", ["conductance", "joint"])
+def test_asymptotic_beta2_is_unsupported(capsys, tmp_path, kind):
+    """The leading-order limits are stated for beta in {1,4}: both kinds
+    refuse beta=2, and write nothing."""
+    out = tmp_path / "a.json"
+    code = dispatch(["asymptotic", kind, "--beta", "2", "--alpha", "0", "--delta", "0",
+                     "--max-index", "4", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: unsupported-beta: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_oracle_command_with_reference(capsys):
     code, doc = run_json(
         capsys, "verify", "oracle",

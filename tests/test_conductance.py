@@ -220,9 +220,9 @@ def test_lattice_radius_recorded():
     seq = conductance_cumulants(TransportParams(1, COE_HALF, 0, 10), 10)
     assert isinstance(seq, CumulantSequence)
     assert seq.lattice_radius >= 1
-    assert not seq.extended_validity
+    assert not seq.params.extended_validity
     odd = conductance_cumulants(TransportParams(1, COE_HALF, 0, 9), 3)
-    assert odd.extended_validity
+    assert odd.params.extended_validity
 
 
 def test_pole_error_at_degenerate_order():

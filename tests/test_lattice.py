@@ -1,0 +1,84 @@
+"""The lattice core's outputs over a fixed probe, pinned by one digest.
+
+The conductance, joint and delay-time engines all step on
+``conductance._Lattice``.  The probe records what each public entry point
+returns, and the token and message of each failure: conductance rows with
+their lattice radius and validity flag, joint tables, and delay-time rows
+with their lattice note.  The digest was taken before the engines' visit
+records moved into the lattice core, so it pins that move as a pure
+refactor.
+"""
+
+import hashlib
+import random
+
+from dotcumulants.conductance import conductance_cumulants
+from dotcumulants.errors import CumulantError
+from dotcumulants.jointcsn import joint_cumulants
+from dotcumulants.params import DelayParams, TransportParams, default_delay_exponent
+from dotcumulants.rational import rat, rational_str
+from dotcumulants.wigner import wigner_cumulants
+
+#: the (alpha, delta) grid of the sweep benchmark
+ALPHAS = ("-1/2", "0", "1/2", "1", "3/2")
+DELTAS = ("-1", "0", "1", "2")
+
+#: taken before the move
+PROBE_DIGEST = "af906922580650a1d28f79077223f05d7efd2933b73a04661ca8d7d50a8fe5a7"
+
+
+def _text(values):
+    return " ".join(map(rational_str, values))
+
+
+def _table_text(table):
+    return " ".join(f"{l},{k}:{rational_str(v)}" for (l, k), v in sorted(table.values.items()))
+
+
+def _delay_text(res):
+    note = " ".join(f"{m}@{rational_str(b)}" for m, b in res.lattice_note)
+    return f"{_text(res.values)} note={note}"
+
+
+def _record(compute, describe):
+    try:
+        return describe(compute())
+    except CumulantError as exc:
+        return f"{exc.token}: {exc}"
+
+
+def _conductance(p, order):
+    return _record(
+        lambda: conductance_cumulants(p, order),
+        lambda s: f"{_text(s.values)} r={s.lattice_radius} x={s.params.extended_validity}",
+    )
+
+
+def _probe_records():
+    for beta in (1, 2, 4):
+        for alpha in ALPHAS:
+            for delta in DELTAS:
+                for n in range(1, 9):
+                    p = TransportParams(beta, rat(alpha), rat(delta), n)
+                    yield p, _conductance(p, 10)
+                    yield p, _record(lambda: joint_cumulants(p, 4, 2), _table_text)
+    rng = random.Random(19)
+    for _ in range(300):
+        beta = rng.choice((1, 2, 4))
+        alpha = rat(rng.randint(-5, 30), 6)
+        delta = rat(rng.randint(-11, 30), 6)
+        p = TransportParams(beta, alpha, delta, rng.randint(1, 12))
+        yield p, _conductance(p, rng.randint(1, 12))
+    for beta in (1, 2, 4):
+        for n in range(1, 41):
+            default = default_delay_exponent(beta, n)
+            for b in (default, default - rat(1, 2), default + 3):
+                p = DelayParams(beta, n, b)
+                yield p, _record(lambda: wigner_cumulants(p, min(max(p.q, 1), 8)), _delay_text)
+
+
+def test_lattice_probe_matches_its_pinned_digest():
+    digest = hashlib.sha256()
+    for p, record in _probe_records():
+        digest.update(f"{sorted(p.describe().items())}|{record}\n".encode())
+    assert digest.hexdigest() == PROBE_DIGEST
