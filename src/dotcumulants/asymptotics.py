@@ -5,6 +5,11 @@ iteration of the corresponding limiting recurrence.  Exact disagreement
 between the two is a hard failure; the cross-check operationalizes the
 underlying proofs as executable tests.
 
+The conductance and shot-noise limits are the k=0 column and the l=0 row of
+``limit_joint``, the one closed form for the mixed kappa_{l,k}.  Every limit
+takes beta in {1,4} (else ``UnsupportedBetaError``) and l >= 0, k >= 0 with
+(l, k) not in ``EXCLUDED_JOINT_INDICES`` (else ``ExcludedIndexError``).
+
 Scaling conventions (the power nu with n^nu * cumulant -> limit):
   conductance: nu(l) = l - eps(l), eps(l) = 1 for even l, 0 for odd l;
   joint:       nu(l,k) = l + k - eps(l);
@@ -25,6 +30,7 @@ from .errors import (
     ExcludedIndexError,
     IllConditionedError,
     IntegralityViolationError,
+    InvalidOrderError,
     UnsupportedBetaError,
 )
 from .params import TransportParams
@@ -65,30 +71,22 @@ def _check_beta14(p):
         )
 
 
-def limit_conductance(p: TransportParams, l):
-    """Closed-form limit of n^{l - eps(l)} kappa_l for l >= 3."""
+def _check_index(p, l, k):
+    """The index rule of every limit; see the module docstring."""
     _check_beta14(p)
-    if l < 3:
-        raise ExcludedIndexError("limits are stated for l >= 3")
-    beta, a, d = p.beta, p.alpha, p.delta
-    if l % 2 == 1:
-        return (
-            (d / 2 - a)
-            * (a + d / 2 + 2 - beta)
-            * math.factorial(l - 1)
-            / (beta * rat(2 * beta) ** l)
-        )
-    return (
-        (rat(beta, 2) - 1)
-        * math.factorial(l - 2)
-        * math.comb(l, l // 2)
-        / rat(4 * beta) ** l
-    )
+    if l < 0 or k < 0 or (l, k) in EXCLUDED_JOINT_INDICES:
+        raise ExcludedIndexError(f"({l},{k}) has no uniform-scaling limit")
+
+
+def limit_conductance(p: TransportParams, l):
+    """Closed-form limit of n^{l - eps(l)} kappa_l: the k=0 column of
+    ``limit_joint``."""
+    return limit_joint(p, l, 0)
 
 
 def iterate_limit_conductance(p: TransportParams, max_l):
     """Iterate the limiting recurrence from its four seeds; independent
-    cross-check path for ``limit_conductance``."""
+    cross-check path for the k=0 column of ``limit_joint``."""
     _check_beta14(p)
     beta, a, d = rat(p.beta), p.alpha, p.delta
     odd_amp = (d / 2 - a) * (a + d / 2 + 2 - beta)
@@ -131,9 +129,7 @@ def staircase_sum(l, k):
 
 def limit_joint(p: TransportParams, l, k):
     """Closed-form limit of n^{l + k - eps(l)} kappa_{l,k}."""
-    _check_beta14(p)
-    if (l, k) in EXCLUDED_JOINT_INDICES:
-        raise ExcludedIndexError(f"({l},{k}) has no uniform-scaling limit")
+    _check_index(p, l, k)
     beta, a, d = p.beta, p.alpha, p.delta
     if l % 2 == 1:
         return (
@@ -191,9 +187,7 @@ def iterate_limit_joint(max_l, max_k):
 
 def joint_limit_from_iteration(p: TransportParams, l, k, table=None):
     """Physical limit from the iterated rescaled table (cross-check path)."""
-    _check_beta14(p)
-    if (l, k) in EXCLUDED_JOINT_INDICES:
-        raise ExcludedIndexError(f"({l},{k}) has no uniform-scaling limit")
+    _check_index(p, l, k)
     beta, a, d = p.beta, p.alpha, p.delta
     if table is None:
         table = iterate_limit_joint(l, k)
@@ -281,6 +275,8 @@ def dalembert_residual(F: DoubleSeries) -> DoubleSeries:
 def limit_wigner(max_l) -> LimitCoefficients:
     """Limiting delay-time cumulants K_l(0) = p_l (l-1)! for beta=2, with the
     recurrence and generating-function paths cross-checked exactly."""
+    if max_l < 0:
+        raise InvalidOrderError(f"max_l must be >= 0, got {max_l}")
     p_rec = limit_wigner_recurrence(max_l)
     taylor = wigner_limit_generating_series(max_l).taylor()
     for l in range(1, max_l + 1):

@@ -269,7 +269,7 @@ def _cmd_cumulants_wigner(ns, argv):
 
 
 def _cmd_asymptotic(ns, argv):
-    from .asymptotics import limit_conductance, limit_joint, limit_wigner, scaling_exponent
+    from .asymptotics import limit_joint, limit_wigner, scaling_exponent
     from .rational import rational_str
 
     kind = ns.kind
@@ -288,21 +288,18 @@ def _cmd_asymptotic(ns, argv):
         return 0
     # the limits do not depend on n; any valid dimension works for the record
     p = _transport_params(ns, default_n=8)
-    if kind == "conductance":
-        values = {
-            str(l): limit_conductance(p, l) for l in range(3, ns.max_index + 1)
-        }
-        scaling = {l: scaling_exponent(kind, l) for l in range(3, ns.max_index + 1)}
-    else:
-        values = {}
-        scaling = {}
-        for l in range(0, ns.max_index + 1):
-            for k in range(0, ns.max_index + 1 - l):
-                try:
-                    values[f"{l},{k}"] = limit_joint(p, l, k)
-                except ExcludedIndexError:
-                    continue
-                scaling[f"{l},{k}"] = scaling_exponent(kind, l, k)
+    # conductance is the k=0 column of the joint table, walked the same way
+    joint = kind == "joint"
+    values, scaling = {}, {}
+    for l in range(0, ns.max_index + 1):
+        for k in range(0, ns.max_index + 1 - l if joint else 1):
+            try:
+                value = limit_joint(p, l, k)
+            except ExcludedIndexError:
+                continue
+            key = f"{l},{k}" if joint else l
+            values[str(key)] = value
+            scaling[key] = scaling_exponent(kind, l, k)
     payload = {
         "kind": kind,
         "params": p.describe(),

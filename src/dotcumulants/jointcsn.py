@@ -29,7 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conductance import ConductanceEngine, _second_difference
+from .conductance import (
+    ConductanceEngine, _second_difference, conductance_cumulants, conductance_initial,
+)
 from .ensembles import b_constant
 from .errors import (
     BoundaryUnavailableError,
@@ -38,7 +40,7 @@ from .errors import (
     UnsupportedBetaError,
     UnsupportedParameterError,
 )
-from .params import TransportParams, eta_factor
+from .params import TransportParams
 from .rational import ONE, dot, rat
 
 
@@ -119,7 +121,7 @@ class JointEngine(ConductanceEngine):
                 f"conductance row failed at dimension {n}: {exc}"
             ) from exc
         c = self.alpha + self.delta / 2 + self.beta * n + 2 - self.beta
-        eta = eta_factor(self.beta)
+        eta = self._eta
         bn = self.coupling(n)
         mu = None
         if bn != 0 and max_k >= 2:
@@ -138,7 +140,7 @@ class JointEngine(ConductanceEngine):
                 terms = [(2, c, kappa[(l + 2, k)])]
                 if k >= 1:
                     if bn != 0:
-                        terms.append((12 // self.beta * k, bn, mu[(l, k - 1)]))
+                        terms.append((self._coupling_weight * k, bn, mu[(l, k - 1)]))
                     terms.append((-eta * k, kappa[(l + 4, k - 1)], ONE))
                     terms.append((k, kappa[(l + 2, k - 1)], ONE))
                     terms.extend(_double_sum(kappa, l, k, -6 * eta * k))
@@ -233,8 +235,6 @@ def joint_cumulants(p: TransportParams, max_l, max_k) -> JointCumulantTable:
 
 def shot_noise_variance_closed(p: TransportParams):
     """Closed-form kappa_{0,2} for beta in {1,4}; must equal the recurrence."""
-    from .conductance import conductance_cumulants
-
     if p.beta == 2:
         raise UnsupportedBetaError("no closed shot-noise variance for beta=2")
     seq = conductance_cumulants(p, 4)
@@ -257,8 +257,6 @@ def shot_noise_variance_closed(p: TransportParams):
 def mean_shot_noise(p: TransportParams):
     """kappa_{0,1} = (alpha + delta/2 + n*beta + 2 - beta) * kappa_2, the l=0
     case of the first-column identity; valid for every beta."""
-    from .conductance import conductance_initial
-
     _, k2, _ = conductance_initial(p)
     return (p.alpha + p.delta / 2 + p.n * p.beta + 2 - p.beta) * k2
 
@@ -273,8 +271,8 @@ def altland_identity_check(n, max_k):
     with N1 = floor((n+1)/2), N2 = floor(n/2): cumulants add under independent
     sums, and scaling by 1/4 multiplies the k-th cumulant by 4^{-k}.
     """
-    from .conductance import conductance_cumulants
-
+    if max_k < 1:
+        raise InvalidOrderError(f"max_k must be >= 1, got {max_k}")
     n1, n2 = (n + 1) // 2, n // 2
     left = TransportParams(2, 0, 0, n)
     left_table = joint_cumulants(left, 0, max_k)

@@ -163,8 +163,14 @@ def _adaptive(pass_fn, rel_tol, what):
     )
 
 
-def transport_raw_moments(p: TransportParams, pairs, rel_tol=1e-10):
-    """Raw moments E[G^l P^k] for each (l,k) in ``pairs``, by quadrature.
+#: relative tolerances of ``transport_raw_moments`` and ``delay_norm_quadrature``
+RAW_MOMENTS_REL_TOL = 1e-10
+DELAY_NORM_REL_TOL = 1e-8
+
+
+def transport_raw_moments(p: TransportParams, pairs):
+    """Raw moments E[G^l P^k] for each (l,k) in ``pairs``, by quadrature to
+    relative tolerance ``RAW_MOMENTS_REL_TOL``.
 
     Returns (moments dict, error estimate).  The computed normalization is
     checked against the closed-form Selberg constant; disagreement beyond
@@ -183,14 +189,13 @@ def transport_raw_moments(p: TransportParams, pairs, rel_tol=1e-10):
             out.append((term * P**k if k else term).sum())
         return out
 
-    vals, err = _adaptive(
-        lambda size: _transport_pass(p, size, stats), rel_tol, f"transport moments {p.describe()}"
-    )
+    vals, err = _adaptive(lambda size: _transport_pass(p, size, stats), RAW_MOMENTS_REL_TOL,
+                          f"transport moments {p.describe()}")
     Z = vals[0]
     if Z <= 0:
         raise QuadratureFailureError("nonpositive normalization")
     log_ref = log_selberg(p)
-    if abs(math.log(Z) - log_ref) > max(100 * rel_tol, 1e-8):
+    if abs(math.log(Z) - log_ref) > max(100 * RAW_MOMENTS_REL_TOL, 1e-8):
         raise QuadratureFailureError(
             f"normalization disagrees with the Selberg constant: "
             f"log Z = {math.log(Z):.12g} vs {log_ref:.12g}"
@@ -213,10 +218,11 @@ def transport_mgf_value(p: TransportParams, z, w, rel_tol=1e-8):
     return vals[1] / vals[0]
 
 
-def delay_norm_quadrature(p: DelayParams, rel_tol=1e-8):
+def delay_norm_quadrature(p: DelayParams):
     """log of the delay-time normalization by generalized Gauss-Laguerre
-    quadrature in the inverse coordinates (even beta only: the Vandermonde
-    power must be polynomial for the box rule)."""
+    quadrature in the inverse coordinates, to relative tolerance
+    ``DELAY_NORM_REL_TOL`` (even beta only: the Vandermonde power must be
+    polynomial for the box rule)."""
     if p.beta not in (2, 4):
         raise UnsupportedBetaError("box quadrature cross-check needs even beta")
     omega = float(p.omega)
@@ -229,7 +235,7 @@ def delay_norm_quadrature(p: DelayParams, rel_tol=1e-8):
         base = wprod * _vandermonde_power(T, p.beta)
         return [base.sum()]
 
-    vals, _ = _adaptive(one_pass, rel_tol, f"delay norm {p.describe()}")
+    vals, _ = _adaptive(one_pass, DELAY_NORM_REL_TOL, f"delay norm {p.describe()}")
     val = vals[0]
     if val <= 0:
         raise QuadratureFailureError("nonpositive normalization")

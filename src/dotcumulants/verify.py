@@ -226,48 +226,30 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
 def quadrature_moments(p: TransportParams, statistic, max_total_order):
     """Cumulants from adaptive quadrature of the raw moments (n <= 3).
 
-    ``statistic`` is "G", "P" or "mixed"; for "mixed" the full rectangle
-    l + k <= max_total_order is returned, keyed (l, k).  Relative error
-    target 1e-8 by way of the tighter 1e-10 quadrature tolerance of
-    ``transport_raw_moments``.
+    With M = ``max_total_order``, each statistic reads one rectangle of the
+    mixed (l, k) table: "G" its k=0 column to l = M, keyed l; "P" its l=0 row
+    to k = M, keyed k; "mixed" the (M, M) rectangle, of which the entries with
+    l + k <= M are returned, keyed (l, k) in total-degree order.  Relative
+    error target 1e-8 by way of the tighter quadrature tolerance
+    ``quadrature.RAW_MOMENTS_REL_TOL``.
     """
     if max_total_order < 1:
         raise InvalidOrderError(f"max_order must be >= 1, got {max_total_order}")
     if p.n > 3:
         raise UnsupportedParameterError("quadrature oracle is capped at n <= 3")
+    M = max_total_order
+    rectangles = {"G": (M, 0), "P": (0, M), "mixed": (M, M)}
+    if statistic not in rectangles:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    L, K = rectangles[statistic]
     from .quadrature import transport_raw_moments  # loads numpy/scipy on first use
 
-    if statistic == "G":
-        pairs = [(l, 0) for l in range(1, max_total_order + 1)]
-        L, Kw = max_total_order, 0
-    elif statistic == "P":
-        pairs = [(0, k) for k in range(1, max_total_order + 1)]
-        L, Kw = 0, max_total_order
-    elif statistic == "mixed":
-        L = Kw = max_total_order
-        pairs = [
-            (l, k)
-            for l in range(L + 1)
-            for k in range(Kw + 1)
-            if 0 < l + k
-        ]
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
+    pairs = [(l, k) for l in range(L + 1) for k in range(K + 1) if l + k > 0]
     moments, err = transport_raw_moments(p, pairs)
-    moments = dict(moments)
-    moments[(0, 0)] = 1.0
-    # fill the rectangle needed by the triangle with zero-padding never
-    # happening: "G"/"P" only touch their own axis, "mixed" is complete
-    kappa = moments_to_cumulants(moments, L, Kw)
-    if statistic == "G":
-        out = {l: kappa[(l, 0)] for l in range(1, max_total_order + 1)}
-    elif statistic == "P":
-        out = {k: kappa[(0, k)] for k in range(1, max_total_order + 1)}
-    else:
-        out = {
-            (l, k): v for (l, k), v in kappa.items() if l + k <= max_total_order
-        }
-    return out, err
+    kappa = moments_to_cumulants(moments, L, K)
+    # G and P lie on one axis, where l + k is their one index
+    mixed = statistic == "mixed"
+    return {(l, k) if mixed else l + k: v for (l, k), v in kappa.items() if l + k <= M}, err
 
 
 # -- Jacobi polynomial identity suite --------------------------------------------------

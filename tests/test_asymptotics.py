@@ -29,8 +29,10 @@ def test_limit_conductance_coe_specializations():
 
 
 def test_limit_conductance_rejects_beta2():
-    with pytest.raises(UnsupportedBetaError):
-        asy.limit_conductance(TransportParams(2, 0, 0, 5), 3)
+    # beta is checked before the index, so l < 3 is refused for beta too
+    for l in (0, 3):
+        with pytest.raises(UnsupportedBetaError):
+            asy.limit_conductance(TransportParams(2, 0, 0, 5), l)
 
 
 def test_limit_conductance_recurrence_cross_path():
@@ -220,3 +222,18 @@ def test_finite_n_data_converges_to_limits():
             abs(float(rat(n) ** nu * vals[n][l]) / lim - 1) for n in (256, 512)
         ]
         assert devs[1] < devs[0]
+
+
+@pytest.mark.parametrize("l,k", [(-1, 0), (-7, 0), (3, -2), (-2, -2), (0, -1), (-3, 4)])
+def test_negative_indices_are_excluded(l, k):
+    """One index rule for every limit: a negative l or k is an excluded
+    index, never a value (``limit_joint(p, 3, -2)`` returned 0) or a bare
+    ``ValueError``."""
+    for p in (COE, CSE):
+        with pytest.raises(ExcludedIndexError):
+            asy.limit_joint(p, l, k)
+        with pytest.raises(ExcludedIndexError):
+            asy.joint_limit_from_iteration(p, l, k)
+        if k == 0:
+            with pytest.raises(ExcludedIndexError):
+                asy.limit_conductance(p, l)

@@ -543,15 +543,65 @@ def test_asymptotic_conductance_and_joint_commands(capsys):
 @pytest.mark.parametrize("kind", ["conductance", "joint"])
 def test_asymptotic_beta2_is_unsupported(capsys, tmp_path, kind):
     """The leading-order limits are stated for beta in {1,4}: both kinds
-    refuse beta=2, and write nothing."""
+    refuse beta=2 at every --max-index, also where no conductance index has
+    a limit (l < 3), and write nothing."""
     out = tmp_path / "a.json"
-    code = dispatch(["asymptotic", kind, "--beta", "2", "--alpha", "0", "--delta", "0",
-                     "--max-index", "4", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: unsupported-beta: ")
-    assert err.count("\n") == 1
-    assert not out.exists()
+    for max_index in ("0", "1", "2", "4"):
+        code = dispatch(["asymptotic", kind, "--beta", "2", "--alpha", "0", "--delta", "0",
+                         "--max-index", max_index, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, max_index
+        assert err.startswith("error: unsupported-beta: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+#: payload SHA-256 of ``asymptotic KIND --beta B --alpha A --delta D
+#: --max-index 12``; two-digit indices guard the type and order of the keys
+ASYMPTOTIC_DIGESTS = {
+    ("conductance", "1", "-1/2", "0"):
+        "5763a2dab1600d2329ba1a86508831c09201df0f72009c833887f840523adf55",
+    ("conductance", "1", "3/2", "-1"):
+        "745f3c7991ecb61feaacbb731272208e8a4ceac4f6f2d78a37828eb039cb1f5c",
+    ("conductance", "4", "-1/2", "0"):
+        "4b5accc4ad70b0da1d2007b1223a342b6476433e53d267b8298ecb323ea80e73",
+    ("conductance", "4", "3/2", "-1"):
+        "42a50b18976c313325244e55e13ffb54bbc3711814112e6fcca619eb5909e8fd",
+    ("joint", "1", "-1/2", "0"):
+        "10b8dc3d4e12ac7eb2285dadd13739e72e9695eaa004a29e108bf1d84d492b98",
+    ("joint", "1", "3/2", "-1"):
+        "3105a3fe7ad1a83b4f1286003458a92f17bac49033afa6145a8765684bf84c4a",
+    ("joint", "4", "-1/2", "0"):
+        "64937ad6aa88cd96fde93df56d6406f9e8459b55b4737b11ea7b36f57038f1aa",
+    ("joint", "4", "3/2", "-1"):
+        "4702eefbf72b8e80594a46df9414166e6a93a1c090ec7962ffdc7aa72427a39e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASYMPTOTIC_DIGESTS))
+def test_asymptotic_payload_digests_are_pinned(capsys, case):
+    kind, beta, alpha, delta = case
+    code, doc = run_json(capsys, "asymptotic", kind, "--beta", beta, f"--alpha={alpha}",
+                         f"--delta={delta}", "--max-index", "12")
+    assert code == 0
+    assert doc["manifest"]["payload_sha256"] == ASYMPTOTIC_DIGESTS[case]
+
+
+#: payload SHA-256 of ``verify oracle --beta 1 --alpha=-1/2 --delta 0 --n 2
+#: --statistic S --max-order 3``
+ORACLE_DIGESTS = {
+    "P": "4b65c705aeee6b952cfc7780f2e28329bac474f69b5a5a14435dbf9b90df9bb8",
+    "mixed": "cf1e5f105aa0e43f4545f1c58ee7a2bcf2277d2a4fbb244a8ab8c1e39dfea2a7",
+}
+
+
+@pytest.mark.parametrize("statistic", sorted(ORACLE_DIGESTS))
+def test_verify_oracle_payload_digests_are_pinned(capsys, statistic):
+    code, doc = run_json(capsys, "verify", "oracle", "--beta", "1", "--alpha=-1/2",
+                         "--delta", "0", "--n", "2", "--statistic", statistic,
+                         "--max-order", "3")
+    assert code == 0
+    assert doc["manifest"]["payload_sha256"] == ORACLE_DIGESTS[statistic]
 
 
 def test_verify_oracle_command_with_reference(capsys):
@@ -591,6 +641,16 @@ def test_verify_altland_command(capsys):
     code, doc = run_json(capsys, "verify", "altland", "--n", "4", "--max-k", "3")
     assert code == 0
     assert doc["payload"]["ok"] is True
+
+
+@pytest.mark.parametrize("max_k", ["0", "-1"])
+def test_verify_altland_max_k_below_one_names_max_k(capsys, tmp_path, max_k):
+    out = tmp_path / "a.json"
+    code = dispatch(["verify", "altland", "--n", "4", "--max-k", max_k, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: invalid-order: max_k must be >= 1, got {max_k}\n"
+    assert not out.exists()
 
 
 def test_conductance_csv_format(capsys, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dotcumulants.conductance import conductance_cumulants, conductance_initial
-from dotcumulants.errors import CumulantError, UnsupportedBetaError
+from dotcumulants.errors import CumulantError, InvalidOrderError, UnsupportedBetaError
 from dotcumulants.exactmoments import (
     exact_conductance_cumulant_row,
     exact_transport_cumulants,
@@ -312,6 +312,14 @@ def test_altland_identity_first_cumulant_by_hand():
     k1_plus = conductance_initial(TransportParams(2, 0, 1, 1))[0]
     assert lhs == (k1_minus + k1_plus) / 4
     assert lhs == mean_shot_noise(TransportParams(2, 0, 0, 2))
+
+
+@pytest.mark.parametrize("max_k", [0, -1])
+def test_altland_identity_needs_a_first_cumulant(max_k):
+    """max_k < 1 is reported against max_k, not against the orders of the
+    inner conductance or joint calls."""
+    with pytest.raises(InvalidOrderError, match=f"max_k must be >= 1, got {max_k}"):
+        altland_identity_check(4, max_k)
 
 
 def test_gaussian_factorization_small_n():

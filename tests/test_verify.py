@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dotcumulants.errors import (
+    CumulantError,
     InsufficientOrderError,
     InvalidOrderError,
     QuadratureFailureError,
@@ -15,7 +17,7 @@ from dotcumulants.errors import (
 )
 from dotcumulants.exactmoments import exact_transport_cumulants
 from dotcumulants.params import DelayParams, TransportParams
-from dotcumulants.rational import rat
+from dotcumulants.rational import parse_rational, rat
 from dotcumulants.verify import (
     general_binomial,
     jacobi_identity_check,
@@ -182,6 +184,50 @@ def test_quadrature_oracle_matches_exact_moments():
             continue
         target = float(exact[lk])
         assert abs(val - target) <= 1e-8 * abs(target) + 1e-12
+
+
+#: SHA-256 of the records of ``quadrature_moments`` over beta in {1,2,4},
+#: alpha in {-1/2, 0, 1}, delta in {-1, 0, 2}, n in {1,2}, every statistic
+#: and max order 1 and 3: the keys in order, the values and the error
+#: estimates bit for bit, and any failure as token and message
+QUADRATURE_PROBE_SHA256 = "2ff796082eeeda1d6fff85222108336fe52d854184661229209a4adfd45fd1cc"
+
+
+def test_quadrature_probe_matches_its_pinned_digest():
+    digest = hashlib.sha256()
+    records = 0
+    for beta in (1, 2, 4):
+        for alpha in ("-1/2", "0", "1"):
+            for delta in ("-1", "0", "2"):
+                for n in (1, 2):
+                    for statistic in ("G", "P", "mixed"):
+                        for order in (1, 3):
+                            head = (beta, alpha, delta, n, statistic, order)
+                            p = TransportParams(
+                                beta, parse_rational(alpha), parse_rational(delta), n
+                            )
+                            try:
+                                kappa, err = quadrature_moments(p, statistic, order)
+                                record = (
+                                    head,
+                                    [(repr(key), v.hex()) for key, v in kappa.items()],
+                                    err.hex(),
+                                )
+                            except CumulantError as exc:
+                                record = (head, exc.token, str(exc))
+                            digest.update((repr(record) + "\n").encode())
+                            records += 1
+    assert records == 324
+    assert digest.hexdigest() == QUADRATURE_PROBE_SHA256
+
+
+def test_quadrature_keys_follow_the_statistic():
+    p = TransportParams(2, 0, 0, 2)
+    assert list(quadrature_moments(p, "G", 3)[0]) == [1, 2, 3]
+    assert list(quadrature_moments(p, "P", 3)[0]) == [1, 2, 3]
+    assert list(quadrature_moments(p, "mixed", 2)[0]) == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    with pytest.raises(ValueError, match="unknown statistic"):
+        quadrature_moments(p, "Q", 2)
 
 
 def test_quadrature_capped_at_three_channels():
