@@ -8,7 +8,9 @@ underlying proofs as executable tests.
 The conductance and shot-noise limits are the k=0 column and the l=0 row of
 ``limit_joint``, the one closed form for the mixed kappa_{l,k}.  Every limit
 takes beta in {1,4} (else ``UnsupportedBetaError``) and l >= 0, k >= 0 with
-(l, k) not in ``EXCLUDED_JOINT_INDICES`` (else ``ExcludedIndexError``).
+(l, k) not in ``EXCLUDED_JOINT_INDICES`` (else ``ExcludedIndexError``, from
+``check_index``); the cross-check paths take bounds >= 0 (else
+``InvalidOrderError``).
 
 Scaling conventions (the power nu with n^nu * cumulant -> limit):
   conductance: nu(l) = l - eps(l), eps(l) = 1 for even l, 0 for odd l;
@@ -71,11 +73,18 @@ def _check_beta14(p):
         )
 
 
-def _check_index(p, l, k):
-    """The index rule of every limit; see the module docstring."""
-    _check_beta14(p)
+def check_index(l, k):
+    """The index half of the limits' rule, which holds for every beta: l >= 0,
+    k >= 0 and (l, k) not in ``EXCLUDED_JOINT_INDICES``."""
     if l < 0 or k < 0 or (l, k) in EXCLUDED_JOINT_INDICES:
         raise ExcludedIndexError(f"({l},{k}) has no uniform-scaling limit")
+
+
+def _check_bounds(**bounds):
+    """The bounds of a cross-check path, each of which must be >= 0."""
+    for name, value in bounds.items():
+        if value < 0:
+            raise InvalidOrderError(f"{name} must be >= 0, got {value}")
 
 
 def limit_conductance(p: TransportParams, l):
@@ -88,6 +97,7 @@ def iterate_limit_conductance(p: TransportParams, max_l):
     """Iterate the limiting recurrence from its four seeds; independent
     cross-check path for the k=0 column of ``limit_joint``."""
     _check_beta14(p)
+    _check_bounds(max_l=max_l)
     beta, a, d = rat(p.beta), p.alpha, p.delta
     odd_amp = (d / 2 - a) * (a + d / 2 + 2 - beta)
     out = {
@@ -118,7 +128,8 @@ def iterate_limit_conductance(p: TransportParams, max_l):
 
 
 def staircase_sum(l, k):
-    """sum_j C(2j+l, j+l/2) C(k,j) (-2)^{-j} for even l, exact."""
+    """sum_j C(2j+l, j+l/2) C(k,j) (-2)^{-j} for even l >= 0 and k >= 0, exact."""
+    _check_bounds(l=l, k=k)
     acc = rat(0)
     for j in range(k + 1):
         acc += (
@@ -129,7 +140,8 @@ def staircase_sum(l, k):
 
 def limit_joint(p: TransportParams, l, k):
     """Closed-form limit of n^{l + k - eps(l)} kappa_{l,k}."""
-    _check_index(p, l, k)
+    _check_beta14(p)
+    check_index(l, k)
     beta, a, d = p.beta, p.alpha, p.delta
     if l % 2 == 1:
         return (
@@ -161,6 +173,7 @@ def iterate_limit_joint(max_l, max_k):
     form and iteration resumes at the valid k>=3 instances; everything at
     (0, k>=4) is then produced independently.
     """
+    _check_bounds(max_l=max_l, max_k=max_k)
     t = {}
     for l in range(1, max_l + 2 * max_k + 3):
         if l % 2 == 1:
@@ -187,7 +200,8 @@ def iterate_limit_joint(max_l, max_k):
 
 def joint_limit_from_iteration(p: TransportParams, l, k, table=None):
     """Physical limit from the iterated rescaled table (cross-check path)."""
-    _check_index(p, l, k)
+    _check_beta14(p)
+    check_index(l, k)
     beta, a, d = p.beta, p.alpha, p.delta
     if table is None:
         table = iterate_limit_joint(l, k)

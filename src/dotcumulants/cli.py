@@ -311,30 +311,43 @@ def _cmd_asymptotic(ns, argv):
     return 0
 
 
-#: cumulant indices each extrapolation target kind needs
-_TARGET_INDICES = {"wigner": ("l",), "conductance": ("l",), "joint": ("l", "k")}
+#: the keys each extrapolation target kind takes: its parameters, then the
+#: cumulant indices, all of which it needs
+_TARGET_KEYS = {
+    "wigner": ("beta", "l"),
+    "conductance": ("beta", "alpha", "delta", "l"),
+    "joint": ("beta", "alpha", "delta", "l", "k"),
+}
+_INDEX_KEYS = ("l", "k")
 
 
 def _parse_target(spec, n_list):
-    """Kind, cumulant indices and one parameter record per n of a target such
-    as "joint:beta=1,alpha=-1/2,l=2,k=1"."""
+    """Kind, cumulant indices (l, k) and one parameter record per n of a
+    target such as "joint:beta=1,alpha=-1/2,l=2,k=1"; a conductance target
+    is the (l, 0) entry of the joint table, and a wigner target has k = 0."""
     from .params import DelayParams, TransportParams
     from .rational import parse_rational
 
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
-    if kind not in _TARGET_INDICES:
+    if kind not in _TARGET_KEYS:
         raise _UsageError(f"unknown extrapolation target kind {kind!r}")
-    fields = {}
+    known, fields = _TARGET_KEYS[kind], {}
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
-            fields[key.strip()] = value.strip()
-    missing = [key for key in _TARGET_INDICES[kind] if key not in fields]
+            key = key.strip()
+            if key not in known:
+                raise _UsageError(f"--target {kind} takes no key {key!r} "
+                                  f"(it takes {', '.join(known)})")
+            if key in fields:
+                raise _UsageError(f"--target repeats the key {key!r}")
+            fields[key] = value.strip()
+    missing = [key for key in known if key in _INDEX_KEYS and key not in fields]
     if missing:
         raise _UsageError(f"--target {kind} needs {missing[0]}=<index>")
     with _parsing("--target"):
-        indices = [int(fields[key]) for key in _TARGET_INDICES[kind]]
+        indices = tuple(int(fields.get(key, 0)) for key in _INDEX_KEYS)
         beta = int(fields.get("beta", 2))
         if kind == "wigner":
             params = [DelayParams(beta, n) for n in n_list]
@@ -346,25 +359,20 @@ def _parse_target(spec, n_list):
 
 
 def _cmd_asymptotic_extrapolate(ns, argv):
-    from .asymptotics import extrapolate_limit, scaling_exponent
+    from .asymptotics import check_index, extrapolate_limit, scaling_exponent
 
     n_list = _int_list("--n-list", ns.n_list)
-    kind, indices, params = _parse_target(ns.target, n_list)
-    l = indices[0]
-    nu = scaling_exponent(kind, *indices)
+    kind, (l, k), params = _parse_target(ns.target, n_list)
     if kind == "wigner":
         from .wigner import wigner_cumulants
 
         samples = [(p.n, wigner_cumulants(p, l)[l]) for p in params]
-    elif kind == "conductance":
-        from .conductance import conductance_cumulants
-
-        samples = [(p.n, conductance_cumulants(p, l)[l]) for p in params]
     else:
+        check_index(l, k)  # a negative or mean- or variance-type index has no limit
         from .jointcsn import joint_cumulants
 
-        k = indices[1]
         samples = [(p.n, joint_cumulants(p, l, k)[(l, k)]) for p in params]
+    nu = scaling_exponent(kind, l, k)
     estimate, error_bar = extrapolate_limit(samples, nu)
     payload = {
         "target": ns.target,
@@ -428,37 +436,20 @@ def _cmd_verify_jacobi(ns, argv):
 
 
 def _cmd_verify_oracle(ns, argv):
-    from .conductance import conductance_cumulants
     from .jointcsn import joint_cumulants
-    from .verify import quadrature_moments
+    from .verify import quadrature_moments, statistic_cells
 
-    p = _transport_params(ns)
-    kappa, err = quadrature_moments(p, ns.statistic, ns.max_order)
-    reference = {}
-    try:
-        if ns.statistic == "G":
-            seq = conductance_cumulants(p, ns.max_order)
-            reference = {
-                str(l): float(seq[l]) for l in range(1, ns.max_order + 1)
-            }
-        elif ns.statistic == "P":
-            table = joint_cumulants(p, 0, ns.max_order)
-            reference = {
-                str(k): float(table[(0, k)]) for k in range(1, ns.max_order + 1)
-            }
-        else:
-            table = joint_cumulants(p, ns.max_order, ns.max_order)
-            reference = {
-                f"{l},{k}": float(table[(l, k)])
-                for l in range(ns.max_order + 1)
-                for k in range(ns.max_order + 1)
-                if 0 < l + k <= ns.max_order
-            }
-    except CumulantError:
-        reference = {}  # recurrence degenerate here; the oracle still reports
     def fmt(key):
         return f"{key[0]},{key[1]}" if isinstance(key, tuple) else str(key)
 
+    p = _transport_params(ns)
+    kappa, err = quadrature_moments(p, ns.statistic, ns.max_order)
+    (L, K), cells = statistic_cells(ns.statistic, ns.max_order)
+    try:
+        table = joint_cumulants(p, L, K)
+        reference = {fmt(key): float(table[lk]) for lk, key in cells}
+    except CumulantError:
+        reference = {}  # recurrence degenerate here; the oracle still reports
     payload = {
         "params": p.describe(),
         "statistic": ns.statistic,

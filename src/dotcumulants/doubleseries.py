@@ -2,8 +2,9 @@
 in z and w, with exact rational coefficients.  The oracles' residuals, the
 exact moments and the limit series run on it; the engines never import it.
 
-``moments_to_cumulants`` turns raw joint moments into joint cumulants, for
-float or exact moment values alike.
+``moments_to_cumulants``, the inverse of ``DoubleSeries.exponential``, is the
+one map from raw joint moments to joint cumulants: the quadrature oracle runs
+it on floats, the exact-moment oracle on rationals.
 """
 
 from __future__ import annotations
@@ -204,21 +205,6 @@ class DoubleSeries:
                 e[t] = dot((w, a[i + shift], e[j]) for w, i, j in row)
         return DoubleSeries(e, self._shape)
 
-    def log(self):
-        """log(e) for a constant term 1, the inverse of ``exponential`` on the
-        same product terms: in e_w = a_w e and e_z = a_z e the term j = 0 is
-        a[t] itself, so each a[t] is e[t] less the other terms, one
-        ``rational.dot`` per coefficient."""
-        if self._nums[0] != self._den:
-            raise ValueError("log requires a constant term of 1")
-        L, K = self._shape
-        e = [rat(x, self._den) for x in self._nums]
-        a = [ZERO] * len(e)
-        for shift, terms in ((1, _product_terms(0, K - 1)), (K + 1, _product_terms(L - 1, K))):
-            for t, row in enumerate(terms, start=shift):
-                a[t] = dot([(1, e[t], ONE)] + [(-w, a[i + shift], e[j]) for w, i, j in row if j])
-        return DoubleSeries(a, self._shape)
-
     def exact_quotient(self, divisor):
         """The integer series q with q * divisor == self (common rectangle),
         for integer series and a divisor with nonzero constant term; each
@@ -243,18 +229,21 @@ def moments_to_cumulants(moments, max_l, max_k=0):
       m_{0,k} = sum_{b<k} C(k-1,b) kappa_{0,b+1} m_{0,k-1-b},
     and then each row from m_z = kappa_z m,
       m_{l,k} = sum_{a<l, b<=k} C(l-1,a) C(k,b) kappa_{a+1,b} m_{l-1-a,k-b},
-    each solved for its kappa_{l,k} m_{0,0} term.  Works for float or exact
-    rational moment values alike; ``moments`` must cover the rectangle.
+    each solved for its kappa_{l,k} m_{0,0} term, with m_{0,0} = 1.  Exact
+    rational values take one ``rational.dot`` per cumulant; floats subtract
+    term by term from m_{l,k}.  ``moments`` must cover the rectangle.
     """
     width = max_k + 1
     m = [moments[(l, k)] for l in range(max_l + 1) for k in range(width)]
     kappa = m[:]
+    exact = hasattr(m[0], "denominator")
     column, rows = _product_terms(0, max_k - 1), _product_terms(max_l - 1, max_k)
     for shift, terms in ((1, column), (width, rows)):
         for t, row in enumerate(terms, shift):
-            for w, i, j in row:
-                if j:  # j = 0 is the kappa_{l,k} m_{0,0} term
-                    kappa[t] = kappa[t] - w * kappa[i + shift] * m[j]
+            # j = 0 is the kappa_{l,k} m_{0,0} term
+            rest = [(-w, kappa[i + shift], m[j]) for w, i, j in row if j]
+            kappa[t] = (dot([(1, m[t], 1), *rest]) if exact
+                        else sum((c * x * y for c, x, y in rest), m[t]))
     return {
         (l, total - l): kappa[l * width + total - l]
         for total in range(1, max_l + max_k + 1)

@@ -9,13 +9,15 @@ is, up to constants,
   beta=4 (de Bruijn):  Pf[(k-j) m_{j+k-1}]_{0<=j,k<2n},
 
 so the exponential-generating coefficients of Z(s,u)/Z(0,0) are the raw
-moments E[G^a P^b], and those of its log the joint cumulants.  Entries are
-``DoubleSeries`` with integer coefficients (the Beta moments times one
-common integer).  The determinant is taken by Bareiss elimination, the
-Pfaffian by the same fraction-free elimination two rows at a time; every
-division is exact.  The constant term of each pivot is a leading principal
-minor or Pfaffian, the partition function of fewer channels, which is
-positive for alpha > -1 and delta > -2, so no pivot search is needed.
+moments E[G^a P^b]; ``doubleseries.moments_to_cumulants``, the one
+moments-to-cumulants map, which the quadrature oracle runs too, turns them
+into the joint cumulants.  Entries are ``DoubleSeries`` with integer
+coefficients (the Beta moments times one common integer).  The determinant
+is taken by Bareiss elimination, the Pfaffian by the same fraction-free
+elimination two rows at a time; every division is exact.  The constant
+term of each pivot is a leading principal minor or Pfaffian, the partition
+function of fewer channels, which is positive for alpha > -1 and
+delta > -2, so no pivot search is needed.
 
 This is an oracle independent of the recurrences, and it supplies the joint
 engine's conductance row, stored as that engine's own lattice values, where
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .doubleseries import DoubleSeries
+from .doubleseries import DoubleSeries, moments_to_cumulants
 from .ensembles import _scaled
 from .errors import UnsupportedBetaError
 from .params import TransportParams
@@ -112,33 +114,26 @@ def _matrix(p: TransportParams, max_l, max_k):
             for j in range(2 * n)]
 
 
-def _normalised_partition_function(p: TransportParams, max_l, max_k):
-    """Z(s,u)/Z(0,0) on the (max_l, max_k) rectangle: its coefficients are the
-    raw moments E[G^l P^k]."""
+def exact_moments(p: TransportParams, max_l, max_k=0):
+    """Exact raw moments E[G^l P^k] over the full (max_l, max_k) rectangle:
+    the coefficients of Z(s,u)/Z(0,0)."""
     if p.beta not in (2, 4):
         raise UnsupportedBetaError("exact moment determinant needs even beta")
     matrix = _matrix(p, max_l, max_k)
     z = _det(matrix) if p.beta == 2 else _pfaffian(matrix)
-    return z * (1 / z.coefficient(0, 0))
-
-
-def exact_moments(p: TransportParams, max_l, max_k=0):
-    """Exact raw moments E[G^l P^k] over the full (max_l, max_k) rectangle."""
-    z = _normalised_partition_function(p, max_l, max_k)
+    z = z * (1 / z.coefficient(0, 0))
     return {(a, b): z.coefficient(a, b) for a in range(max_l + 1) for b in range(max_k + 1)}
 
 
 def exact_transport_cumulants(p: TransportParams, max_l, max_k=0):
     """Exact joint cumulants from the determinant moments (even beta), in
     order of total degree."""
-    kappa = _normalised_partition_function(p, max_l, max_k).log()
-    keys = sorted(((a, b) for a in range(max_l + 1) for b in range(max_k + 1)), key=sum)
-    return {key: kappa.coefficient(*key) for key in keys[1:]}
+    return moments_to_cumulants(exact_moments(p, max_l, max_k), max_l, max_k)
 
 
 def exact_conductance_cumulant_row(p: TransportParams, max_l):
     """Exact kappa_1..kappa_max_l of the conductance from the determinant
-    moments; the joint engine's row where the recurrence's leading
-    coefficient vanishes (even beta)."""
-    kappa = _normalised_partition_function(p, max_l, 0).log()
-    return [kappa.coefficient(l, 0) for l in range(1, max_l + 1)]
+    moments, the k=0 column of ``exact_transport_cumulants``; the joint
+    engine's row where the recurrence's leading coefficient vanishes (even
+    beta)."""
+    return list(exact_transport_cumulants(p, max_l).values())

@@ -122,9 +122,11 @@ class JointEngine(ConductanceEngine):
             ) from exc
         c = self.alpha + self.delta / 2 + self.beta * n + 2 - self.beta
         eta = self._eta
-        bn = self.coupling(n)
+        # b_n enters columns k >= 2 only, so a narrower table, the conductance
+        # row among them, does not stop at a pole of b_n
+        bn = self.coupling(n) if max_k >= 2 else 0
         mu = None
-        if bn != 0 and max_k >= 2:
+        if bn != 0:
             # the consumed entries mu[(l, k-1)] fit exactly the staircase
             # profile of a (max_l, max_k - 2) table
             mu = self._joint_reduced_moments(n, max_l, max_k - 2)

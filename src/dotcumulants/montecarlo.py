@@ -27,7 +27,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -191,8 +190,7 @@ def _sample_rejection(p: TransportParams, count, seed):
     return np.concatenate(got_g), np.concatenate(got_p)
 
 
-@lru_cache(maxsize=64)
-def _chain_beta_parameters(beta, alpha_str, delta_str, n):
+def _chain_beta_parameters(beta, alpha, delta, n):
     """Beta-distribution parameters of the canonical-moment chain whose
     tridiagonal matrix has the transport ensemble as its spectrum.
 
@@ -200,8 +198,8 @@ def _chain_beta_parameters(beta, alpha_str, delta_str, n):
     Even positions (j = 1..n-1): Beta((n-j) b/2, (n-j-1) b/2 + a + d + 2)
     with a = alpha, d = delta/2.  Validated against exact kappa_1, kappa_2.
     """
-    a = float(Fraction(alpha_str))
-    d = float(Fraction(delta_str)) / 2.0
+    a = float(alpha)
+    d = float(delta) / 2.0
     out = []
     for pos in range(1, 2 * n):
         if pos % 2 == 1:
@@ -210,7 +208,7 @@ def _chain_beta_parameters(beta, alpha_str, delta_str, n):
         else:
             j = pos // 2
             out.append(((n - j) * beta / 2.0, (n - j - 1) * beta / 2.0 + a + d + 2.0))
-    return tuple(out)
+    return out
 
 
 def _sample_chain(p: TransportParams, count, seed):
@@ -223,7 +221,7 @@ def _sample_chain(p: TransportParams, count, seed):
     entry and each squared off-diagonal entry to running sums, so a
     sub-batch holds a few vectors of its length and no matrix."""
     n = p.n
-    params = _chain_beta_parameters(p.beta, str(p.alpha), str(p.delta), n)
+    params = _chain_beta_parameters(p.beta, p.alpha, p.delta, n)
     G = np.empty(count)
     P = np.empty(count)
 

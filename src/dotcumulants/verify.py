@@ -1,6 +1,10 @@
 """Independent oracles: quadrature moments, exact ODE/PDE residual checks for
 the three master equations, and the Jacobi-polynomial identity suite.
 
+The quadrature oracle and its reference read the mixed (l, k) table of
+conductance and shot noise, one rectangle and key rule per statistic
+(``statistic_cells``): G is its k=0 column and P its l=0 row.
+
 The residual operations build the generating functions as ``DoubleSeries``
 straight from the computed cumulants, assemble the differential equation in
 exact arithmetic, and assert that its Taylor coefficients are identically
@@ -223,33 +227,38 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
 # -- quadrature oracle ------------------------------------------------------------------
 
 
-def quadrature_moments(p: TransportParams, statistic, max_total_order):
-    """Cumulants from adaptive quadrature of the raw moments (n <= 3).
+def statistic_cells(statistic, order):
+    """The rectangle (L, K) of the mixed (l, k) table that ``statistic`` reads
+    to ``order`` M, and the cells it reports, as ((l, k), key) pairs with
+    0 < l + k <= M in total-degree order.  "G" reads the k=0 column, (M, 0),
+    and "P" the l=0 row, (0, M); each lies on one axis, where l + k is its
+    one index and key.  "mixed" reads the (M, M) rectangle, keyed (l, k)."""
+    rectangles = {"G": (order, 0), "P": (0, order), "mixed": (order, order)}
+    if statistic not in rectangles:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    L, K = rectangles[statistic]
+    cells = [((l, t - l), (l, t - l) if statistic == "mixed" else t)
+             for t in range(1, order + 1) for l in range(max(0, t - K), min(t, L) + 1)]
+    return (L, K), cells
 
-    With M = ``max_total_order``, each statistic reads one rectangle of the
-    mixed (l, k) table: "G" its k=0 column to l = M, keyed l; "P" its l=0 row
-    to k = M, keyed k; "mixed" the (M, M) rectangle, of which the entries with
-    l + k <= M are returned, keyed (l, k) in total-degree order.  Relative
-    error target 1e-8 by way of the tighter quadrature tolerance
+
+def quadrature_moments(p: TransportParams, statistic, max_total_order):
+    """Cumulants from adaptive quadrature of the raw moments (n <= 3), on the
+    rectangle and under the keys of ``statistic_cells``.  Relative error
+    target 1e-8 by way of the tighter quadrature tolerance
     ``quadrature.RAW_MOMENTS_REL_TOL``.
     """
     if max_total_order < 1:
         raise InvalidOrderError(f"max_order must be >= 1, got {max_total_order}")
     if p.n > 3:
         raise UnsupportedParameterError("quadrature oracle is capped at n <= 3")
-    M = max_total_order
-    rectangles = {"G": (M, 0), "P": (0, M), "mixed": (M, M)}
-    if statistic not in rectangles:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    L, K = rectangles[statistic]
+    (L, K), cells = statistic_cells(statistic, max_total_order)
     from .quadrature import transport_raw_moments  # loads numpy/scipy on first use
 
     pairs = [(l, k) for l in range(L + 1) for k in range(K + 1) if l + k > 0]
     moments, err = transport_raw_moments(p, pairs)
     kappa = moments_to_cumulants(moments, L, K)
-    # G and P lie on one axis, where l + k is their one index
-    mixed = statistic == "mixed"
-    return {(l, k) if mixed else l + k: v for (l, k), v in kappa.items() if l + k <= M}, err
+    return {key: kappa[lk] for lk, key in cells}, err
 
 
 # -- Jacobi polynomial identity suite --------------------------------------------------

@@ -2,8 +2,10 @@
 
 The ``asymptotic conductance`` and ``asymptotic joint`` commands exit 1 with
 ``unsupported-beta`` exactly when beta = 2, whatever ``--max-index``, and
-exit 0 otherwise.  Each limit function of ``asymptotics`` answers a negative
-index with a ``CumulantError``, never a value, a ``ValueError`` or a
+exit 0 otherwise.  Each limit function of ``asymptotics``, and each
+bound-taking cross-check path (``iterate_limit_conductance``,
+``iterate_limit_joint``, ``staircase_sum``), answers a negative index or
+bound with a ``CumulantError``, never a value, a ``ValueError`` or a
 ``KeyError``.
 """
 
@@ -50,24 +52,30 @@ def test_asymptotic_commands_refuse_exactly_beta2(kind, beta, max_index, alpha, 
             assert os.listdir(scratch) == ["out.json"]
 
 
+#: functions of one index or bound l, and whether they take the parameters
+ONE_INDEX = {"limit_conductance": True, "iterate_limit_conductance": True, "limit_wigner": False}
+#: functions of (l, k) that take no parameters
+NO_PARAMS = ("iterate_limit_joint", "staircase_sum")
+
+
 def _call(name, p, l, k):
-    if name == "limit_conductance":
-        return asy.limit_conductance(p, l)
-    if name == "limit_wigner":  # the beta=2 delay limit takes only a bound
-        return asy.limit_wigner(l)
-    return getattr(asy, name)(p, l, k)
+    fn = getattr(asy, name)
+    if name in ONE_INDEX:
+        return fn(p, l) if ONE_INDEX[name] else fn(l)
+    return fn(l, k) if name in NO_PARAMS else fn(p, l, k)
 
 
 @st.composite
 def negative_index_call(draw):
     name = draw(st.sampled_from(
-        ["limit_conductance", "limit_joint", "joint_limit_from_iteration", "limit_wigner"]
+        ["limit_conductance", "limit_joint", "joint_limit_from_iteration", "limit_wigner",
+         "iterate_limit_conductance", "iterate_limit_joint", "staircase_sum"]
     ))
     alpha, delta = (parse_rational(draw(st.sampled_from(v))) for v in (ALPHAS, DELTAS))
     p = TransportParams(draw(st.sampled_from([1, 2, 4])), alpha, delta, draw(st.integers(1, 8)))
     l = draw(st.integers(-12, 12))
     k = draw(st.integers(-12, 12))
-    if name in ("limit_conductance", "limit_wigner") or draw(st.booleans()):
+    if name in ONE_INDEX or draw(st.booleans()):
         l = -draw(st.integers(1, 12))
     elif k >= 0:
         k = -draw(st.integers(1, 12))

@@ -5,11 +5,15 @@ or deleted function would only show as an ``AttributeError`` in the middle
 of a benchmark run.  The harness files are parsed, not imported: each
 ``from dotcumulants.X import Y``, and each ``M.attr`` on a module bound by
 ``from dotcumulants import M`` or ``import dotcumulants.X as M``, must
-resolve.
+resolve.  The harness's traced runs of ``deep`` and ``sweep`` then run
+end to end.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,18 @@ def test_every_package_name_the_harness_reads_exists(harness_file):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["deep", "sweep"])
+def test_traced_benchmark_runs_pass_their_checks(workload):
+    """A traced run exits 1 when an output check fails, an operation raises
+    something other than a ``CumulantError`` (a tracer hook that misreads a
+    result included) or the spans break the trace invariants; each run takes
+    a few seconds and writes its scratch files under ``.perfbench/``."""
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

@@ -182,6 +182,17 @@ def test_missing_parameter_is_usage_error(capsys):
     # grid bounds are finite: an infinite one fails before any sampling
     ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "0.4:inf:81", "--out", "{out}"],
     ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid=-inf:1.8:5", "--out", "{out}"],
+    # an extrapolation target takes only its kind's keys, each once
+    ["asymptotic", "extrapolate", "--n-list", "8,12,16", "--target", "wigner:beta=1,l=3,b=5,foo=1",
+     "--out", "{out}"],
+    ["asymptotic", "extrapolate", "--n-list", "8,12,16", "--target", "wigner:beta=1,l=3,alpha=0",
+     "--out", "{out}"],
+    ["asymptotic", "extrapolate", "--n-list", "8,12,16", "--target", "conductance:beta=1,l=3,k=0",
+     "--out", "{out}"],
+    ["asymptotic", "extrapolate", "--n-list", "8,12,16", "--target", "joint:beta=1,l=2,k=1,l=3",
+     "--out", "{out}"],
+    ["asymptotic", "extrapolate", "--n-list", "8,12,16", "--target", "wigner:beta=1,beta=2,l=3",
+     "--out", "{out}"],
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "garbled.json").write_text('{"beta": 2,')
@@ -590,6 +601,7 @@ def test_asymptotic_payload_digests_are_pinned(capsys, case):
 #: payload SHA-256 of ``verify oracle --beta 1 --alpha=-1/2 --delta 0 --n 2
 #: --statistic S --max-order 3``
 ORACLE_DIGESTS = {
+    "G": "e2ee66ec18bee993e7b4d7a6d4794012bf9a8da1e61e7355c4fa7d3e8cfbd9ca",
     "P": "4b65c705aeee6b952cfc7780f2e28329bac474f69b5a5a14435dbf9b90df9bb8",
     "mixed": "cf1e5f105aa0e43f4545f1c58ee7a2bcf2277d2a4fbb244a8ab8c1e39dfea2a7",
 }
@@ -615,6 +627,70 @@ def test_verify_oracle_command_with_reference(capsys):
     ref = doc["payload"]["recurrence_reference"]
     for key in ("1", "2"):
         assert abs(got[key] - ref[key]) <= 1e-8 * abs(ref[key])
+
+
+def test_verify_oracle_g_reference_is_the_joint_k0_column_at_an_even_beta_pole(capsys):
+    """At beta=2, alpha=1, n=1 the conductance recurrence stops at a pole;
+    the joint table's k=0 column holds the exact-moment row there."""
+    code, doc = run_json(capsys, "verify", "oracle", "--beta", "2", "--alpha", "1",
+                         "--delta", "0", "--n", "1", "--statistic", "G", "--max-order", "4")
+    assert code == 0
+    payload = doc["payload"]
+    exact = [rat(2, 3), rat(1, 18), rat(-1, 135), rat(-1, 540)]
+    assert payload["recurrence_reference"] == {str(l): float(v) for l, v in enumerate(exact, 1)}
+    for key, value in payload["recurrence_reference"].items():
+        assert abs(payload["cumulants"][key] - value) <= 1e-8 * abs(value)
+
+
+@pytest.mark.parametrize("key", ["b", "foo", "k"])
+def test_extrapolate_target_names_an_unknown_key(capsys, key):
+    code = dispatch(["asymptotic", "extrapolate", "--n-list", "8,12,16",
+                     "--target", f"conductance:beta=1,l=3,{key}=1"])
+    assert code == 2
+    assert f"takes no key '{key}'" in capsys.readouterr().err
+
+
+def test_extrapolate_target_names_a_repeated_key(capsys):
+    code = dispatch(["asymptotic", "extrapolate", "--n-list", "8,12,16",
+                     "--target", "joint:beta=1,l=2,k=1,k=2"])
+    assert code == 2
+    assert "repeats the key 'k'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", [
+    "conductance:beta=1,alpha=-1/2,l=0",
+    "conductance:beta=1,alpha=-1/2,l=1",
+    "conductance:beta=1,alpha=-1/2,l=2",
+    "conductance:beta=2,l=2",
+    "joint:beta=1,alpha=-1/2,l=0,k=1",
+    "joint:beta=4,l=0,k=2",
+    "joint:beta=1,l=3,k=-1",
+    "joint:beta=2,l=-2,k=3",
+])
+def test_extrapolate_refuses_excluded_indices_before_computing(capsys, monkeypatch, tmp_path, target):
+    """A mean- or variance-type index has no limit, so no power of n to
+    extrapolate with; the verb says so before it computes any cumulant."""
+    from dotcumulants import jointcsn
+
+    def no_table(*args):
+        raise AssertionError("joint_cumulants ran for an excluded index")
+
+    monkeypatch.setattr(jointcsn, "joint_cumulants", no_table)
+    out = tmp_path / "x.json"
+    code = dispatch(["asymptotic", "extrapolate", "--n-list", "64,128,256", "--target", target,
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: excluded-index: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target,nu", [("conductance:beta=2,l=3", 3), ("joint:beta=2,l=2,k=1", 2)])
+def test_extrapolate_transport_targets_keep_beta2(capsys, target, nu):
+    """The extrapolation gate is the index half of the limits' rule only."""
+    code, doc = run_json(capsys, "asymptotic", "extrapolate", "--n-list", "8,12,16",
+                         "--target", target)
+    assert code == 0
+    assert doc["payload"]["scaling_exponent"] == nu
 
 
 def test_asymptotic_extrapolate_command(capsys):

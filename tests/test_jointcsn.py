@@ -387,7 +387,10 @@ def test_failing_joint_calls_keep_their_tokens_and_messages():
     """Every failing ``joint_cumulants`` call on the sweep benchmark's
     (alpha, delta) grid at (4,2) and (6,4), n = 1..8: a beta=1 row failure is
     wrapped in ``boundary-unavailable`` once, naming the table's dimension,
-    and an even-beta failure passes through unwrapped."""
+    and an even-beta failure passes through unwrapped.  No table narrower
+    than k = 2 evaluates b_n, so the beta=4 tables whose lattice reaches a
+    pole of b_n only through such a table no longer fail (see
+    ``test_tables_that_reach_a_coupling_pole_only_below_k2_are_exact``)."""
     from itertools import product
 
     from test_conductance import DUALITY_ALPHAS, DUALITY_DELTAS
@@ -400,8 +403,28 @@ def test_failing_joint_calls_keep_their_tokens_and_messages():
             joint_cumulants(TransportParams(beta, rat(a), rat(d), n), L, K)
         except CumulantError as exc:
             failures.append([beta, a, d, n, L, K, exc.token, str(exc)])
-    assert len(failures) == 65
+    assert len(failures) == 57
     assert sum(f[0] == 1 for f in failures) == 45
     assert not any(f[7].count("conductance row failed") > 1 for f in failures)
     text = json.dumps(failures)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f99109bde1010f72"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "510f686cf9b0a05a"
+
+
+@pytest.mark.parametrize("alpha,delta", [("-1/2", "-1"), ("-1/2", "1"), ("0", "0"), ("1/2", "-1")])
+@pytest.mark.parametrize("n,shape", [(2, (4, 2)), (3, (6, 4))])
+def test_tables_that_reach_a_coupling_pole_only_below_k2_are_exact(alpha, delta, n, shape):
+    """b_n enters columns k >= 2 only; at these beta=4 points the lattice
+    reaches the pole of b_n at n = 1 through a table with k <= 1, which
+    needs no b_n, so the table is the exact-moment oracle's."""
+    p = TransportParams(4, rat(alpha), rat(delta), n)
+    table, exact = joint_cumulants(p, *shape), exact_transport_cumulants(p, *shape)
+    assert {key: table[key] for key in exact} == exact
+
+
+@pytest.mark.parametrize("beta,alpha,delta", [(1, "-1/2", "0"), (1, "0", "-1"), (4, "0", "0")])
+def test_a_row_table_is_the_conductance_row_at_a_coupling_pole(beta, alpha, delta):
+    """At n = 1 the denominator of b_n vanishes here; neither the conductance
+    row to order 3 nor the (3, 0) table, its k=0 column, reads b_n."""
+    p = TransportParams(beta, rat(alpha), rat(delta), 1)
+    table = joint_cumulants(p, 3, 0)
+    assert [table[(l, 0)] for l in (1, 2, 3)] == list(conductance_cumulants(p, 3).values)

@@ -350,7 +350,7 @@ def _matrix_chain(p, count, seed):
     """The chain sampler with (c, 2n-1) u/zeta and (c, n) diag/off2 matrices
     per sub-batch, on the same generators as ``montecarlo._sample_chain``."""
     n = p.n
-    params = montecarlo._chain_beta_parameters(p.beta, str(p.alpha), str(p.delta), n)
+    params = montecarlo._chain_beta_parameters(p.beta, p.alpha, p.delta, n)
     G = np.empty(count)
     T2 = np.empty(count)
 
@@ -383,6 +383,23 @@ def test_streaming_chain_matches_matrix_chain(beta, alpha, n):
     pair = sample_jacobi_spectrum(p, count, seed=606)
     for streamed, reference in zip((pair.g.values, pair.p.values), _matrix_chain(p, count, 606)):
         assert np.max(np.abs(streamed - reference) / np.abs(reference)) < 1e-13
+
+
+#: SHA-256 of the G then P bytes of a 4096-draw chain batch, seed 2024
+CHAIN_DIGESTS = {
+    (1, "-1/2", "0", 8): "c90fef59c8212ee0c525b0ba2ec857d6f17b947b02d4dd663797ff0b9c543b47",
+    (2, "3/2", "-1", 6): "3d597c70685c720878a90db4788e17b1641b494faed8b0ed9cfb02d886c9bda1",
+    (4, "1", "1/2", 5): "c3015c7bde7c0f72d6acf1ec19219346226a2f3a2e7f8f31f2e4568f59fab002",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_DIGESTS))
+def test_chain_batches_match_their_pinned_digests(monkeypatch, case):
+    monkeypatch.setenv("DOTCUMULANTS_THREADS", "1")
+    beta, alpha, delta, n = case
+    pair = sample_jacobi_spectrum(TransportParams(beta, rat(alpha), rat(delta), n), 4096, 2024)
+    digest = hashlib.sha256(pair.g.values.tobytes() + pair.p.values.tobytes()).hexdigest()
+    assert digest == CHAIN_DIGESTS[case]
 
 
 def _all_at_once_kstats(x, max_order):
