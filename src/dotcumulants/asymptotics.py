@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedBetaError,
 )
 from .params import TransportParams
-from .rational import dot, is_integral, rat
+from .rational import dot, is_integral, rat, rationals
 
 #: Indices where the uniform-scaling limit statement does not apply
 #: (mean/variance-type entries with their own universal constants).
@@ -217,14 +217,17 @@ def joint_limit_from_iteration(p: TransportParams, l, k, table=None):
 
 def limit_wigner_recurrence(max_l):
     """p_l = lim n^{2l-2} K_l / (l-1)! via the quadratic limiting recurrence."""
-    p = [rat(1)]
-    while len(p) < max_l:
-        l = len(p)
-        acc = 2 * (2 * l - 1) * p[l - 1] + dot(
-            (2 * (3 * i + 1) * (l - i), p[i], p[l - i - 1]) for i in range(l)
-        )
-        p.append(acc / (l + 1))
-    return p
+    nums, dens = [1], [1]
+    while len(nums) < max_l:
+        l = len(nums)
+        # [2(2l-1) p_{l-1} + sum_i 2(3i+1)(l-i) p_i p_{l-1-i}] / (l+1)
+        terms = [(2 * (3 * i + 1) * (l - i), nums[i], dens[i], nums[l - 1 - i], dens[l - 1 - i])
+                 for i in range(l)]
+        terms.append((2 * (2 * l - 1), nums[l - 1], dens[l - 1], 1, 1))
+        num, den = dot(terms, 1, l + 1)
+        nums.append(num)
+        dens.append(den)
+    return rationals(nums, dens)
 
 
 def _omega(zetas):

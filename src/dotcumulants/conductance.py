@@ -7,31 +7,37 @@ it couples dimension n to n +/- i(beta) through "reduced moments"
 lattice), evaluated at concrete integer dimensions with memoization, not as
 rational functions of n.
 
-``_Lattice`` is the one engine core.  Per dimension it memoises the values,
-the coupling constant, the integer constants of the step's leading
-coefficient and the reduced moments, which grow by one term per order.  Its
-``visited`` list is the one record of the dimensions a computation touched,
-and it holds the one rule for dimension 0, the empty ensemble: all zero.  A
-step is one ``rational.dot`` of its quadratic, linear and coupling terms,
-divided once; the quadratic sum is symmetric under i <-> l-1-i, so each
-pair is multiplied once.  ``ConductanceEngine`` and ``wigner.DelayEngine``
-supply only their closed first values, per-dimension constants, step
-weights and coupling.  ``jointcsn.JointEngine`` is a ``ConductanceEngine``
-whose values are its k=0 row, so that row's reduced moments share the
-lattice memo.  ``_reduced_walk`` is the one second-difference + Bell walk;
-``reduced_moments`` runs it too.
+``_Lattice`` is the one engine core.  Its values never are backend
+scalars: each is a reduced pair of ints, and a sequence of them is an *int
+row* ``(nums, dens)`` of two parallel lists (``rational.int_row``).  Per
+dimension it memoises the value row, the coupling constant, the integer
+constants of the step's leading coefficient and the reduced moments, which
+grow by one term per order; the step weights depend on the order only and
+are memoised once per engine.  Its ``visited`` list is the one record of the
+dimensions a computation touched, and it holds the one rule for dimension 0,
+the empty ensemble: all zero.  A step is one ``rational.dot`` of its
+quadratic, linear and coupling terms with the division by its leading
+coefficient folded in; the quadratic sum is symmetric under i <-> l-1-i, so
+each pair is multiplied once.  ``ConductanceEngine`` and
+``wigner.DelayEngine`` supply only their closed first values, per-dimension
+constants, step weights and coupling.  ``jointcsn.JointEngine`` is a
+``ConductanceEngine`` whose values are its k=0 row, so that row's reduced
+moments share the lattice memo.  ``_reduced_walk`` is the one
+second-difference + Bell walk; ``reduced_moments`` runs it too.  Backend
+scalars are built from the rows only where values leave the engines
+(``rational.rationals``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .ensembles import _raw_coupling, _scaled, b_constant
 from .errors import InvalidOrderError, PoleError, UnsupportedBetaError
 from .params import TransportParams, eta_factor, lattice_step
-from .rational import ONE, ZERO, dot, rat
+from .rational import dot, int_row, rat, rationals
 
 
 @dataclass(frozen=True)
@@ -120,57 +126,57 @@ def _leading(beta, l, q2, P, Q):
     return q2 * cubic - P * l - Q
 
 
-def _symmetric_terms(weights, values):
-    """The ``dot`` terms of sum_i weights[i] values[i] values[l-1-i] over
-    i < l = len(weights).  The product is symmetric under i <-> l-1-i, so each
-    pair enters once with the sum of its two weights; the middle term of an
-    odd l is its own pair and keeps its single weight."""
-    l = len(weights)
-    terms = [
-        (weights[i] + weights[l - 1 - i], values[i], values[l - 1 - i])
-        for i in range(l // 2)
-    ]
-    if l % 2:
-        terms.append((weights[l // 2], values[l // 2], values[l // 2]))
-    return terms
+@cache
+def _binomials(m):
+    """C(m, 0..m); memoised, one immutable tuple per m."""
+    return tuple(math.comb(m, j) for j in range(m + 1))
 
 
-def _second_difference(minus, plus, here):
-    """minus + plus - 2 here, the reduced cumulant of a value across the
-    dimension lattice, as one ``dot``."""
-    return dot(((1, minus, ONE), (1, plus, ONE), (-2, here, ONE)))
+def _second_difference(minus, plus, here, j):
+    """minus_j + plus_j - 2 here_j over three int rows, the reduced cumulant of
+    a value across the dimension lattice, as one ``dot``."""
+    return dot(((1, minus[0][j], minus[1][j], 1, 1), (1, plus[0][j], plus[1][j], 1, 1),
+                (-2, here[0][j], here[1][j], 1, 1)))
 
 
 def bell_transform(r, order, mu=None):
     """mu_0..mu_order from r_1..r_order via
     mu_l = sum_j C(l-1, j) r_{l-j} mu_j, the coefficient form of mu = exp(r)
-    as exponential generating functions.
+    as exponential generating functions; r and mu are int rows.
 
     ``mu``, when given, is a prefix mu_0..mu_m of the result; it is extended
     in place to order and returned.
     """
     if mu is None:
-        mu = [rat(1)]
-    for l in range(len(mu), order + 1):
-        mu.append(dot((math.comb(l - 1, j), r[l - j - 1], mu[j]) for j in range(l)))
+        mu = ([1], [1])
+    rn, rd = r
+    mn, md = mu
+    for l in range(len(mn), order + 1):
+        # j = 0..l-1 pairs r_{l-j}, at index l-1-j, with mu_j
+        num, den = dot(zip(_binomials(l - 1), rn[l - 1::-1], rd[l - 1::-1], mn, md))
+        mn.append(num)
+        md.append(den)
     return mu
 
 
 def _reduced_walk(memo, n, step, order, fetch):
     """mu_0..mu_order at dimension n, extending ``memo`` = (r, mu) in place.
 
-    r_l = v_l(n - step) + v_l(n + step) - 2 v_l(n), l = 1..order, with v from
-    ``fetch(dimension, order)``, and mu is the Bell transform of r.  Both lists
-    only grow: r_l and mu_l depend on nothing above order l.  The returned list
-    is ``mu`` itself (it may be longer) and must not be modified.
+    r_l = v_l(n - step) + v_l(n + step) - 2 v_l(n), l = 1..order, with the
+    int rows v from ``fetch(dimension, order)``, and mu is the Bell transform
+    of r.  Both rows only grow: r_l and mu_l depend on nothing above order l.
+    The returned row is ``mu`` itself (it may be longer) and must not be
+    modified.
     """
     r, mu = memo
     if order < 1:
         return mu
-    minus, plus, here = (fetch(m, order) for m in (n - step, n + step, n))
-    r.extend(
-        _second_difference(minus[j], plus[j], here[j]) for j in range(len(r), order)
-    )
+    rows = [fetch(m, order) for m in (n - step, n + step, n)]
+    rn, rd = r
+    for j in range(len(rn), order):
+        num, den = _second_difference(*rows, j)
+        rn.append(num)
+        rd.append(den)
     return bell_transform(r, order, mu)
 
 
@@ -181,10 +187,11 @@ class _Lattice:
     with integers C and S chosen so that every weight is an integer.
 
     A statistic passes its coupling (n -> constant) and supplies
-    ``_initial(n)``, the closed first values; ``_dimension_constants(n)``,
-    ((q2, P, Q) of ``_leading``, g); ``_weights(l)``, the w_i;
-    ``_linear_terms(l, values, g)``; and ``_fetch(n)``, the
-    (dimension, order) -> values callable the reduced moments at n read.
+    ``_initial(n)``, the closed first values as rationals;
+    ``_dimension_constants(n)``, ((q2, P, Q) of ``_leading``, g);
+    ``_weights(l)``, the w_i; ``_linear_terms(l, nums, dens, g)``, int terms
+    of ``dot``; and ``_fetch(n)``, the (dimension, order) -> int row callable
+    the reduced moments at n read.
 
     ``visited`` lists the dimensions in the order their closed first values
     were set.  Dimension 0 is the empty ensemble: its values are all zero,
@@ -198,17 +205,20 @@ class _Lattice:
         self._coupling_at = coupling
         self._coupling_weight = coupling_weight
         self._scale = scale
-        self._values = {}  # dimension -> [v_1, v_2, ...]
-        self._reduced = {}  # dimension -> ([r_1, r_2, ...], [mu_0, mu_1, ...])
-        self._couplings = {}  # dimension -> coupling constant
+        self._values = {}  # dimension -> int row v_1, v_2, ...
+        self._reduced = {}  # dimension -> (int row r_1, r_2, ..., int row mu_0, mu_1, ...)
+        self._couplings = {}  # dimension -> coupling constant as a reduced int pair
         self._constants = {}  # dimension -> ((q2, P, Q), g)
+        self._pair_weights = []  # order l -> the step's weights, paired as in _extend
         self.visited = []
 
     def coupling(self, n):
-        """The coupling at dimension n, once per engine (a pole is not stored)."""
+        """The coupling at dimension n as a reduced int pair, once per engine
+        (a pole is not stored)."""
         c = self._couplings.get(n)
         if c is None:
-            c = self._couplings[n] = self._coupling_at(n)
+            value = self._coupling_at(n)
+            c = self._couplings[n] = (int(value.numerator), int(value.denominator))
         return c
 
     def _dimension(self, n):
@@ -217,37 +227,57 @@ class _Lattice:
             c = self._constants[n] = self._dimension_constants(n)
         return c
 
+    def _step_weights(self, l):
+        """The quadratic sum's weights at order l, one per pair: the sum is
+        symmetric under i <-> l-1-i, so pair i < l/2 enters once with
+        w_i + w_{l-1-i}, and the middle term of an odd l keeps its single
+        weight.  Memoised per engine: they depend on l only."""
+        memo = self._pair_weights
+        while len(memo) <= l:
+            m = len(memo)
+            w = self._weights(m)
+            memo.append([w[i] + w[m - 1 - i] for i in range(m // 2)] + w[m // 2:m // 2 + m % 2])
+        return memo[l]
+
     def _fill(self, n, order):
-        """v_1..v_order at dimension n, extending its memo; empty below order 1."""
+        """v_1..v_order at dimension n as an int row, extending its memo; empty
+        below order 1."""
         if order < 1:
-            return []
+            return [], []
         if n == 0:
-            return [ZERO] * order
+            return [0] * order, [1] * order
         values = self._values.get(n)
         if values is None:
-            values = self._values[n] = self._initial(n)
+            values = self._values[n] = int_row(self._initial(n))
             self.visited.append(n)
-        while len(values) < order:
-            self._extend(n, values)
-        return values[:order]
+        nums, dens = values
+        while len(nums) < order:
+            self._extend(n, nums, dens)
+        return nums[:order], dens[:order]
 
-    def _extend(self, n, values):
-        l = len(values)  # recurrence index producing v_{l+1}
+    def _extend(self, n, nums, dens):
+        l = len(nums)  # recurrence index producing v_{l+1}
         (q2, P, Q), g = self._dimension(n)
         A = _leading(self.beta, l, q2, P, Q)
         if A == 0:
             raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
-        terms = _symmetric_terms(self._weights(l), values)
-        terms += self._linear_terms(l, values, g)
-        c = self.coupling(n)
-        if c != 0:
-            mu = self.reduced_moments(n, l - 3)
-            terms.append((self._coupling_weight * l * (l - 1) * (l - 2), c, mu[l - 3]))
-        values.append(dot(terms) / rat(self._scale * A, q2))
+        # pair i is v_{i+1} v_{l-i}: the row read forwards and backwards
+        terms = list(zip(self._step_weights(l), nums, dens, reversed(nums), reversed(dens)))
+        terms += self._linear_terms(l, nums, dens, g)
+        cn, cd = self.coupling(n)
+        if cn:
+            mn, md = self.reduced_moments(n, l - 3)
+            terms.append((self._coupling_weight * l * (l - 1) * (l - 2), cn, cd, mn[l - 3], md[l - 3]))
+        num, den = dot(terms, q2, self._scale * A)
+        nums.append(num)
+        dens.append(den)
 
     def reduced_moments(self, n, order):
-        """mu_0..mu_order at dimension n, memoised; see ``_reduced_walk``."""
-        memo = self._reduced.setdefault(n, ([], [ONE]))
+        """mu_0..mu_order at dimension n as an int row, memoised; see
+        ``_reduced_walk``."""
+        memo = self._reduced.get(n)
+        if memo is None:
+            memo = self._reduced[n] = (([], []), ([1], [1]))
         return _reduced_walk(memo, n, self.step, order, self._fetch(n))
 
 
@@ -269,7 +299,8 @@ class ConductanceEngine(_Lattice):
         self._chi = 2 if beta == 2 else 1
 
     def _dimension_constants(self, n):
-        """(q2, P, Q) of ``_leading`` at dimension n, and alpha - delta/2 + beta n.
+        """(q2, P, Q) of ``_leading`` at dimension n, and alpha - delta/2 + beta n
+        as a reduced int pair.
 
         With t = alpha + delta/2 + beta n, P / q2 = (6 - 3 beta + t)(t + 2 - beta)
         and Q / q2 = t (t + 2 - beta); q is the common denominator of alpha,
@@ -278,24 +309,26 @@ class ConductanceEngine(_Lattice):
         q, (a, h, m) = _scaled(self.alpha, self.delta / 2, n)
         t = a + h + beta * m
         u = t + (2 - beta) * q
-        return (q * q, ((6 - 3 * beta) * q + t) * u, t * u), rat(a - h + beta * m, q)
+        g = a - h + beta * m
+        common = math.gcd(g, q)
+        return (q * q, ((6 - 3 * beta) * q + t) * u, t * u), (g // common, q // common)
 
     def _initial(self, n):
-        return list(_initial_three(self.beta, self.alpha, self.delta, n))
+        return _initial_three(self.beta, self.alpha, self.delta, n)
 
     def _weights(self, l):
         return [-self._eta * math.comb(l, i) * _coeff_B(l, i, self._chi) for i in range(l)]
 
-    def _linear_terms(self, l, kappa, g):
-        # kappa[i] is kappa_{i+1}
-        return [(l * (2 * l - 1), g, kappa[l - 1]),
-                (l * (l - 1) * (l - 2), kappa[l - 2], ONE)]
+    def _linear_terms(self, l, nums, dens, g):
+        # index i holds kappa_{i+1}
+        return [(l * (2 * l - 1), g[0], g[1], nums[l - 1], dens[l - 1]),
+                (l * (l - 1) * (l - 2), nums[l - 2], dens[l - 2], 1, 1)]
 
     def _fetch(self, n):
         return self.kappas
 
     def kappas(self, n, order):
-        """kappa_1..kappa_order at dimension n."""
+        """kappa_1..kappa_order at dimension n, as an int row."""
         return self._fill(n, order)
 
 
@@ -304,7 +337,7 @@ def conductance_cumulants(p: TransportParams, max_order) -> CumulantSequence:
     if max_order < 1:
         raise InvalidOrderError("max_order must be >= 1")
     engine = ConductanceEngine(p.beta, p.alpha, p.delta)
-    values = tuple(engine.kappas(p.n, max_order))
+    values = tuple(rationals(*engine.kappas(p.n, max_order)))
     # the farthest dimension visited, in lattice steps from n; order l
     # consumes reduced data to order l-3 and each recursion level drops the
     # needed order, so max_radius is a safe ceiling
@@ -323,16 +356,20 @@ def conductance_cumulants(p: TransportParams, max_order) -> CumulantSequence:
 def reduced_moments(p: TransportParams, max_order, provider=None) -> ReducedSequence:
     """Reduced cumulants r_1..r_L and moments mu_0..mu_L at dimension n.
 
-    ``provider`` maps (dimension, order) -> [kappa_1..kappa_order]; the default
-    is the exact recurrence engine.  Only meaningful for beta in {1,4}.
+    ``provider`` maps (dimension, order) -> [kappa_1..kappa_order] as
+    rationals; the default is the exact recurrence engine.  Only meaningful
+    for beta in {1,4}.
     """
     if p.beta == 2:
         raise UnsupportedBetaError("beta=2 has no dimension lattice")
     if provider is None:
-        provider = ConductanceEngine(p.beta, p.alpha, p.delta).kappas
-    r, mu = memo = ([], [ONE])
-    _reduced_walk(memo, p.n, p.i_shift, max_order, provider)
-    return ReducedSequence(r_values=tuple(r), mu_values=tuple(mu))
+        fetch = ConductanceEngine(p.beta, p.alpha, p.delta).kappas
+    else:
+        def fetch(m, order):
+            return int_row(provider(m, order))
+    r, mu = memo = (([], []), ([1], [1]))
+    _reduced_walk(memo, p.n, p.i_shift, max_order, fetch)
+    return ReducedSequence(r_values=tuple(rationals(*r)), mu_values=tuple(rationals(*mu)))
 
 
 def fourth_cumulant_closed(p: TransportParams):

@@ -13,7 +13,7 @@ import math
 from functools import cache
 from operator import add, mul, sub
 
-from .rational import ZERO, ONE, dot, rat
+from .rational import ZERO, dot, int_row, rat
 
 
 @cache
@@ -194,16 +194,18 @@ class DoubleSeries:
     def exponential(self):
         """exp(a) for a zero constant term: along l = 0 from e_w = a_w e, then
         row by row from e_z = a_z e, one ``rational.dot`` per coefficient over
-        the product terms of the (0, K - 1) and (L - 1, K) rectangles."""
-        if self._nums[0]:
+        the product terms of the (0, K - 1) and (L - 1, K) rectangles; e is
+        kept as an int row and put over one denominator at the end."""
+        a, den = self._nums, self._den
+        if a[0]:
             raise ValueError("exponential requires a zero constant term")
         L, K = self._shape
-        a = [rat(x, self._den) for x in self._nums]
-        e = [ONE] + [ZERO] * (len(a) - 1)
+        en, ed = [1] + [0] * (len(a) - 1), [1] * len(a)
         for shift, terms in ((1, _product_terms(0, K - 1)), (K + 1, _product_terms(L - 1, K))):
             for t, row in enumerate(terms, start=shift):
-                e[t] = dot((w, a[i + shift], e[j]) for w, i, j in row)
-        return DoubleSeries(e, self._shape)
+                en[t], ed[t] = dot((w, a[i + shift], den, en[j], ed[j]) for w, i, j in row)
+        common = math.lcm(*ed)
+        return _double([x * (common // d) for x, d in zip(en, ed)], common, self._shape)
 
     def exact_quotient(self, divisor):
         """The integer series q with q * divisor == self (common rectangle),
@@ -230,20 +232,27 @@ def moments_to_cumulants(moments, max_l, max_k=0):
     and then each row from m_z = kappa_z m,
       m_{l,k} = sum_{a<l, b<=k} C(l-1,a) C(k,b) kappa_{a+1,b} m_{l-1-a,k-b},
     each solved for its kappa_{l,k} m_{0,0} term, with m_{0,0} = 1.  Exact
-    rational values take one ``rational.dot`` per cumulant; floats subtract
-    term by term from m_{l,k}.  ``moments`` must cover the rectangle.
+    rational values take one ``rational.dot`` per cumulant, on int rows;
+    floats subtract term by term from m_{l,k}.  ``moments`` must cover the
+    rectangle.
     """
     width = max_k + 1
     m = [moments[(l, k)] for l in range(max_l + 1) for k in range(width)]
-    kappa = m[:]
-    exact = hasattr(m[0], "denominator")
     column, rows = _product_terms(0, max_k - 1), _product_terms(max_l - 1, max_k)
-    for shift, terms in ((1, column), (width, rows)):
-        for t, row in enumerate(terms, shift):
-            # j = 0 is the kappa_{l,k} m_{0,0} term
-            rest = [(-w, kappa[i + shift], m[j]) for w, i, j in row if j]
-            kappa[t] = (dot([(1, m[t], 1), *rest]) if exact
-                        else sum((c * x * y for c, x, y in rest), m[t]))
+    # j = 0 is the kappa_{l,k} m_{0,0} term
+    if hasattr(m[0], "denominator"):
+        mn, md = int_row(m)
+        kn, kd = mn[:], md[:]
+        for shift, terms in ((1, column), (width, rows)):
+            for t, row in enumerate(terms, shift):
+                kn[t], kd[t] = dot([(1, mn[t], md[t], 1, 1), *(
+                    (-w, kn[i + shift], kd[i + shift], mn[j], md[j]) for w, i, j in row if j)])
+        kappa = [rat(x, d) for x, d in zip(kn, kd)]
+    else:
+        kappa = m[:]
+        for shift, terms in ((1, column), (width, rows)):
+            for t, row in enumerate(terms, shift):
+                kappa[t] = sum((-w * kappa[i + shift] * m[j] for w, i, j in row if j), m[t])
     return {
         (l, total - l): kappa[l * width + total - l]
         for total in range(1, max_l + max_k + 1)

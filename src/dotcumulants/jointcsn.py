@@ -7,30 +7,32 @@ front.  For beta in {1,4} the right-hand side consumes joint reduced moments,
 i.e. joint tables at the shifted dimensions, recursively with decreasing
 column depth.  Every entry depends only on (n, l, k), so the memoised table
 at each dimension, and its joint reduced moments, are grown in place when a
-deeper staircase is requested.  ``JointEngine`` is its k=0 row's own
-conductance lattice (``conductance.ConductanceEngine``): where an even-beta
-row degenerates, its ``kappas`` supplies the exact determinant moments
-instead and stores them as the row, so the row's reduced moments, memoised
-once per dimension by the lattice, read the same fallback rows.  Dimension 0
+deeper staircase is requested.  Each is a list of columns, column k an int
+row (``rational.int_row``) indexed by l, and the backend rationals of a
+table are built only when it leaves the engine.  ``JointEngine`` is its k=0
+row's own conductance lattice (``conductance.ConductanceEngine``): where an
+even-beta row degenerates, its ``kappas`` supplies the exact determinant
+moments instead and stores them as the row, so the row's reduced moments,
+memoised once per dimension by the lattice, read the same fallback rows.  Dimension 0
 is the empty ensemble, whose row the lattice gives as all zero; negative
 lattice dimensions are evaluated by the same rational continuation the
-conductance row uses.  A table's k=0 column is that row; ``JointCumulantTable``
-holds no other copy of it.
+conductance row uses.  A table's k=0 column is that row behind the entry
+kappa_{0,0} = 0; ``JointCumulantTable`` holds no other copy of it.
 
-Each entry is one ``rational.dot`` with one reduction, divided once by its
-integer leading coefficient 2l + 3k + 2; the double sum is symmetric under
-(i, j) <-> (k-1-i, l-j), so each pair of its terms is multiplied once under
-twice the weight.  Each reduced cumulant r_{l,k} and each mu_{l,k} is one
-``dot`` as well.  The gain was measured with the ``fractions`` backend only.
+Each entry is one ``rational.dot`` with one reduction, with the division by
+its integer leading coefficient 2l + 3k + 2 folded in; the double sum is
+symmetric under (i, j) <-> (k-1-i, l-j), so each pair of its terms is
+multiplied once under twice the weight.  Each reduced cumulant r_{l,k} and
+each mu_{l,k} is one ``dot`` as well.  The gain was measured with the
+``fractions`` backend only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .conductance import (
-    ConductanceEngine, _second_difference, conductance_cumulants, conductance_initial,
+    ConductanceEngine, _binomials, _second_difference, conductance_cumulants, conductance_initial,
 )
 from .ensembles import b_constant
 from .errors import (
@@ -41,7 +43,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .params import TransportParams
-from .rational import ONE, dot, rat
+from .rational import dot, int_row, rat, rationals
 
 
 @dataclass(frozen=True)
@@ -73,18 +75,21 @@ class JointEngine(ConductanceEngine):
 
     def __init__(self, beta, alpha, delta):
         super().__init__(beta, alpha, delta)
-        # dimension -> {(l, k): value}, each grown in place; an entry is
-        # stored only once computed, so a failed fill leaves a valid prefix
+        # dimension -> columns, column k the int row kappa_{0,k}, kappa_{1,k}, ...;
+        # each grown in place, an entry stored only once computed, so a
+        # failed fill leaves a valid prefix
         self._kappa = {}
+        # dimension -> columns of r_{l,k}, k >= 1 (the k=0 row is the
+        # lattice's, so column 0 is None) and of mu_{l,k}
         self._r = {}
         self._mu = {}
 
     def kappas(self, n, order):
-        """The conductance row at dimension n.  Even-beta rows degenerate at
-        isolated orders (the leading coefficient vanishes at l = t for beta=2
-        and l = t/2 - 1 for beta=4, t = alpha + delta/2 + beta n); there the
-        exact determinant moments are stored as the row.  A beta=1 failure
-        passes through, for ``table`` to report."""
+        """The conductance row at dimension n, as an int row.  Even-beta rows
+        degenerate at isolated orders (the leading coefficient vanishes at
+        l = t for beta=2 and l = t/2 - 1 for beta=4, t = alpha + delta/2 +
+        beta n); there the exact determinant moments are stored as the row.
+        A beta=1 failure passes through, for ``table`` to report."""
         try:
             return super().kappas(n, order)
         except CumulantError:
@@ -92,20 +97,23 @@ class JointEngine(ConductanceEngine):
                 raise
             from .exactmoments import exact_conductance_cumulant_row
 
-            row = self._values[n] = exact_conductance_cumulant_row(
+            nums, dens = self._values[n] = int_row(exact_conductance_cumulant_row(
                 TransportParams(self.beta, self.alpha, self.delta, n), order
-            )
-            return list(row)
+            ))
+            return nums[:], dens[:]
 
     def table(self, n, max_l, max_k):
-        """kappa_{l,k} at dimension n; column k holds l <= max_l + 2*(max_k-k).
+        """kappa_{l,k} at dimension n as columns of int rows; column k holds
+        l <= max_l + 2*(max_k-k).
 
-        The returned dict is the memo for dimension n: it may hold more
+        The returned list is the memo for dimension n: it may hold more
         entries, and gains more when a deeper staircase is requested later.
         """
-        kappa = self._kappa.setdefault(n, {(0, 0): rat(0)})
-        if all((max_l + 2 * (max_k - k), k) in kappa for k in range(max_k + 1)):
-            return kappa
+        cols = self._kappa.setdefault(n, [([0], [1])])
+        if len(cols) > max_k and all(
+            len(cols[k][0]) > max_l + 2 * (max_k - k) for k in range(max_k + 1)
+        ):
+            return cols
 
         # Column k+1 at index l consumes row entries up to l + 4 with k-1, and
         # l + 2 with k; chasing the extents shows the k=0 row is consumed to
@@ -113,7 +121,7 @@ class JointEngine(ConductanceEngine):
         # parameters where a higher-order leading coefficient happens to vanish.
         row_order = max_l + 2 * max_k
         try:
-            row = self.kappas(n, row_order)
+            row_nums, row_dens = self.kappas(n, row_order)
         except CumulantError as exc:
             if self.beta != 1:
                 raise
@@ -121,91 +129,116 @@ class JointEngine(ConductanceEngine):
                 f"conductance row failed at dimension {n}: {exc}"
             ) from exc
         c = self.alpha + self.delta / 2 + self.beta * n + 2 - self.beta
+        cn, cd = int(c.numerator), int(c.denominator)
         eta = self._eta
         # b_n enters columns k >= 2 only, so a narrower table, the conductance
         # row among them, does not stop at a pole of b_n
-        bn = self.coupling(n) if max_k >= 2 else 0
+        bn, bd = self.coupling(n) if max_k >= 2 else (0, 1)
         mu = None
-        if bn != 0:
-            # the consumed entries mu[(l, k-1)] fit exactly the staircase
+        if bn:
+            # the consumed entries mu_{l,k-1} fit exactly the staircase
             # profile of a (max_l, max_k - 2) table
             mu = self._joint_reduced_moments(n, max_l, max_k - 2)
         # stored only after the recursion above returns, so requests made
         # inside it find the cache a build from scratch would find
-        for l in range(1, row_order + 1):
-            kappa[(l, 0)] = row[l - 1]
+        if len(cols[0][0]) <= row_order:
+            cols[0] = ([0, *row_nums], [1, *row_dens])
+        while len(cols) <= max_k:
+            cols.append(([], []))
         for k in range(max_k):
-            extent = max_l + 2 * (max_k - k - 1)
-            for l in range(extent + 1):
-                if (l, k + 1) in kappa:
-                    continue
-                terms = [(2, c, kappa[(l + 2, k)])]
+            # column k+1 from column k and, for k >= 1, column k-1
+            kn, kd = cols[k]
+            nums, dens = cols[k + 1]
+            for l in range(len(nums), max_l + 2 * (max_k - k - 1) + 1):
+                terms = [(2, cn, cd, kn[l + 2], kd[l + 2])]
                 if k >= 1:
-                    if bn != 0:
-                        terms.append((self._coupling_weight * k, bn, mu[(l, k - 1)]))
-                    terms.append((-eta * k, kappa[(l + 4, k - 1)], ONE))
-                    terms.append((k, kappa[(l + 2, k - 1)], ONE))
-                    terms.extend(_double_sum(kappa, l, k, -6 * eta * k))
+                    pn, pd = cols[k - 1]
+                    if bn:
+                        mn, md = mu[k - 1]
+                        terms.append((self._coupling_weight * k, bn, bd, mn[l], md[l]))
+                    terms.append((-eta * k, pn[l + 4], pd[l + 4], 1, 1))
+                    terms.append((k, pn[l + 2], pd[l + 2], 1, 1))
+                    _double_sum(terms, cols, l, k, eta)
                 # the leading coefficient 2l + 3k + 2 is at least 2
-                kappa[(l, k + 1)] = dot(terms) / (2 * l + 3 * k + 2)
-        return kappa
+                num, den = dot(terms, 1, 2 * l + 3 * k + 2)
+                nums.append(num)
+                dens.append(den)
+        return cols
 
     def _joint_reduced_moments(self, n, L, K):
         """mu_{l,k} on the staircase profile: column k holds l <= L + 2*(K-k).
 
         Exactly the entries a (L, K)-shaped table provides, so the shifted
         joint tables are requested no deeper than the recurrence consumes.
-        Like ``table``, the result is the memo for dimension n.
+        Like ``table``, the result is the memo for dimension n, as columns of
+        int rows; column 0 is the lattice's reduced-moment row.
         """
         r = self._joint_reduced_cumulants(n, L, K)
-        mu = self._mu.setdefault(n, {})
-        row_len = L + 2 * K
-        mu_row = self.reduced_moments(n, row_len)
-        for l in range(row_len + 1):
-            mu[(l, 0)] = mu_row[l]
+        mu = self._mu.setdefault(n, [None])
+        mu[0] = self.reduced_moments(n, L + 2 * K)
+        while len(mu) <= K:
+            mu.append(([], []))
         for k in range(1, K + 1):
-            for l in range(L + 2 * (K - k) + 1):
-                if (l, k) in mu:
-                    continue
-                mu[(l, k)] = dot(
-                    (math.comb(k - 1, i) * math.comb(l, j), r[(l - j, k - i)], mu[(j, i)])
-                    for i in range(k)
-                    for j in range(l + 1)
-                )
+            nums, dens = mu[k]
+            for l in range(len(nums), L + 2 * (K - k) + 1):
+                # sum_{i<k, j<=l} C(k-1,i) C(l,j) r_{l-j,k-i} mu_{j,i}
+                terms = []
+                binomials = _binomials(l)
+                for i, ci in enumerate(_binomials(k - 1)):
+                    rn, rd = r[k - i]
+                    terms.extend(zip([ci * b for b in binomials], rn[l::-1], rd[l::-1], *mu[i]))
+                num, den = dot(terms)
+                nums.append(num)
+                dens.append(den)
         return mu
 
     def _joint_reduced_cumulants(self, n, L, K):
         """r_{l,k}, k >= 1, on the staircase profile of an (L, K) table: all
-        the 2-D Bell sum reads.  The k=0 row is the lattice's (``reduced_moments``)."""
+        the 2-D Bell sum reads, as columns of int rows with column 0 None.
+        The k=0 row is the lattice's (``reduced_moments``)."""
         step = self.step
         minus = self.table(n - step, L, K)
         plus = self.table(n + step, L, K)
         here = self.table(n, L, K)
-        r = self._r.setdefault(n, {})
+        r = self._r.setdefault(n, [None])
+        while len(r) <= K:
+            r.append(([], []))
         for k in range(1, K + 1):
-            for l in range(L + 2 * (K - k) + 1):
-                if (l, k) not in r:
-                    r[(l, k)] = _second_difference(
-                        minus[(l, k)], plus[(l, k)], here[(l, k)]
-                    )
+            nums, dens = r[k]
+            for l in range(len(nums), L + 2 * (K - k) + 1):
+                num, den = _second_difference(minus[k], plus[k], here[k], l)
+                nums.append(num)
+                dens.append(den)
         return r
 
 
-def _double_sum(kappa, l, k, scale):
-    """The terms of scale * sum_{i<k, j<=l} C(k-1,i) C(l,j)
+def _double_sum(terms, cols, l, k, eta):
+    """Append to ``terms`` the terms of -6 eta k sum_{i<k, j<=l} C(k-1,i) C(l,j)
     kappa_{j+2,i} kappa_{l-j+2,k-1-i}.
 
-    With m = i(l+1) + j, the mirror (k-1-i, l-j) of a term sits at
-    k(l+1) - 1 - m and has the same weight and product, so each pair enters
-    once with twice the weight; the middle term (2i = k-1, 2j = l) is its own
+    The mirror (k-1-i, l-j) of a term has the same weight and product, so
+    each pair enters once with twice the weight: column i < (k-1)/2 with all
+    its j against column k-1-i, and for odd k the middle column with
+    j < l/2 against l - j; the middle term (2i = k-1, 2j = l) is its own
     pair."""
-    size = k * (l + 1)
-    for m in range((size + 1) // 2):
-        i, j = divmod(m, l + 1)
-        w = scale * math.comb(k - 1, i) * math.comb(l, j)
-        if 2 * m + 1 < size:
-            w *= 2
-        yield w, kappa[(j + 2, i)], kappa[(l - j + 2, k - 1 - i)]
+    binomials = _binomials(l)
+    for i, ci in enumerate(_binomials(k - 1)[:(k + 1) // 2]):
+        scale = -6 * eta * k * ci
+        if 2 * i + 1 < k:
+            weights = [2 * scale * b for b in binomials]
+        else:
+            weights = [2 * scale * b for b in binomials[:l // 2 + 1]]
+            if l % 2 == 0:
+                weights[-1] = scale * binomials[l // 2]
+        (an, ad), (bn, bd) = cols[i], cols[k - 1 - i]
+        terms.extend(zip(weights, an[2:], ad[2:], bn[l + 2:1:-1], bd[l + 2:1:-1]))
+
+
+def _rectangle(cols, max_l, max_k):
+    """The backend rationals kappa_{l,k} of a table's columns on the
+    rectangle l <= max_l, k <= max_k, keyed (l, k)."""
+    values = [rationals(nums[:max_l + 1], dens[:max_l + 1]) for nums, dens in cols[:max_k + 1]]
+    return {(l, k): values[k][l] for l in range(max_l + 1) for k in range(max_k + 1)}
 
 
 def joint_reduced_table(p: TransportParams, max_l, max_k) -> JointReducedTable:
@@ -216,9 +249,15 @@ def joint_reduced_table(p: TransportParams, max_l, max_k) -> JointReducedTable:
     if p.beta == 2:
         raise UnsupportedBetaError("beta=2 has no dimension lattice")
     engine = JointEngine(p.beta, p.alpha, p.delta)
-    mu = engine._joint_reduced_moments(p.n, max_l, max_k)
-    row = engine._reduced[p.n][0][:max_l + 2 * max_k]
-    r = {(0, 0): rat(0), **{(l, 0): v for l, v in enumerate(row, 1)}, **engine._r[p.n]}
+    mu_cols = engine._joint_reduced_moments(p.n, max_l, max_k)
+    rn, rd = engine._reduced[p.n][0]
+    r_cols = [([0, *rn], [1, *rd]), *engine._r[p.n][1:]]
+    r, mu = {}, {}
+    for k in range(max_k + 1):
+        extent = max_l + 2 * (max_k - k) + 1
+        for table, cols in ((r, r_cols), (mu, mu_cols)):
+            nums, dens = cols[k]
+            table.update(((l, k), v) for l, v in enumerate(rationals(nums[:extent], dens[:extent])))
     return JointReducedTable(r=r, mu=mu)
 
 
@@ -226,13 +265,10 @@ def joint_cumulants(p: TransportParams, max_l, max_k) -> JointCumulantTable:
     """Exact kappa_{l,k} for the rectangle l <= max_l, k <= max_k."""
     if max_l < 0 or max_k < 0:
         raise InvalidOrderError("orders must be nonnegative")
-    kappa = JointEngine(p.beta, p.alpha, p.delta).table(p.n, max_l, max_k)
-    values = {
-        (l, k): kappa[(l, k)]
-        for l in range(max_l + 1)
-        for k in range(max_k + 1)
-    }
-    return JointCumulantTable(params=p, values=values, max_l=max_l, max_k=max_k)
+    cols = JointEngine(p.beta, p.alpha, p.delta).table(p.n, max_l, max_k)
+    return JointCumulantTable(
+        params=p, values=_rectangle(cols, max_l, max_k), max_l=max_l, max_k=max_k
+    )
 
 
 def shot_noise_variance_closed(p: TransportParams):

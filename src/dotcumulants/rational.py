@@ -6,13 +6,18 @@ The scalar is ``gmpy2.mpq`` when gmpy2 is importable (GMP-backed) and
 ``fractions.Fraction`` otherwise.
 Both serialize as ``"p/q"`` with ``/q`` omitted when the denominator is 1.
 
-``dot`` is the one kernel behind every exact value the recurrences produce
-(a whole recurrence step, a second difference across the dimension lattice,
-a Bell-transform coefficient, a coefficient of a series exponential): the
-integer numerators of the products are added over a running denominator,
-which grows only when a term's denominator does not divide it, and the sum
-is reduced once, instead of one normalised rational per term.  Its gain was measured with
-``fractions`` only; with ``gmpy2.mpq`` it is unmeasured and may be smaller.
+Inside the engines a value is not a scalar but a reduced pair of ints
+(numerator, denominator > 0), kept as an *int row*: two parallel lists
+``(nums, dens)``.  ``dot`` is the one kernel behind every exact value the
+recurrences produce (a whole recurrence step, a second difference across the
+dimension lattice, a Bell-transform coefficient, a coefficient of a series
+exponential, a step of a limit recurrence): it takes int terms, adds the
+integer numerators of the products over a running denominator, which grows
+only when a term's denominator does not divide it, folds in the step's
+divisor, and reduces the sum once.  ``int_row`` and ``rationals`` convert
+between rows and backend scalars where values enter and leave the engines.
+The gain was measured with ``fractions`` only; with ``gmpy2.mpq`` it is
+unmeasured and may be smaller.
 """
 
 from __future__ import annotations
@@ -62,31 +67,50 @@ ZERO = rat(0)
 ONE = rat(1)
 
 
-def dot(terms):
-    """sum(c * x * y) over ``(c, x, y)`` triples, c an int and x, y rationals.
+def dot(terms, scale=1, divisor=1):
+    """scale * sum(c * x * y) / divisor over int terms ``(c, xn, xd, yn, yd)``
+    with x = xn/xd and y = yn/yd, as a reduced pair ``(num, den)``, den > 0.
 
-    The products are added as one integer numerator over a running
-    denominator D: a term whose denominator d divides D is scaled by D // d,
-    otherwise the numerator and D are first multiplied by d // gcd(D, d).
-    The sum is reduced once at the end; terms with a zero numerator are
-    skipped, and the empty sum is ``ZERO``.
+    The denominators xd, yd must be positive; scale and divisor are nonzero
+    ints of either sign.  The products are added as one integer numerator
+    over a running denominator D: a term whose denominator d divides D is
+    scaled by D // d, otherwise the numerator and D are first multiplied by
+    d // gcd(D, d).  Terms with a zero product are skipped; scale and divisor
+    are folded in and the sum is reduced once at the end.  The empty or
+    cancelling sum is ``(0, 1)``.
     """
     num = 0
     den = 1
-    for c, x, y in terms:
-        n = c * x.numerator * y.numerator
+    for c, xn, xd, yn, yd in terms:
+        n = c * xn * yn
         if n:
-            d = x.denominator * y.denominator
-            scale, rem = divmod(den, d)
+            d = xd * yd
+            factor, rem = divmod(den, d)
             if rem:
                 grow = d // math.gcd(den, d)
                 num *= grow
                 den *= grow
-                scale = den // d
-            num += n * scale
+                factor = den // d
+            num += n * factor
     if not num:
-        return ZERO
-    return rat(num, den)
+        return 0, 1
+    num *= scale
+    den *= divisor
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def int_row(values):
+    """The int row ``(nums, dens)`` of rationals (or ints), each in lowest terms."""
+    values = [rat(v) for v in values]
+    return [int(v.numerator) for v in values], [int(v.denominator) for v in values]
+
+
+def rationals(nums, dens):
+    """The backend rationals of an int row; where values leave the engines."""
+    return [rat(n, d) for n, d in zip(nums, dens)]
 
 
 def parse_rational(text):

@@ -27,9 +27,9 @@ from .conductance import ConductanceEngine
 from .doubleseries import DoubleSeries, moments_to_cumulants
 from .ensembles import b_constant, d_constant
 from .errors import InsufficientOrderError, InvalidOrderError, UnsupportedParameterError
-from .jointcsn import JointEngine
+from .jointcsn import JointEngine, _rectangle
 from .params import DelayParams, TransportParams
-from .rational import rat
+from .rational import rat, rationals
 from .wigner import DelayEngine
 
 
@@ -84,9 +84,9 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
       eta z^3 s'''' + 6 eta z^3 s''^2 + beta (2 z^2 s''' + z s'^2 + 4 z^2 s' s'')
         + z (p2/z) s'' + p1 s' + p0 - (12 c / beta) z^3 exp(rho),
 
-    with s = sum_l v_l (scale z)^l / l! over v = ``fetch(n, M + 1)``, (p0, p1,
-    p2/z) given by their exponential-generating coefficients (t_l l! for the
-    Taylor coefficient t_l), c = ``coupling(p)``, taken after v, and rho the
+    with s = sum_l v_l (scale z)^l / l! over the int row v = ``fetch(n, M + 1)``,
+    (p0, p1, p2/z) given by their exponential-generating coefficients (t_l l!
+    for the Taylor coefficient t_l), c = ``coupling(p)``, taken after v, and rho the
     same series of r_l = v_l(n - i) + v_l(n + i) - 2 v_l(n), l <= M - 3.
     Grouped by the power of z in front, each group is a series of order M
     once multiplied by it, and so is their sum.
@@ -95,7 +95,7 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
     # order M+1 is exactly what a residual valid to order M consumes; going
     # deeper risks the isolated orders where the recurrence coefficient
     # vanishes and the values are not recurrence-reachable.
-    values = list(fetch(n, M + 1))
+    values = rationals(*fetch(n, M + 1))
     if perturb is not None:
         idx, delta = perturb
         values[idx - 1] = values[idx - 1] + rat(delta)
@@ -118,7 +118,7 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
     if c != 0:
         reduced = []
         if M > 3:
-            minus, plus = (fetch(n + m * p.i_shift, M - 3) for m in (-1, 1))
+            minus, plus = (rationals(*fetch(n + m * p.i_shift, M - 3)) for m in (-1, 1))
             reduced = [minus[j] + plus[j] - 2 * values[j] for j in range(M - 3)]
         rho = DoubleSeries.univariate([0, *reduced], M - 3, scale)
         cubic = cubic - (12 * c / beta) * rho.exponential()
@@ -192,7 +192,7 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
     engine = JointEngine(beta, p.alpha, p.delta)
     # s_w, s_zw and s_ww read column Mw + 1 and no further; a deeper table
     # runs the conductance row deeper, into orders the residual never reads
-    table = engine.table(p.n, Mz + 4, Mw + 1)
+    table = _rectangle(engine.table(p.n, Mz + 4, Mw + 1), Mz + 4, Mw + 1)
     kap = dict(table)
     if perturb is not None:
         kap[perturb[0]] = kap[perturb[0]] + rat(perturb[1])
@@ -213,7 +213,8 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
         group = eta * (s.derivative(4, 0) + 6 * (s2 * s2)) + 3 * s.derivative(0, 2) - s2
         bn = b_constant(p)
         if bn != 0:
-            minus, plus = (engine.table(p.n + m * p.i_shift, Mz, Mw - 1) for m in (-1, 1))
+            minus, plus = (_rectangle(engine.table(p.n + m * p.i_shift, Mz, Mw - 1), Mz, Mw - 1)
+                           for m in (-1, 1))
             sigma = partial(_signed_series, L=Mz, K=Mw - 1)
             rho = sigma(minus) + sigma(plus) - 2 * sigma(table)  # table unperturbed
             group = group - (12 * bn / beta) * rho.exponential()

@@ -10,6 +10,8 @@ vanishes, and the same engine then runs at a single dimension.
 ``DelayEngine`` runs on ``conductance._Lattice``, the core the conductance
 engine uses, and supplies only the delay time's closed K_1..K_3, omega and
 the leading-coefficient constants per dimension, the step weights and d_n.
+Like the conductance engine it keeps its values as int rows;
+``wigner_cumulants`` builds the backend rationals of the one row it returns.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     PoleError,
 )
 from .params import DelayParams
-from .rational import ONE, floor_rational, rat
+from .rational import floor_rational, rat, rationals
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,8 @@ class DelayEngine(_Lattice):
     def _weights(self, l):
         return [-4 * math.comb(l, i) * _coeff_B(self.beta, self._eta, i, l) for i in range(l)]
 
-    def _linear_terms(self, l, K, omega):
-        return [(-4 * self.beta * l * (2 * l - 1), K[l - 1], ONE)]
+    def _linear_terms(self, l, nums, dens, omega):
+        return [(-4 * self.beta * l * (2 * l - 1), nums[l - 1], dens[l - 1], 1, 1)]
 
     def _fetch(self, n):
         # a shifted point that falls short of the order names n in its error
@@ -124,6 +126,8 @@ class DelayEngine(_Lattice):
         return floor_rational(self._dimension(n)[1])
 
     def cumulants(self, n, order, requester=None):
+        """K_1..K_order at dimension n, as an int row; ``requester`` names the
+        dimension whose reduced moments need them."""
         q = self.q_at(n)
         if order > q:
             if requester is not None:
@@ -140,13 +144,13 @@ class DelayEngine(_Lattice):
 def wigner_cumulants(p: DelayParams, max_order) -> DelayCumulants:
     """Exact K_1..K_max_order; max_order must not exceed q."""
     if max_order < 1:
-        raise NonexistentCumulantError("max_order must be >= 1")
+        raise InvalidOrderError("max_order must be >= 1")
     if max_order > p.q:
         raise NonexistentCumulantError(
             f"only q={p.q} cumulants exist for beta={p.beta}, n={p.n}, b={p.b}"
         )
     engine = DelayEngine(p.beta, p.b)
-    values = tuple(engine.cumulants(p.n, max_order))
+    values = tuple(rationals(*engine.cumulants(p.n, max_order)))
     return DelayCumulants(
         params=p, values=values, lattice_note=tuple((m, engine.b) for m in engine.visited)
     )

@@ -519,6 +519,20 @@ def test_negative_residual_and_oracle_orders_are_invalid_order(capsys, argv):
     assert err.startswith("error: invalid-order")
 
 
+@pytest.mark.parametrize("argv", [
+    ["cumulants", "wigner", "--beta", "1", "--n", "20", "--max-order", "0"],
+    ["asymptotic", "extrapolate", "--n-list", "64,128", "--target", "wigner:beta=1,l=0"],
+    ["asymptotic", "extrapolate", "--n-list", "64,128", "--target", "wigner:beta=1,l=-1"],
+])
+def test_a_delay_order_below_one_is_invalid_order(capsys, argv):
+    """``nonexistent-cumulant`` names a delay cumulant beyond q; an order
+    below 1 is an invalid order, as for the conductance."""
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: invalid-order: max_order must be >= 1\n"
+
+
 def test_mc_edgeworth_csv_columns(capsys, tmp_path):
     out = tmp_path / "curve.csv"
     code = dispatch(

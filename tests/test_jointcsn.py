@@ -22,6 +22,7 @@ from dotcumulants.jointcsn import (
 from dotcumulants.params import TransportParams
 from dotcumulants.rational import rat
 from dotcumulants.verify import quadrature_moments
+from introws import table_entries
 
 COE_HALF = rat(-1, 2)
 
@@ -276,14 +277,14 @@ def test_table_grown_in_place_equals_fresh(beta, alpha, n):
 
     grown = JointEngine(beta, alpha, 0)
     grown.table(n, 4, 2)
-    deeper = dict(grown.table(n, 4, 6))
-    assert deeper == JointEngine(beta, alpha, 0).table(n, 4, 6)
+    deeper = table_entries(grown.table(n, 4, 6))
+    assert deeper == table_entries(JointEngine(beta, alpha, 0).table(n, 4, 6))
     # a staircase neither inside nor around the cached one: more columns,
     # but a shorter k=0 row
     wide = JointEngine(beta, alpha, 0)
     wide.table(n, 8, 2)
-    other = wide.table(n, 2, 4)
-    reference = JointEngine(beta, alpha, 0).table(n, 2, 4)
+    other = table_entries(wide.table(n, 2, 4))
+    reference = table_entries(JointEngine(beta, alpha, 0).table(n, 2, 4))
     assert all(other[key] == value for key, value in reference.items())
 
 
@@ -352,8 +353,8 @@ def test_beta_one_four_duality_of_the_joint_table():
     for a, d, n in product(DUALITY_ALPHAS, DUALITY_DELTAS, range(4, 9)):
         alpha, delta = rat(a), rat(d)
         try:
-            four = JointEngine(4, alpha, delta).table(n, 4, 3)
-            one = JointEngine(1, -alpha / 2, -delta / 2).table(-2 * n, 4, 3)
+            four = table_entries(JointEngine(4, alpha, delta).table(n, 4, 3))
+            one = table_entries(JointEngine(1, -alpha / 2, -delta / 2).table(-2 * n, 4, 3))
         except (PoleError, BoundaryUnavailableError):
             continue
         for l, k in product(range(5), range(4)):

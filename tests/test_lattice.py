@@ -12,9 +12,9 @@ refactor.
 import hashlib
 import random
 
-from dotcumulants.conductance import conductance_cumulants
+from dotcumulants.conductance import conductance_cumulants, reduced_moments
 from dotcumulants.errors import CumulantError
-from dotcumulants.jointcsn import joint_cumulants
+from dotcumulants.jointcsn import joint_cumulants, joint_reduced_table
 from dotcumulants.params import DelayParams, TransportParams, default_delay_exponent
 from dotcumulants.rational import rat, rational_str
 from dotcumulants.wigner import wigner_cumulants
@@ -86,3 +86,45 @@ def test_lattice_probe_matches_its_pinned_digest():
     for p, record in _probe_records():
         digest.update(f"{sorted(p.describe().items())}|{record}\n".encode())
     assert digest.hexdigest() == PROBE_DIGEST
+
+
+#: taken before the engines moved to integer rows, so that the move is pinned
+#: as bit-identical on every value and on every failure's token and message
+EXACT_OUTPUT_DIGEST = "11514ccf8a5e8c44411563cc0ad42c713b3795ec77a72717934615159f9021a0"
+
+
+def _exact_output_records():
+    for beta in (1, 2, 4):
+        for alpha in ALPHAS:
+            for delta in DELTAS:
+                for n in range(1, 9):
+                    p = TransportParams(beta, rat(alpha), rat(delta), n)
+                    yield p, "G", _record(lambda: conductance_cumulants(p, 8).values, _text)
+                    for shape in ((4, 2), (6, 4)):
+                        yield p, shape, _record(lambda: joint_cumulants(p, *shape), _table_text)
+    for beta in (1, 2, 4):
+        for n in range(16, 25):
+            p = DelayParams(beta, n)
+            yield p, "D", _record(lambda: wigner_cumulants(p, min(8, p.q)).values, _text)
+    for beta, alpha, delta, n in ((1, "-1/2", "0", 6), (1, "1", "2", 9), (4, "0", "0", 5), (4, "3/2", "-1", 7)):
+        p = TransportParams(beta, rat(alpha), rat(delta), n)
+        yield p, "R", _record(
+            lambda: reduced_moments(p, 8), lambda s: f"{_text(s.r_values)} | {_text(s.mu_values)}"
+        )
+        yield p, "JR", _record(
+            lambda: joint_reduced_table(p, 4, 2),
+            lambda t: " | ".join(
+                " ".join(f"{l},{k}:{rational_str(v)}" for (l, k), v in sorted(d.items()))
+                for d in (t.r, t.mu)
+            ),
+        )
+
+
+def test_exact_outputs_match_their_pinned_digest():
+    """Conductance rows to order 8 and joint (4,2) and (6,4) tables on the
+    sweep grid, n = 1..8; delay rows to min(8, q) at n = 16..24; and reduced
+    moments and joint reduced tables at two beta=1 and two beta=4 points."""
+    digest = hashlib.sha256()
+    for p, what, record in _exact_output_records():
+        digest.update(f"{sorted(p.describe().items())}|{what}|{record}\n".encode())
+    assert digest.hexdigest() == EXACT_OUTPUT_DIGEST

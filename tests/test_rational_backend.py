@@ -24,6 +24,7 @@ from dotcumulants.rational import (
     rat,
     rational_str,
 )
+from introws import int_row, row_values
 
 
 def test_serialization_conventions():
@@ -103,14 +104,21 @@ _terms = st.lists(
 )
 
 
+def _int_terms(terms):
+    """``dot``'s int terms (c, xn, xd, yn, yd) of rational (c, x, y) triples."""
+    return [(c, x.numerator, x.denominator, y.numerator, y.denominator) for c, x, y in terms]
+
+
+def _pair(x):
+    return x.numerator, x.denominator
+
+
 @settings(max_examples=200, deadline=None)
 @given(_terms)
 def test_dot_equals_the_naive_sum(terms):
     terms = [(c, rat(x), rat(y)) for c, x, y in terms]
     expected = sum((c * x * y for c, x, y in terms), ZERO)
-    got = dot(iter(terms))
-    assert got == expected
-    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+    assert dot(iter(_int_terms(terms))) == _pair(expected)
 
 
 # Denominators built as products of a few factors drawn from one small base,
@@ -140,9 +148,21 @@ def _structured_terms(draw):
 @given(_structured_terms())
 def test_dot_equals_the_naive_sum_over_related_denominators(terms):
     expected = sum((c * x * y for c, x, y in terms), ZERO)
-    got = dot(terms)
-    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
-    assert type(got) is type(ZERO)
+    got = dot(_int_terms(terms))
+    assert got == _pair(expected)
+    assert all(type(v) is int for v in got)
+
+
+_divisors = st.integers(-(10**12), 10**12).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structured_terms(), _divisors, _divisors)
+def test_dot_folds_its_scale_and_divisor(terms, scale, divisor):
+    expected = sum((c * x * y for c, x, y in terms), ZERO) * scale / divisor
+    num, den = dot(_int_terms(terms), scale, divisor)
+    assert (num, den) == _pair(expected)
+    assert den > 0 and math.gcd(num, den) == 1
 
 
 def test_dot_takes_both_denominator_branches():
@@ -150,17 +170,54 @@ def test_dot_takes_both_denominator_branches():
     # only a 3 with 24 and rescales to 72
     terms = [(1, rat(1, 12), ONE), (5, rat(1, 6), ONE), (3, rat(1, 8), ONE),
              (2, rat(1, 3), rat(1, 3))]
-    assert dot(terms) == rat(1, 12) + rat(5, 6) + rat(3, 8) + rat(2, 9)
-    cancelled = dot(terms + [(-c, x, y) for c, x, y in terms])
-    assert cancelled == ZERO and type(cancelled) is type(ZERO)
+    expected = rat(1, 12) + rat(5, 6) + rat(3, 8) + rat(2, 9)
+    assert dot(_int_terms(terms)) == _pair(expected)
+    assert dot(_int_terms(terms + [(-c, x, y) for c, x, y in terms])) == (0, 1)
 
 
-def test_dot_returns_the_backend_scalar():
-    scalar = type(rat(1))
-    assert dot([]) == ZERO and type(dot([])) is scalar
-    assert type(dot([(3, rat(1, 2), rat(2, 3))])) is scalar
-    assert dot([(3, rat(1, 2), rat(2, 3))]) == 1
-    assert type(dot([(0, rat(1, 2), rat(2, 3)), (5, ZERO, rat(7))])) is scalar
+def test_dot_divides_by_a_negative_and_a_non_unit_divisor():
+    terms = _int_terms([(1, rat(1, 12), ONE), (3, rat(1, 8), ONE)])  # 11/24
+    assert dot(terms, 1, -6) == (-11, 144)
+    assert dot(terms, 4, 6) == (11, 36)
+    assert dot(terms, -10, -22) == (5, 24)
+    # a zero sum stays (0, 1) whatever it is scaled or divided by
+    assert dot(terms + [(-c, xn, xd, yn, yd) for c, xn, xd, yn, yd in terms], 7, -3) == (0, 1)
+    assert dot([], 5, -2) == (0, 1)
+
+
+def test_dot_returns_a_reduced_int_pair():
+    assert dot([]) == (0, 1)
+    assert dot(_int_terms([(3, rat(1, 2), rat(2, 3))])) == (1, 1)
+    assert dot(_int_terms([(0, rat(1, 2), rat(2, 3)), (5, ZERO, rat(7))])) == (0, 1)
+    # unreduced inputs give the reduced sum
+    assert dot([(1, 2, 4, 3, 9)]) == (1, 6)
+
+
+def test_public_results_hold_backend_scalars():
+    """The engines run on int pairs; every value they hand out is the backend
+    scalar, whose ``numerator`` and ``denominator`` the benchmark's tracer
+    and the payload serialization read."""
+    from dotcumulants.conductance import reduced_moments
+    from dotcumulants.exactmoments import exact_conductance_cumulant_row
+    from dotcumulants.jointcsn import joint_reduced_table
+    from dotcumulants.wigner import wigner_cumulants
+
+    scalar = type(ZERO)
+    coe = TransportParams(1, rat(-1, 2), 0, 8)
+    joint = joint_cumulants(coe, 4, 3).values
+    reduced = reduced_moments(TransportParams(1, rat(1), 2, 9), 6)  # r_1, r_3, r_5 are 0
+    joint_reduced = joint_reduced_table(TransportParams(4, rat(1), 0, 6), 3, 2)
+    results = {
+        "conductance": conductance_cumulants(TransportParams(4, 0, 1, 5), 10).values,
+        "wigner": wigner_cumulants(DelayParams(1, 30), 8).values,
+        "joint": list(joint.values()),
+        "reduced": reduced.r_values + reduced.mu_values,
+        "joint-reduced": [*joint_reduced.r.values(), *joint_reduced.mu.values()],
+        "exact": exact_conductance_cumulant_row(TransportParams(2, rat(1, 2), 0, 3), 6),
+    }
+    for name, values in results.items():
+        assert values, name
+        assert all(type(v) is scalar for v in values), name
 
 
 # Term-by-term transcriptions of the recurrences, one rational operation per
@@ -298,7 +355,7 @@ def _naive_joint(beta, alpha, delta, n, L, K, memo):
 
 def test_bell_transform_equals_naive_loop():
     r = [rat(3, 7), rat(0), rat(-5, 2), rat(11, 9), rat(0), rat(1, 2**40), rat(-13)]
-    assert bell_transform(r, 7) == _naive_bell(r, 7)
+    assert row_values(bell_transform(int_row(r), 7)) == _naive_bell(r, 7)
 
 
 @pytest.mark.parametrize("beta,alpha,delta,n", [

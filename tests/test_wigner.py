@@ -17,6 +17,7 @@ from dotcumulants.wigner import (
     wigner_fourth_closed,
     wigner_initial,
 )
+from introws import int_row, row_values
 
 
 def test_mean_is_one_at_default_exponent():
@@ -128,9 +129,9 @@ def test_engine_grown_in_rising_orders_equals_fresh(beta, n):
     # the memoised reduced moments equal a transform of freshly taken
     # second differences
     step = DelayParams(beta, n).i_shift
-    minus, plus, here = (fresh.cumulants(m, 30) for m in (n - step, n + step, n))
+    minus, plus, here = (row_values(fresh.cumulants(m, 30)) for m in (n - step, n + step, n))
     rho = [minus[j] + plus[j] - 2 * here[j] for j in range(30)]
-    assert grown.reduced_moments(n, 30)[:31] == bell_transform(rho, 30)
+    assert row_values(grown.reduced_moments(n, 30))[:31] == row_values(bell_transform(int_row(rho), 30))
 
 
 def test_variance_asymptotics_residual_order():
