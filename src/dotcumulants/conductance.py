@@ -9,18 +9,20 @@ rational functions of n.
 
 ``_Lattice`` is the one engine core.  Its values never are backend
 scalars: each is a reduced pair of ints, and a sequence of them is an *int
-row* ``(nums, dens)`` of two parallel lists (``rational.int_row``).  Per
-dimension it memoises the value row, the coupling constant, the integer
-constants of the step's leading coefficient and the reduced moments, which
-grow by one term per order; the step weights depend on the order only and
-are memoised once per engine.  Its ``visited`` list is the one record of the
-dimensions a computation touched, and it holds the one rule for dimension 0,
-the empty ensemble: all zero.  A step is one ``rational.dot`` of its
-quadratic, linear and coupling terms with the division by its leading
-coefficient folded in; the quadratic sum is symmetric under i <-> l-1-i, so
-each pair is multiplied once.  ``ConductanceEngine`` and
-``wigner.DelayEngine`` supply only their closed first values, per-dimension
-constants, step weights and coupling.  ``jointcsn.JointEngine`` is a
+row* ``(nums, dens)`` of two parallel lists (``rational.int_row``).  An
+engine scales its parameters to integers once (alpha = a/q, delta/2 = h/q)
+and takes every per-dimension constant from them as a reduced int pair: the
+closed first values, the coupling and the leading-coefficient constants.
+Per dimension it memoises the value row, those constants and the reduced
+moments, which grow by one term per order; the step weights depend on the
+statistic, beta and the order only, and are memoised once per process.  Its
+``visited`` list is the one record of the dimensions a computation touched,
+and it holds the one rule for dimension 0, the empty ensemble: all zero.  A
+step is one ``rational.dot`` of its quadratic, linear and coupling terms with
+the division by its leading coefficient folded in; the quadratic sum is
+symmetric under i <-> l-1-i, so each pair is multiplied once.
+``ConductanceEngine`` and ``wigner.DelayEngine`` supply only their closed
+first values, per-dimension constants, step weights and coupling.  ``jointcsn.JointEngine`` is a
 ``ConductanceEngine`` whose values are its k=0 row, so that row's reduced
 moments share the lattice memo.  ``_reduced_walk`` is the one
 second-difference + Bell walk; ``reduced_moments`` runs it too.  Backend
@@ -34,10 +36,10 @@ import math
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .ensembles import _raw_coupling, _scaled, b_constant
+from .ensembles import _lattice_coupling, _scaled, b_constant
 from .errors import InvalidOrderError, PoleError, UnsupportedBetaError
 from .params import TransportParams, eta_factor, lattice_step
-from .rational import dot, int_row, rat, rationals
+from .rational import dot, int_row, rat, rationals, reduced
 
 
 @dataclass(frozen=True)
@@ -68,18 +70,24 @@ def conductance_initial(p: TransportParams):
 
 
 def _initial_three(beta, alpha, delta, n):
-    # integer form, as for the couplings in ``ensembles``: the parameters are
-    # scaled by the common denominator q of alpha, delta/2 and n, each factor
-    # below is q times the factor it stands for, and one rational is built per
-    # cumulant
-    q, (a, h, n) = _scaled(alpha, rat(delta) / 2, n)  # h = delta/2
+    q, (a, h, n) = _scaled(alpha, rat(delta) / 2, n)
+    return tuple(rationals(*_initial_row(beta, q, a, h, n)))
+
+
+def _initial_row(beta, q, a, h, n):
+    """The int row kappa_1..kappa_3 at alpha = a/q, delta/2 = h/q and
+    dimension n/q.
+
+    Integer form, as for the couplings in ``ensembles``: each factor below is
+    q times the factor it stands for, and each cumulant is one quotient of
+    two integer products, reduced."""
     s = a + h
     t = beta * (n - q)  # q * beta(n-1)
 
     den1 = s + 2 * q + t
     if den1 == 0:
         raise PoleError("kappa_1 denominator vanishes")
-    k1 = rat(n * (2 * a + 2 * q + t), 2 * q * den1)
+    k1 = reduced(n * (2 * a + 2 * q + t), 2 * q * den1)
 
     if n == q:
         # The trailing factors of kappa_2 coincide at n=1 and cancel, as do
@@ -94,7 +102,7 @@ def _initial_three(beta, alpha, delta, n):
         den3 = den2 * (s + 2 * q) * (s + 4 * q)
         if den3 == 0:
             raise PoleError("kappa_3 denominator vanishes")
-        return (k1, rat(num2, den2), rat(num3, den3))
+        return _pairs_row(k1, reduced(num2, den2), reduced(num3, den3))
 
     den2a = (s + 2 * q + t) ** 2 * (s + 3 * q + t)
     den2b = 2 * s + 4 * q + beta * (2 * n - 3 * q)
@@ -115,7 +123,12 @@ def _initial_three(beta, alpha, delta, n):
     if den3 == 0:
         raise PoleError("kappa_3 denominator vanishes")
     num3 = 2 * num2 * (h - a) * (s + (2 - beta) * q) * q
-    return (k1, rat(num2, den2), rat(num3, den2 * den3))
+    return _pairs_row(k1, reduced(num2, den2), reduced(num3, den2 * den3))
+
+
+def _pairs_row(*pairs):
+    """The int row of reduced int pairs."""
+    return [n for n, _ in pairs], [d for _, d in pairs]
 
 
 def _leading(beta, l, q2, P, Q):
@@ -186,30 +199,31 @@ class _Lattice:
     terms + C l(l-1)(l-2) coupling mu_{l-3}] / (S * leading coefficient),
     with integers C and S chosen so that every weight is an integer.
 
-    A statistic passes its coupling (n -> constant) and supplies
-    ``_initial(n)``, the closed first values as rationals;
+    A statistic passes its coupling (n -> reduced int pair) and its step
+    weights ((beta, l) -> the w_i paired by ``_paired``), and supplies
+    ``_initial(n)``, the int row of the closed first values;
     ``_dimension_constants(n)``, ((q2, P, Q) of ``_leading``, g);
-    ``_weights(l)``, the w_i; ``_linear_terms(l, nums, dens, g)``, int terms
-    of ``dot``; and ``_fetch(n)``, the (dimension, order) -> int row callable
-    the reduced moments at n read.
+    ``_linear_terms(l, nums, dens, g)``, int terms of ``dot``; and
+    ``_fetch(n)``, the (dimension, order) -> int row callable the reduced
+    moments at n read.
 
     ``visited`` lists the dimensions in the order their closed first values
     were set.  Dimension 0 is the empty ensemble: its values are all zero,
     and it is neither evaluated nor visited.
     """
 
-    def __init__(self, beta, coupling, coupling_weight, scale):
+    def __init__(self, beta, coupling, coupling_weight, scale, pair_weights):
         self.beta = beta
         self.step = lattice_step(beta)
         self._eta = eta_factor(beta)
         self._coupling_at = coupling
         self._coupling_weight = coupling_weight
         self._scale = scale
+        self._pair_weights = pair_weights
         self._values = {}  # dimension -> int row v_1, v_2, ...
         self._reduced = {}  # dimension -> (int row r_1, r_2, ..., int row mu_0, mu_1, ...)
         self._couplings = {}  # dimension -> coupling constant as a reduced int pair
         self._constants = {}  # dimension -> ((q2, P, Q), g)
-        self._pair_weights = []  # order l -> the step's weights, paired as in _extend
         self.visited = []
 
     def coupling(self, n):
@@ -217,8 +231,7 @@ class _Lattice:
         (a pole is not stored)."""
         c = self._couplings.get(n)
         if c is None:
-            value = self._coupling_at(n)
-            c = self._couplings[n] = (int(value.numerator), int(value.denominator))
+            c = self._couplings[n] = self._coupling_at(n)
         return c
 
     def _dimension(self, n):
@@ -226,18 +239,6 @@ class _Lattice:
         if c is None:
             c = self._constants[n] = self._dimension_constants(n)
         return c
-
-    def _step_weights(self, l):
-        """The quadratic sum's weights at order l, one per pair: the sum is
-        symmetric under i <-> l-1-i, so pair i < l/2 enters once with
-        w_i + w_{l-1-i}, and the middle term of an odd l keeps its single
-        weight.  Memoised per engine: they depend on l only."""
-        memo = self._pair_weights
-        while len(memo) <= l:
-            m = len(memo)
-            w = self._weights(m)
-            memo.append([w[i] + w[m - 1 - i] for i in range(m // 2)] + w[m // 2:m // 2 + m % 2])
-        return memo[l]
 
     def _fill(self, n, order):
         """v_1..v_order at dimension n as an int row, extending its memo; empty
@@ -248,7 +249,7 @@ class _Lattice:
             return [0] * order, [1] * order
         values = self._values.get(n)
         if values is None:
-            values = self._values[n] = int_row(self._initial(n))
+            values = self._values[n] = self._initial(n)
             self.visited.append(n)
         nums, dens = values
         while len(nums) < order:
@@ -262,7 +263,7 @@ class _Lattice:
         if A == 0:
             raise PoleError(f"leading coefficient vanishes at order {l} (n={n})")
         # pair i is v_{i+1} v_{l-i}: the row read forwards and backwards
-        terms = list(zip(self._step_weights(l), nums, dens, reversed(nums), reversed(dens)))
+        terms = list(zip(self._pair_weights(self.beta, l), nums, dens, reversed(nums), reversed(dens)))
         terms += self._linear_terms(l, nums, dens, g)
         cn, cd = self.coupling(n)
         if cn:
@@ -281,9 +282,25 @@ class _Lattice:
         return _reduced_walk(memo, n, self.step, order, self._fetch(n))
 
 
+def _paired(w):
+    """The quadratic sum's weights w_0..w_{l-1} at order l, one per pair: the
+    sum is symmetric under i <-> l-1-i, so pair i < l/2 enters once with
+    w_i + w_{l-1-i}, and the middle term of an odd l keeps its single weight."""
+    l = len(w)
+    return tuple(w[i] + w[l - 1 - i] for i in range(l // 2)) + tuple(w[l // 2:l // 2 + l % 2])
+
+
 def _coeff_B(l, i, chi):
     li = l - i
     return (2 - chi) * li * (li * (6 * i - 2) + 3) + (chi - 1) * li * li * (6 * i + 2)
+
+
+@cache
+def _conductance_weights(beta, l):
+    """The conductance step's paired weights at order l; memoised, one
+    immutable tuple per (beta, l)."""
+    chi = 2 if beta == 2 else 1
+    return _paired([-eta_factor(beta) * c * _coeff_B(l, i, chi) for i, c in enumerate(_binomials(l)[:l])])
 
 
 class ConductanceEngine(_Lattice):
@@ -294,30 +311,24 @@ class ConductanceEngine(_Lattice):
     def __init__(self, beta, alpha, delta):
         self.alpha = rat(alpha)
         self.delta = rat(delta)
-        coupling = partial(_raw_coupling, beta, self.alpha, self.delta)
-        super().__init__(beta, coupling, 12 // beta, 1)
-        self._chi = 2 if beta == 2 else 1
+        # alpha = a/q and delta/2 = h/q, q their common denominator
+        self._q, (self._a, self._h) = _scaled(self.alpha, self.delta / 2)
+        coupling = partial(_lattice_coupling, beta, self._q, self._a, self._h)
+        super().__init__(beta, coupling, 12 // beta, 1, _conductance_weights)
 
     def _dimension_constants(self, n):
         """(q2, P, Q) of ``_leading`` at dimension n, and alpha - delta/2 + beta n
         as a reduced int pair.
 
         With t = alpha + delta/2 + beta n, P / q2 = (6 - 3 beta + t)(t + 2 - beta)
-        and Q / q2 = t (t + 2 - beta); q is the common denominator of alpha,
-        delta/2 and n, and q2 = q^2."""
-        beta = self.beta
-        q, (a, h, m) = _scaled(self.alpha, self.delta / 2, n)
-        t = a + h + beta * m
+        and Q / q2 = t (t + 2 - beta), and q2 = q^2."""
+        beta, q, a, h = self.beta, self._q, self._a, self._h
+        t = a + h + beta * q * n
         u = t + (2 - beta) * q
-        g = a - h + beta * m
-        common = math.gcd(g, q)
-        return (q * q, ((6 - 3 * beta) * q + t) * u, t * u), (g // common, q // common)
+        return (q * q, ((6 - 3 * beta) * q + t) * u, t * u), reduced(a - h + beta * q * n, q)
 
     def _initial(self, n):
-        return _initial_three(self.beta, self.alpha, self.delta, n)
-
-    def _weights(self, l):
-        return [-self._eta * math.comb(l, i) * _coeff_B(l, i, self._chi) for i in range(l)]
+        return _initial_row(self.beta, self._q, self._a, self._h, self._q * n)
 
     def _linear_terms(self, l, nums, dens, g):
         # index i holds kappa_{i+1}

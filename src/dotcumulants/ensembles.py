@@ -7,16 +7,18 @@ Gamma functions collapse and the ratio is an explicit rational function of
 the parameters; we always evaluate that closed form, never Gamma ratios,
 so half-integer exponents stay exact.  Every factor of the closed forms is
 linear in the parameters, so each is evaluated as an integer: the arguments
-are scaled by the common denominator q of their values, the factors are
-multiplied as ints, and one rational is built from the two products at the
-end.  The powers of q cancel between numerator and denominator, except in
-d_n, whose numerator carries four factors fewer and is multiplied by q^4.
-Only the beta=1 forms are written out, each as one integer core over the
-scaled arguments: beta=4 evaluates them at the dual point, b_n at
+are scaled by a common denominator q, the factors are multiplied as ints, and
+the quotient of the two products is returned as a reduced int pair.  The
+powers of q cancel between numerator and denominator, except in d_n, whose
+numerator carries four factors fewer and is multiplied by q^4.  Only the
+beta=1 forms are written out, each as one integer core over the scaled
+arguments: beta=4 evaluates them at the dual point, b_n at
 (-alpha/2, -delta/2, -2n) and 16 d_n at (-b/2, -2n).  Halving and
 negation act on the integers q*x, with the scale doubled once per halving,
-so no rational is negated or halved.  The engines evaluate each
-constant once per dimension.
+so no rational is negated or halved.  The engines scale their parameters
+once and take each constant, once per dimension, from ``_lattice_coupling``
+or ``_lattice_delay_coupling``; the public functions build their rationals
+from the same pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 
 from .errors import InvalidGammaArgumentError, PoleError
 from .params import DelayParams, TransportParams
-from .rational import rat
+from .rational import rat, reduced
 
 # -- exact coupling constants ---------------------------------------------------
 
@@ -35,12 +37,12 @@ def _scaled(*values):
     q * x for each x."""
     xs = [rat(v) for v in values]
     q = math.lcm(*(x.denominator for x in xs))
-    return q, [x.numerator * (q // x.denominator) for x in xs]
+    return q, [int(x.numerator) * (q // int(x.denominator)) for x in xs]
 
 
 def _quotient(num_factors, den_factors, what):
-    """prod(num_factors) / prod(den_factors) over integer factors, raising
-    ``PoleError`` when a denominator factor vanishes."""
+    """prod(num_factors) / prod(den_factors) over integer factors as a reduced
+    int pair, raising ``PoleError`` when a denominator factor vanishes."""
     num = 1
     for f in num_factors:
         num *= f
@@ -49,7 +51,7 @@ def _quotient(num_factors, den_factors, what):
         if f == 0:
             raise PoleError(f"{what}: denominator factor vanishes")
         den *= f
-    return rat(num, den)
+    return reduced(num, den)
 
 
 def _transport_coupling(q, a, h, n, what):
@@ -67,19 +69,24 @@ def _transport_coupling(q, a, h, n, what):
 def transport_coupling_beta1(alpha, delta, n):
     """Closed form of b_n for beta=1; n may be any rational."""
     q, (a, d, n) = _scaled(alpha, delta, n)
-    return _transport_coupling(2 * q, 2 * a, d, 2 * n, "b_n(beta=1)")
+    return rat(*_transport_coupling(2 * q, 2 * a, d, 2 * n, "b_n(beta=1)"))
+
+
+def _lattice_coupling(beta, q, a, h, n):
+    """b_n at alpha = a/q, delta/2 = h/q and any integer dimension n (lattice
+    points can sit below the physical range n >= 1), as a reduced int pair."""
+    if beta == 2 or n == 0:
+        return 0, 1
+    if beta == 1:
+        return _transport_coupling(q, a, h, q * n, "b_n(beta=1)")
+    # the dual point (-alpha/2, -delta/2, -2n) on the scale 2q
+    return _transport_coupling(2 * q, -a, -h, -4 * q * n, "b_n(beta=4)")
 
 
 def _raw_coupling(beta, alpha, delta, n):
-    """b_n as a rational function of n, evaluated at any integer dimension
-    (lattice points can sit below the physical range n >= 1)."""
-    if beta == 2 or n == 0:
-        return rat(0)
-    if beta == 1:
-        return transport_coupling_beta1(alpha, delta, n)
-    # the dual point (-alpha/2, -delta/2, -2n), with delta/2 on the scale 4q
+    """b_n as a rational, evaluated at any integer dimension."""
     q, (a, d) = _scaled(alpha, delta)
-    return _transport_coupling(4 * q, -2 * a, -d, -8 * q * n, "b_n(beta=4)")
+    return rat(*_lattice_coupling(beta, 2 * q, 2 * a, d, n))
 
 
 def b_constant(p: TransportParams):
@@ -97,19 +104,24 @@ def _delay_coupling(q, b, n, what, outer=1):
 
 def delay_coupling_beta1(b, n):
     q, (b, n) = _scaled(b, n)
-    return _delay_coupling(q, b, n, "d_n(beta=1)")
+    return rat(*_delay_coupling(q, b, n, "d_n(beta=1)"))
+
+
+def _lattice_delay_coupling(beta, q, b, n):
+    """d_n at weight exponent b/q and any integer dimension n, as a reduced
+    int pair (0 for beta=2 and at the lattice point n=0)."""
+    if beta == 2 or n == 0:
+        return 0, 1
+    if beta == 1:
+        return _delay_coupling(q, b, q * n, "d_n(beta=1)")
+    # 16 d_n(beta=4) is d_n(beta=1) at the dual point (-b/2, -2n), scale 2q
+    return _delay_coupling(2 * q, -b, -4 * q * n, "d_n(beta=4)", 16)
 
 
 def _raw_delay_coupling(beta, b, n):
-    """d_n at weight exponent b, evaluated at any integer dimension (0 for
-    beta=2 and at the lattice point n=0)."""
-    if beta == 2 or n == 0:
-        return rat(0)
-    if beta == 1:
-        return delay_coupling_beta1(b, n)
-    # 16 d_n(beta=4) is d_n(beta=1) at the dual point (-b/2, -2n), scale 2q
+    """d_n as a rational, evaluated at any integer dimension."""
     q, (b,) = _scaled(b)
-    return _delay_coupling(2 * q, -b, -4 * q * n, "d_n(beta=4)", 16)
+    return rat(*_lattice_delay_coupling(beta, q, b, n))
 
 
 def d_constant(p: DelayParams):

@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .params import TransportParams
-from .rational import dot, int_row, rat, rationals
+from .rational import dot, int_row, rat, rationals, reduced
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ class JointEngine(ConductanceEngine):
             raise BoundaryUnavailableError(
                 f"conductance row failed at dimension {n}: {exc}"
             ) from exc
-        c = self.alpha + self.delta / 2 + self.beta * n + 2 - self.beta
-        cn, cd = int(c.numerator), int(c.denominator)
+        # c = alpha + delta/2 + beta(n-1) + 2 on the engine's integer scale
+        cn, cd = reduced(self._a + self._h + (self.beta * (n - 1) + 2) * self._q, self._q)
         eta = self._eta
         # b_n enters columns k >= 2 only, so a narrower table, the conductance
         # row among them, does not stop at a pole of b_n

@@ -36,11 +36,11 @@ class TransportParams:
     n: int
 
     def __post_init__(self):
-        if self.beta not in _ALLOWED_BETA:
+        if isinstance(self.beta, bool) or self.beta not in _ALLOWED_BETA:
             raise ValueError(f"beta must be one of {_ALLOWED_BETA}, got {self.beta}")
         object.__setattr__(self, "alpha", rat(self.alpha))
         object.__setattr__(self, "delta", rat(self.delta))
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
         if not self.alpha > -1:
             raise ValueError("alpha must exceed -1 for an integrable weight")
@@ -93,9 +93,9 @@ class DelayParams:
     b: object = field(default=None)
 
     def __post_init__(self):
-        if self.beta not in _ALLOWED_BETA:
+        if isinstance(self.beta, bool) or self.beta not in _ALLOWED_BETA:
             raise ValueError(f"beta must be one of {_ALLOWED_BETA}, got {self.beta}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
         b = default_delay_exponent(self.beta, self.n) if self.b is None else rat(self.b)
         object.__setattr__(self, "b", b)

@@ -14,8 +14,9 @@ dimension lattice, a Bell-transform coefficient, a coefficient of a series
 exponential, a step of a limit recurrence): it takes int terms, adds the
 integer numerators of the products over a running denominator, which grows
 only when a term's denominator does not divide it, folds in the step's
-divisor, and reduces the sum once.  ``int_row`` and ``rationals`` convert
-between rows and backend scalars where values enter and leave the engines.
+divisor, and reduces the sum once.  ``reduced`` brings any other quotient of
+two ints to such a pair.  ``int_row`` and ``rationals`` convert between rows
+and backend scalars where values enter and leave the engines.
 The gain was measured with ``fractions`` only; with ``gmpy2.mpq`` it is
 unmeasured and may be smaller.
 """
@@ -94,11 +95,15 @@ def dot(terms, scale=1, divisor=1):
             num += n * factor
     if not num:
         return 0, 1
-    num *= scale
-    den *= divisor
-    if den < 0:
-        num, den = -num, -den
+    return reduced(num * scale, den * divisor)
+
+
+def reduced(num, den):
+    """num / den in lowest terms as an int pair with a positive denominator;
+    den must be nonzero."""
     g = math.gcd(num, den)
+    if den < 0:
+        g = -g
     return num // g, den // g
 
 

@@ -10,18 +10,21 @@ vanishes, and the same engine then runs at a single dimension.
 ``DelayEngine`` runs on ``conductance._Lattice``, the core the conductance
 engine uses, and supplies only the delay time's closed K_1..K_3, omega and
 the leading-coefficient constants per dimension, the step weights and d_n.
-Like the conductance engine it keeps its values as int rows;
-``wigner_cumulants`` builds the backend rationals of the one row it returns.
+Like the conductance engine it scales its parameter to integers once, b =
+b'/q in lowest terms, so that omega = w/q at every dimension and the number
+of cumulants there is w // q; it takes every per-dimension constant as a
+reduced int pair, memoises its step weights once per process and keeps its
+values as int rows.  ``wigner_cumulants`` builds the backend rationals of
+the one row it returns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
-from .conductance import _Lattice
-from .ensembles import _raw_delay_coupling
+from .conductance import _binomials, _Lattice, _paired, _pairs_row
+from .ensembles import _lattice_delay_coupling
 from .errors import (
     InsufficientOrderError,
     InvalidOrderError,
@@ -29,8 +32,8 @@ from .errors import (
     NonexistentCumulantError,
     PoleError,
 )
-from .params import DelayParams
-from .rational import floor_rational, rat, rationals
+from .params import DelayParams, eta_factor
+from .rational import rat, rationals, reduced
 
 
 @dataclass(frozen=True)
@@ -48,33 +51,35 @@ class DelayCumulants:
 
 
 def _initial_three(beta, omega, n, upto):
-    """K_1..K_upto (upto <= 3) from the closed low-order forms in terms of
-    omega = b - 2 - beta*(n-1); valid at any lattice point at fixed b."""
-    h = rat(beta, 2)
-    out = []
+    """K_1..K_upto (upto <= 3) as a list of rationals; see ``_initial_row``."""
+    omega = rat(omega)
+    return rationals(*_initial_row(beta, int(omega.denominator), int(omega.numerator), n, upto))
+
+
+def _initial_row(beta, q, w, n, upto):
+    """The int row K_1..K_upto (upto <= 3) from the closed low-order forms in
+    terms of omega = b - 2 - beta*(n-1) = w/q; valid at any lattice point at
+    fixed b.  Each cumulant is one quotient of integer products, reduced."""
+    pairs = []
     if upto >= 1:
-        if omega == 0:
+        if w == 0:
             raise PoleError("K_1 pole: omega = 0")
-        out.append(h * n / omega)
+        # (beta/2) n / omega
+        pairs.append(reduced(beta * n * q, 2 * w))
     if upto >= 2:
-        den = omega**2 * (2 * omega + beta) * (omega - 1)
+        den = w**2 * (2 * w + beta * q) * (w - q)
         if den == 0:
             raise PoleError("K_2 pole: omega in {0, 1, -beta/2}")
-        out.append(h**2 * n * (2 * omega + beta * n) / den)
+        # (beta/2)^2 n (2 omega + beta n) / (omega^2 (2 omega + beta)(omega - 1))
+        pairs.append(reduced(beta**2 * n * (2 * w + beta * n * q) * q**3, 4 * den))
     if upto >= 3:
-        den = (
-            omega**3
-            * (2 * omega + beta)
-            * (omega + beta)
-            * (omega - 1)
-            * (omega - 2)
-        )
+        den = w**3 * (2 * w + beta * q) * (w + beta * q) * (w - q) * (w - 2 * q)
         if den == 0:
             raise PoleError("K_3 pole")
-        out.append(
-            h**3 * 4 * n * (2 * omega + n * beta) * (omega + n * beta) / den
-        )
-    return out
+        # 4 (beta/2)^3 n (2 omega + n beta)(omega + n beta)
+        #   / (omega^3 (2 omega + beta)(omega + beta)(omega - 1)(omega - 2))
+        pairs.append(reduced(beta**3 * n * (2 * w + n * beta * q) * (w + n * beta * q) * q**5, 2 * den))
+    return _pairs_row(*pairs)
 
 
 def wigner_initial(p: DelayParams):
@@ -90,32 +95,42 @@ def _coeff_B(beta, eta, i, l):
     return (l - i) * (6 * eta * (l - i - 1) * i + beta + 4 * beta * i)
 
 
+@cache
+def _delay_weights(beta, l):
+    """The delay-time step's paired weights at order l; memoised, one
+    immutable tuple per (beta, l)."""
+    eta = eta_factor(beta)
+    return _paired([-4 * c * _coeff_B(beta, eta, i, l) for i, c in enumerate(_binomials(l)[:l])])
+
+
 class DelayEngine(_Lattice):
     """Memoized delay-time cumulants over the fixed-b dimension lattice."""
 
     def __init__(self, beta, b):
         self.b = rat(b)
+        self._q, self._b = int(self.b.denominator), int(self.b.numerator)
+        coupling = partial(_lattice_delay_coupling, beta, self._q, self._b)
         # each step is four times the right-hand side, so that every weight is
         # an integer: (12 d_n / beta) l(l-1)(l-2) (beta/2)^4 phi_{l-3}, times 4
-        super().__init__(beta, partial(_raw_delay_coupling, beta, self.b), 3 * beta**3, 4)
+        super().__init__(beta, coupling, 3 * beta**3, 4, _delay_weights)
+
+    def _omega(self, n):
+        """q omega at dimension n, omega = b - 2 - beta(n-1): omega differs from
+        b by an integer, so w/q is in lowest terms."""
+        return self._b - (2 + self.beta * (n - 1)) * self._q
 
     def _dimension_constants(self, n):
         """(q2, P, Q) of ``conductance._leading`` at dimension n, with
         P / q2 = omega (omega - 4 + 2 beta) and Q / q2 = omega (omega + 2 - beta),
-        and omega = b - 2 - beta(n-1)."""
-        beta = self.beta
-        omega = self.b - 2 - beta * (n - 1)
-        w, d = omega.numerator, omega.denominator
-        return (d * d, w * (w + (2 * beta - 4) * d), w * (w + (2 - beta) * d)), omega
+        and q omega."""
+        beta, q, w = self.beta, self._q, self._omega(n)
+        return (q * q, w * (w + (2 * beta - 4) * q), w * (w + (2 - beta) * q)), w
 
     def _initial(self, n):
         # K_j has poles only at omega < j <= q <= omega: these are all finite
-        return _initial_three(self.beta, self._dimension(n)[1], n, min(3, self.q_at(n)))
+        return _initial_row(self.beta, self._q, self._omega(n), n, min(3, self.q_at(n)))
 
-    def _weights(self, l):
-        return [-4 * math.comb(l, i) * _coeff_B(self.beta, self._eta, i, l) for i in range(l)]
-
-    def _linear_terms(self, l, nums, dens, omega):
+    def _linear_terms(self, l, nums, dens, w):
         return [(-4 * self.beta * l * (2 * l - 1), nums[l - 1], dens[l - 1], 1, 1)]
 
     def _fetch(self, n):
@@ -123,7 +138,7 @@ class DelayEngine(_Lattice):
         return lambda m, order: self.cumulants(m, order, None if m == n else n)
 
     def q_at(self, n):
-        return floor_rational(self._dimension(n)[1])
+        return self._omega(n) // self._q
 
     def cumulants(self, n, order, requester=None):
         """K_1..K_order at dimension n, as an int row; ``requester`` names the

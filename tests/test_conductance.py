@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -237,14 +238,14 @@ def test_coupling_evaluated_once_per_dimension_per_call(monkeypatch):
     most once, and a second call (a fresh engine) evaluates it again."""
     from dotcumulants import ensembles
 
-    original = ensembles.transport_coupling_beta1
+    original = ensembles._transport_coupling
     dimensions = []
 
-    def counting(alpha, delta, n):
-        dimensions.append(n)
-        return original(alpha, delta, n)
+    def counting(q, a, h, n, what):
+        dimensions.append(Fraction(n, q))
+        return original(q, a, h, n, what)
 
-    monkeypatch.setattr(ensembles, "transport_coupling_beta1", counting)
+    monkeypatch.setattr(ensembles, "_transport_coupling", counting)
     p = TransportParams(1, COE_HALF, 0, 64)
     first = conductance_cumulants(p, 40)
     visited = list(dimensions)

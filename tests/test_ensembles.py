@@ -1,9 +1,11 @@
 import math
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from dotcumulants.conductance import _initial_three
+from dotcumulants.conductance import ConductanceEngine, _initial_three, _leading
 from dotcumulants.ensembles import (
     _raw_coupling,
     _raw_delay_coupling,
@@ -15,9 +17,11 @@ from dotcumulants.ensembles import (
     transport_coupling_beta1,
 )
 from dotcumulants.errors import InvalidGammaArgumentError, PoleError
-from dotcumulants.params import DelayParams, TransportParams
+from dotcumulants.params import DelayParams, TransportParams, eta_factor
 from dotcumulants.quadrature import delay_norm_quadrature
 from dotcumulants.rational import rat
+from dotcumulants.wigner import DelayEngine
+from dotcumulants.wigner import _initial_three as _delay_initial_three
 
 
 def test_b_constant_beta2_is_zero():
@@ -145,7 +149,8 @@ def test_log_delay_norm_monotone_in_n():
 # -- integer evaluation of the lattice constants -------------------------------
 #
 # A direct Fraction transcription of the closed forms, one operation per
-# factor, is the reference for the integer-scaled evaluation.
+# factor, is the reference for the integer-scaled evaluation, both for the
+# public functions and for the reduced int pairs an engine takes.
 
 
 def _reference_ratio(num_factors, den_factors):
@@ -229,6 +234,23 @@ def _reference_initial_three(beta, a, d, n):
     return (k1, k2, 2 * k2 * (d / 2 - a) * (s + 2 - beta) / den3)
 
 
+def _reference_delay_initial(beta, omega, n, upto):
+    omega, h = Fraction(omega), Fraction(beta, 2)
+    dens = [omega, omega**2 * (2 * omega + beta) * (omega - 1),
+            omega**3 * (2 * omega + beta) * (omega + beta) * (omega - 1) * (omega - 2)]
+    nums = [h * n, h**2 * n * (2 * omega + beta * n),
+            4 * h**3 * n * (2 * omega + beta * n) * (omega + beta * n)]
+    if 0 in dens[:upto]:
+        raise PoleError("K_j")
+    return [x / y for x, y in zip(nums[:upto], dens[:upto])]
+
+
+def _reference_lead(beta, l, linear, constant):
+    """The order-l step's leading coefficient as the naive recurrences write
+    it, eta l(l-1)(l-2) + beta l(2l-1) - linear * l - constant."""
+    return eta_factor(beta) * l * (l - 1) * (l - 2) + beta * l * (2 * l - 1) - linear * l - constant
+
+
 def _dual_b4(alpha, delta, n):
     """b_n for beta=4 by the closed form the engines evaluate: the beta=1 one
     at the dual point (unlike ``_raw_coupling``, not short-cut to 0 at n=0)."""
@@ -245,34 +267,78 @@ _DELTAS = [rat(x) for x in ("-1", "0", "1", "2", "1/3", "-5/7")]
 _DIMENSIONS = list(range(-12, 41))
 
 
-def _same(fn, reference, *args):
-    """Both give the same rational, or both raise PoleError; True if a value."""
+def _int_pairs(expected):
+    """The reduced int pair of a rational, or the int row of a sequence of them."""
+    if isinstance(expected, (tuple, list)):
+        return [x.numerator for x in expected], [x.denominator for x in expected]
+    return expected.numerator, expected.denominator
+
+
+def _same(fn, reference, *args, pair=None):
+    """Both give the same rational, or both raise PoleError; True if a value.
+
+    ``pair``, when given, returns what an engine takes at the same point: it
+    must be the reference's numerator and denominator (an int row for a sequence),
+    or raise the PoleError ``fn`` raises, with the same message."""
     try:
         expected = reference(*args)
     except PoleError:
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError) as raised:
             fn(*args)
+        if pair is not None:
+            with pytest.raises(PoleError, match=f"^{re.escape(str(raised.value))}$"):
+                pair()
         return False
     assert fn(*args) == expected, args
+    if pair is not None:
+        assert pair() == _int_pairs(expected), args
     return True
+
+
+def _coupling_of(engine, n):
+    """The coupling the engine takes at n; the engines give 0 at n = 0
+    without evaluating the closed form, so no pair is compared there."""
+    return (lambda: engine.coupling(n)) if n else None
 
 
 @pytest.mark.parametrize("alpha", _ALPHAS)
 def test_integer_transport_couplings_match_fraction_reference(alpha):
     values = 0
     for delta in _DELTAS:
+        one, four = ConductanceEngine(1, alpha, delta), ConductanceEngine(4, alpha, delta)
         for n in _DIMENSIONS:
-            values += _same(transport_coupling_beta1, _reference_b1, alpha, delta, n)
-            values += _same(_dual_b4, _reference_b4, alpha, delta, n)
+            values += _same(transport_coupling_beta1, _reference_b1, alpha, delta, n,
+                            pair=_coupling_of(one, n))
+            # the engine names the beta=4 constant, as b_constant does
+            b4 = partial(_raw_coupling, 4) if n else _dual_b4
+            values += _same(b4, _reference_b4, alpha, delta, n, pair=_coupling_of(four, n))
     assert values > len(_DELTAS) * len(_DIMENSIONS)
 
 
 @pytest.mark.parametrize("b", _ALPHAS + _DELTAS + [rat(10), rat(23, 3), rat(-9, 2)])
 def test_integer_delay_couplings_match_fraction_reference(b):
+    """d_n, and per beta what the delay engine takes at each dimension: omega
+    = b - 2 - beta(n-1) in lowest terms over the denominator of b, q =
+    floor(omega), the leading coefficient of each step order and the closed
+    K_1..K_min(3,q)."""
     values = 0
+    engines = {beta: DelayEngine(beta, b) for beta in (1, 2, 4)}
     for n in _DIMENSIONS:
-        values += _same(delay_coupling_beta1, _reference_d1, b, n)
-        values += _same(_dual_d4, _reference_d4, b, n)
+        values += _same(delay_coupling_beta1, _reference_d1, b, n, pair=_coupling_of(engines[1], n))
+        d4 = partial(_raw_delay_coupling, 4) if n else _dual_d4
+        values += _same(d4, _reference_d4, b, n, pair=_coupling_of(engines[4], n))
+        for beta, engine in engines.items():
+            omega = Fraction(b) - 2 - beta * (n - 1)
+            assert (engine._omega(n), engine._q) == _int_pairs(omega)
+            assert engine.q_at(n) == math.floor(omega)
+            (q2, P, Q), _ = engine._dimension_constants(n)
+            for l in range(3, 12):
+                lead = _reference_lead(beta, l, omega * (omega - 4 + 2 * beta), omega * (omega + 2 - beta))
+                assert Fraction(_leading(beta, l, q2, P, Q), q2) == lead, (beta, n, l)
+            upto = min(3, engine.q_at(n))
+            if upto >= 1:
+                _same(_delay_initial_three, _reference_delay_initial, beta, omega, n, upto,
+                      pair=lambda: engine._initial(n))
     assert values > len(_DIMENSIONS)
 
 
@@ -294,11 +360,22 @@ def test_integer_couplings_at_duality_and_rational_arguments():
 
 @pytest.mark.parametrize("beta", [1, 2, 4])
 def test_integer_initial_three_match_fraction_reference(beta):
+    """The closed kappa_1..kappa_3 as a rational and as the int row an engine
+    takes, and the integer constants of the engine's leading coefficient and
+    of alpha - delta/2 + beta n."""
     values = 0
     for alpha in _ALPHAS:
         for delta in _DELTAS:
+            engine = ConductanceEngine(beta, alpha, delta)
             for n in _DIMENSIONS:
-                values += _same(_initial_three, _reference_initial_three, beta, alpha, delta, n)
+                values += _same(_initial_three, _reference_initial_three, beta, alpha, delta, n,
+                                pair=lambda: engine._initial(n))
+                (q2, P, Q), g = engine._dimension_constants(n)
+                t = Fraction(alpha) + Fraction(delta) / 2 + beta * n
+                assert g == _int_pairs(Fraction(alpha) - Fraction(delta) / 2 + beta * n)
+                for l in range(3, 12):
+                    lead = _reference_lead(beta, l, (6 - 3 * beta + t) * (t + 2 - beta), t * (t + 2 - beta))
+                    assert Fraction(_leading(beta, l, q2, P, Q), q2) == lead, (alpha, delta, n, l)
     assert values > len(_ALPHAS) * len(_DELTAS) * len(_DIMENSIONS) // 2
 
 

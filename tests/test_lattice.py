@@ -11,13 +11,17 @@ refactor.
 
 import hashlib
 import random
+from fractions import Fraction
+from functools import partial
 
-from dotcumulants.conductance import conductance_cumulants, reduced_moments
+import pytest
+
+from dotcumulants.conductance import ConductanceEngine, conductance_cumulants, reduced_moments
 from dotcumulants.errors import CumulantError
-from dotcumulants.jointcsn import joint_cumulants, joint_reduced_table
+from dotcumulants.jointcsn import JointEngine, joint_cumulants, joint_reduced_table
 from dotcumulants.params import DelayParams, TransportParams, default_delay_exponent
-from dotcumulants.rational import rat, rational_str
-from dotcumulants.wigner import wigner_cumulants
+from dotcumulants.rational import BACKEND, rat, rational_str
+from dotcumulants.wigner import DelayEngine, wigner_cumulants
 
 #: the (alpha, delta) grid of the sweep benchmark
 ALPHAS = ("-1/2", "0", "1/2", "1", "3/2")
@@ -128,3 +132,34 @@ def test_exact_outputs_match_their_pinned_digest():
     for p, what, record in _exact_output_records():
         digest.update(f"{sorted(p.describe().items())}|{what}|{record}\n".encode())
     assert digest.hexdigest() == EXACT_OUTPUT_DIGEST
+
+
+@pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction constructions")
+def test_an_engine_fill_builds_no_backend_scalar(monkeypatch):
+    """An engine scales its parameters to integers when it is constructed and
+    takes every per-dimension constant from those ints as a reduced int pair,
+    so the fills of the deep benchmark points build no backend scalar.  (The
+    even-beta joint rows that fall back on exact moments do; none is filled
+    here.)"""
+    fills = [
+        partial(ConductanceEngine(1, rat(-1, 2), 0).kappas, 64, 40),
+        partial(ConductanceEngine(4, 0, 0).kappas, 32, 40),
+        partial(JointEngine(1, rat(-1, 2), 0).table, 96, 10, 10),
+        partial(DelayEngine(1, DelayParams(1, 256).b).cumulants, 256, 40),
+        partial(DelayEngine(4, DelayParams(4, 128).b).cumulants, 128, 40),
+    ]
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    counts = []
+    for fill in fills:
+        before = len(built)
+        fill()
+        counts.append(len(built) - before)
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and len(built) - sum(counts) >= 2
+    assert counts == [0] * len(fills)

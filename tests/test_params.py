@@ -13,6 +13,13 @@ def test_transport_params_validation():
         TransportParams(2, 0, -2, 4)
     with pytest.raises(ValueError):
         TransportParams(2, 0, 0, 0)
+    # bool is an int, and equals 1: a boolean beta or n is refused all the same
+    with pytest.raises(ValueError, match="beta"):
+        TransportParams(True, 0, 0, 4)
+    with pytest.raises(ValueError, match="n must be"):
+        TransportParams(1, 0, 0, True)
+    with pytest.raises(ValueError):
+        TransportParams(True, 0, 0, True)
 
 
 def test_transport_derived_quantities():
@@ -47,3 +54,7 @@ def test_delay_params_validation():
         DelayParams(3, 5)
     with pytest.raises(ValueError):
         DelayParams(2, 0)
+    with pytest.raises(ValueError, match="beta"):
+        DelayParams(True, 20)
+    with pytest.raises(ValueError, match="n must be"):
+        DelayParams(1, True)
