@@ -1,6 +1,9 @@
 """The one series algebra of the package: exponential generating functions
 in z and w, with exact rational coefficients.  The oracles' residuals, the
 exact moments and the limit series run on it; the engines never import it.
+``DoubleSeries.from_row`` builds a series from an int row, the engines'
+(numerators, denominators) form, so the residual checks read the engines'
+values with no backend scalar in between; ``univariate`` builds through it.
 
 ``moments_to_cumulants``, the inverse of ``DoubleSeries.exponential``, is the
 one map from raw joint moments to joint cumulants: the quadrature oracle runs
@@ -78,24 +81,37 @@ class DoubleSeries:
         self._nums, self._den, self._shape = nums, den, tuple(shape)
 
     @classmethod
+    def from_row(cls, nums, dens, shape, scale=1):
+        """sum c[l,k] (scale z)^l w^k / (l! k!) over the ``shape`` = (L, K)
+        rectangle, from the int row c = nums/dens (dens > 0) laid out row by
+        row (index l*(K+1)+k), zero past the last value; ``univariate`` and
+        the residual checks build through it.
+
+        With scale = a/b (an int or a rational), D the lcm of the dens and m
+        the row of the last value, c[l,k] is the integer nums D/dens a^l
+        b^(m-l) over D b^m, reduced once."""
+        L, K = shape
+        width, size = K + 1, (L + 1) * (K + 1)
+        if len(nums) > size:
+            raise ValueError(f"{len(nums)} values do not fit a {tuple(shape)} rectangle")
+        den = math.lcm(*dens)
+        if den != 1:
+            nums = [x * (den // d) for x, d in zip(nums, dens)]
+        a, b = scale.numerator, scale.denominator
+        if a != 1 or b != 1:
+            top = max(len(nums) - 1, 0) // width
+            powers = [a**l * b ** (top - l) for l in range(top + 1)]
+            nums = [x * powers[i // width] for i, x in enumerate(nums)]
+            den *= b**top
+        return _double([*nums, *[0] * (size - len(nums))], den, (L, K))
+
+    @classmethod
     def univariate(cls, values, L, scale=1):
         """sum_l values[l] (scale z)^l / l! on the (L, 0) rectangle, zero past
         the last value; a Taylor coefficient t_l enters as the value t_l l!.
-        The values are ints or backend rationals.
-
-        With scale = a/b, D the lcm of the values' denominators and m the
-        last power, c[l] is the integer v_l D a^l b^(m-l) over D b^m,
-        reduced once."""
-        if len(values) > L + 1:
-            raise ValueError(f"{len(values)} values do not fit a ({L}, 0) rectangle")
-        scale = rat(scale)
-        a, b = scale.numerator, scale.denominator
-        den = math.lcm(*(v.denominator for v in values))
-        top = max(len(values) - 1, 0)
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        if a != 1 or b != 1:
-            nums = [x * a**l * b ** (top - l) for l, x in enumerate(nums)]
-        return _double(nums + [0] * (L + 1 - len(nums)), den * b**top, (L, 0))
+        The values are ints or backend rationals; see ``from_row``."""
+        return cls.from_row([v.numerator for v in values], [v.denominator for v in values],
+                            (L, 0), scale)
 
     @property
     def shape(self):
@@ -170,6 +186,12 @@ class DoubleSeries:
         return _double(nums, self._den * s.denominator, self._shape)
 
     __rmul__ = __mul__
+
+    def truncated(self, L, K=0):
+        """The coefficients l <= L, k <= K, on the (L, K) rectangle."""
+        if not (0 <= L <= self._shape[0] and 0 <= K <= self._shape[1]):
+            raise ValueError(f"cannot truncate a {self._shape} series to ({L}, {K})")
+        return _double(self._block(0, 0, L, K), self._den, (L, K))
 
     def derivative(self, dl=0, dk=0):
         """d^dl/dz^dl d^dk/dw^dk; the shape shrinks to (L - dl, K - dk)."""

@@ -99,6 +99,10 @@ class DelayParams:
             raise ValueError("n must be a positive integer")
         b = default_delay_exponent(self.beta, self.n) if self.b is None else rat(self.b)
         object.__setattr__(self, "b", b)
+        if not self.omega > -1:
+            raise ValueError(
+                f"b - 2 - beta*(n-1) must exceed -1 for an integrable weight, got {self.omega}"
+            )
 
     @property
     def omega(self):

@@ -5,12 +5,17 @@ The quadrature oracle and its reference read the mixed (l, k) table of
 conductance and shot noise, one rectangle and key rule per statistic
 (``statistic_cells``): G is its k=0 column and P its l=0 row.
 
-The residual operations build the generating functions as ``DoubleSeries``
-straight from the computed cumulants, assemble the differential equation in
-exact arithmetic, and assert that its Taylor coefficients are identically
-zero: the conductance and delay-time ODEs through one fourth-order assembly
-on (M, 0) rectangles, the joint PDE on a double rectangle.  Every product is
-taken on the rectangle the residual reads of it, no larger.
+The residual operations read the engines' int rows (``kappas``,
+``cumulants``, the joint table's columns) straight into ``DoubleSeries``
+(``DoubleSeries.from_row``), build their polynomial coefficients as integers
+from parameters scaled once (``ensembles._scaled``), take b_n and d_n as int
+pairs from the integer cores behind ``b_constant`` and ``d_constant``, and
+assert that the Taylor coefficients of the assembled equation are
+identically zero: the conductance and delay-time ODEs through one
+fourth-order assembly on (M, 0) rectangles, the joint PDE on a double
+rectangle.  Every product is taken on the rectangle the residual reads of
+it, no larger.  A report is read off the integer numerators; rationals are
+built only for the nonzero coefficients of a failing one.
 Each checker accepts a ``perturb`` hook so tests can confirm it detects a
 corrupted cumulant (a residual checker that cannot see a fault is itself
 broken).
@@ -25,11 +30,11 @@ from functools import partial
 from .asymptotics import staircase_sum
 from .conductance import ConductanceEngine
 from .doubleseries import DoubleSeries, moments_to_cumulants
-from .ensembles import b_constant, d_constant
+from .ensembles import _lattice_coupling, _lattice_delay_coupling, _scaled
 from .errors import InsufficientOrderError, InvalidOrderError, UnsupportedParameterError
-from .jointcsn import JointEngine, _rectangle
+from .jointcsn import JointEngine
 from .params import DelayParams, TransportParams
-from .rational import rat, rationals
+from .rational import ZERO, dot, rat
 from .wigner import DelayEngine
 
 
@@ -56,15 +61,31 @@ class ResidualReport:
         }
 
 
-def _report(equation, params, order, series_coeffs):
-    nonzero = [(idx, c) for idx, c in series_coeffs if c != 0]
+def _report(equation, params, order, keys, res):
+    nonzero = [] if res.is_zero() else [(idx, c) for idx, c in zip(keys, res.taylor()) if c]
     return ResidualReport(
         equation=equation,
         params=params,
         order_checked=order,
-        max_abs_coefficient=max((abs(c) for _, c in nonzero), default=rat(0)),
+        max_abs_coefficient=max((abs(c) for _, c in nonzero), default=ZERO),
         first_nonzero_index=nonzero[0][0] if nonzero else None,
     )
+
+
+def _perturbed(row, idx, delta):
+    """A copy of the int row with the rational ``delta`` added to entry idx."""
+    nums, dens, delta = list(row[0]), list(row[1]), rat(delta)
+    nums[idx], dens[idx] = dot(((1, nums[idx], dens[idx], 1, 1),
+                                (1, delta.numerator, delta.denominator, 1, 1)))
+    return nums, dens
+
+
+def _second_differences(minus, plus, centre):
+    """minus + plus - 2 centre over three int rows as an int row, one ``dot``
+    per entry."""
+    pairs = [dot(((1, a, ad, 1, 1), (1, b, bd, 1, 1), (-2, c, cd, 1, 1)))
+             for a, ad, b, bd, c, cd in zip(*minus, *plus, *centre)]
+    return [x for x, _ in pairs], [d for _, d in pairs]
 
 
 # -- the fourth-order ODEs ---------------------------------------------------------
@@ -85,9 +106,10 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
         + z (p2/z) s'' + p1 s' + p0 - (12 c / beta) z^3 exp(rho),
 
     with s = sum_l v_l (scale z)^l / l! over the int row v = ``fetch(n, M + 1)``,
-    (p0, p1, p2/z) given by their exponential-generating coefficients (t_l l!
-    for the Taylor coefficient t_l), c = ``coupling(p)``, taken after v, and rho the
-    same series of r_l = v_l(n - i) + v_l(n + i) - 2 v_l(n), l <= M - 3.
+    (p0, p1, p2/z) given as (D, rows), the integer numerators over D of their
+    exponential-generating coefficients (t_l l! for the Taylor coefficient
+    t_l), c the int pair ``coupling()``, taken after v, and rho the same
+    series of r_l = v_l(n - i) + v_l(n + i) - 2 v_l(n), l <= M - 3.
     Grouped by the power of z in front, each group is a series of order M
     once multiplied by it, and so is their sum.
     """
@@ -95,33 +117,29 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
     # order M+1 is exactly what a residual valid to order M consumes; going
     # deeper risks the isolated orders where the recurrence coefficient
     # vanishes and the values are not recurrence-reachable.
-    values = rationals(*fetch(n, M + 1))
+    values = fetch(n, M + 1)
     if perturb is not None:
-        idx, delta = perturb
-        values[idx - 1] = values[idx - 1] + rat(delta)
-
-    def s_to(L):
-        """s on the (L, 0) rectangle."""
-        return DoubleSeries.univariate([0, *values[:L]], L, scale)
-
-    s = s_to(M + 1)
+        values = _perturbed(values, perturb[0] - 1, perturb[1])
+    nums, dens = values
+    s = DoubleSeries.from_row([0, *nums], [1, *dens], (M + 1, 0), scale)
     s1, s2, s3, s4 = (s.derivative(d) for d in (1, 2, 3, 4))
     # each product is taken on the rectangle its group reads, from the
     # derivatives of a shorter s: s''^2 to M - 3, s' s'' to M - 2, s'^2 to M - 1
-    t = s_to(M)
+    t = s.truncated(M)
     t1, t2 = t.derivative(1), t.derivative(2)
-    u2 = s_to(M - 1).derivative(2)
+    u2 = s.truncated(M - 1).derivative(2)
     # p2 has no constant term; factoring out z keeps the product valid to M
-    p0, p1, p2_over_z = (DoubleSeries.univariate(egf, M) for egf in polynomials)
+    den, rows = polynomials
+    p0, p1, p2_over_z = (DoubleSeries.from_row(row, [den] * len(row), (M, 0)) for row in rows)
     cubic = eta * (s4 + 6 * (u2 * u2))
-    c = coupling(p)
-    if c != 0:
-        reduced = []
+    cn, cd = coupling()
+    if cn:
+        r = [], []
         if M > 3:
-            minus, plus = (rationals(*fetch(n + m * p.i_shift, M - 3)) for m in (-1, 1))
-            reduced = [minus[j] + plus[j] - 2 * values[j] for j in range(M - 3)]
-        rho = DoubleSeries.univariate([0, *reduced], M - 3, scale)
-        cubic = cubic - (12 * c / beta) * rho.exponential()
+            minus, plus = (fetch(n + m * p.i_shift, M - 3) for m in (-1, 1))
+            r = _second_differences(minus, plus, (nums[:M - 3], dens[:M - 3]))
+        rho = DoubleSeries.from_row([0, *r[0]], [1, *r[1]], (M - 3, 0), scale)
+        cubic = cubic - rat(12 * cn, beta * cd) * rho.exponential()
     res = (
         cubic.times(3)
         + (beta * (2 * s3 + 4 * (t1 * t2))).times(2)
@@ -129,25 +147,26 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
         + p1 * s1
         + p0
     )
-    return _report(equation, p.describe(), M, enumerate(res.taylor()))
+    return _report(equation, p.describe(), M, range(M + 1), res)
 
 
 def ode_residual_conductance(p: TransportParams, order, perturb=None) -> ResidualReport:
     """Residual series of the fourth-order conductance ODE, exact-zero contract."""
     _require_ode_order(order)
-    beta, a, d, n = p.beta, p.alpha, p.delta, p.n
-    t = a + d / 2 + beta * n
-    polynomials = (
-        (-rat(n, 2) * (beta * n + 2 * a + 2 - beta) * (beta * n + d / 2 + a),
-         rat(n, 2) * (beta * n + 2 * a + 2 - beta)),
-        (-t * (t + 2 - beta), beta * n + a - d / 2),
-        (-(beta * n + a + d / 2 + 6 - 3 * beta) * (t + 2 - beta) + beta,
-         2 * (beta * n + a - d / 2),
-         -2),  # the z^2 coefficient -1, times 2!
+    beta, n = p.beta, p.n
+    q, (a, h) = _scaled(p.alpha, p.delta / 2)  # alpha = a/q, delta/2 = h/q
+    two = (2 - beta) * q
+    t = a + h + beta * n * q  # q (alpha + delta/2 + beta n)
+    u = t + a - h + two  # q (beta n + 2 alpha + 2 - beta)
+    m = t - 2 * h  # q (beta n + alpha - delta/2)
+    polynomials = 2 * q * q, (  # the z^2 coefficient of p2 is -1, times 2!
+        (-n * u * t, n * u * q),
+        (-2 * t * (t + two), 2 * m * q),
+        (2 * (beta * q * q - (t + 3 * two) * (t + two)), 4 * m * q, -4 * q * q),
     )
     return _fourth_order_residual(
-        "conductance-ode", p, order, ConductanceEngine(beta, a, d).kappas, -1, polynomials,
-        b_constant, perturb,
+        "conductance-ode", p, order, ConductanceEngine(beta, p.alpha, p.delta).kappas, -1,
+        polynomials, partial(_lattice_coupling, beta, q, a, h, n), perturb,
     )
 
 
@@ -159,26 +178,32 @@ def ode_residual_wigner(p: DelayParams, order, perturb=None) -> ResidualReport:
             f"order must be <= q - 4 = {p.q - 4} (only q={p.q} cumulants exist)"
         )
     beta, n = p.beta, p.n
-    u = p.b - beta * n
-    polynomials = (
-        (n * u,),
-        (-(u - 2 + beta) * u, 2),
-        (beta - (u - 6 + 3 * beta) * (u - 2 + beta), 4),
+    # b = B/q and u = b - beta n = U/q, all ints
+    q, (B,) = _scaled(p.b)
+    U, two = B - beta * n * q, (2 - beta) * q
+    polynomials = q * q, (
+        (n * U * q,),
+        (-(U - two) * U, 2 * q * q),
+        (beta * q * q - (U - 3 * two) * (U - two), 4 * q * q),
     )
     # at n itself order M + 1 <= q, so naming n as the requester changes nothing
     fetch = partial(DelayEngine(beta, p.b).cumulants, requester=n)
     return _fourth_order_residual(
-        "delay-ode", p, order, fetch, rat(2, beta), polynomials, d_constant, perturb
+        "delay-ode", p, order, fetch, rat(2, beta), polynomials,
+        partial(_lattice_delay_coupling, beta, q, B, n), perturb,
     )
 
 
 # -- joint PDE ----------------------------------------------------------------------------
 
 
-def _signed_series(table, L, K):
-    """sum (-1)^(l+k) table[(l, k)] z^l w^k / (l! k!) on the (L, K) rectangle."""
-    signed = [(-1) ** (l + k) * table[(l, k)] for l in range(L + 1) for k in range(K + 1)]
-    return DoubleSeries(signed, (L, K))
+def _signed_row(cols, L, K):
+    """(-1)^k kappa_{l,k} row by row over the (L, K) rectangle, as an int row
+    read from a table's columns; as a series of scale -1 it is
+    sum (-1)^(l+k) kappa_{l,k} z^l w^k / (l! k!)."""
+    rows = [(-cols[k][0][l] if k % 2 else cols[k][0][l], cols[k][1][l])
+            for l in range(L + 1) for k in range(K + 1)]
+    return [x for x, _ in rows], [d for _, d in rows]
 
 
 def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> ResidualReport:
@@ -192,13 +217,15 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
     engine = JointEngine(beta, p.alpha, p.delta)
     # s_w, s_zw and s_ww read column Mw + 1 and no further; a deeper table
     # runs the conductance row deeper, into orders the residual never reads
-    table = _rectangle(engine.table(p.n, Mz + 4, Mw + 1), Mz + 4, Mw + 1)
-    kap = dict(table)
+    kap = table = engine.table(p.n, Mz + 4, Mw + 1)
     if perturb is not None:
-        kap[perturb[0]] = kap[perturb[0]] + rat(perturb[1])
-    s_to = partial(_signed_series, kap)  # s on an (L, K) rectangle
-    s = s_to(Mz + 4, Mw + 1)
-    c = p.alpha + p.delta / 2 + p.n * beta + 2 - beta
+        (l, k), delta = perturb
+        if not (0 <= l <= Mz + 4 and 0 <= k <= Mw + 1):
+            raise KeyError((l, k))
+        kap = table[:k] + [_perturbed(table[k], l, delta)] + table[k + 1:]
+    s = DoubleSeries.from_row(*_signed_row(kap, Mz + 4, Mw + 1), (Mz + 4, Mw + 1), -1)
+    q, (a, h) = _scaled(p.alpha, p.delta / 2)  # alpha = a/q, delta/2 = h/q
+    c = rat(a + h + (p.n * beta + 2 - beta) * q, q)
     # 2 z s_zw + 2 s_w + 2c s_zz
     #   + w (eta s_zzzz + 6 eta s_zz^2 + 3 s_ww - s_zz - (12 b_n / beta) exp(rho)),
     # each term on the rectangle the (Mz, Mw) residual reads: the group in
@@ -206,23 +233,23 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
     res = (
         2 * s.derivative(1, 1).times(1, 0)
         + 2 * s.derivative(0, 1)
-        + 2 * c * s_to(Mz + 2, Mw).derivative(2, 0)
+        + 2 * c * s.truncated(Mz + 2, Mw).derivative(2, 0)
     )
     if Mw > 0:
-        s2 = s_to(Mz + 2, Mw - 1).derivative(2, 0)
+        s2 = s.truncated(Mz + 2, Mw - 1).derivative(2, 0)
         group = eta * (s.derivative(4, 0) + 6 * (s2 * s2)) + 3 * s.derivative(0, 2) - s2
-        bn = b_constant(p)
-        if bn != 0:
-            minus, plus = (_rectangle(engine.table(p.n + m * p.i_shift, Mz, Mw - 1), Mz, Mw - 1)
+        bn, bd = _lattice_coupling(beta, q, a, h, p.n)
+        if bn:
+            minus, plus = (_signed_row(engine.table(p.n + m * p.i_shift, Mz, Mw - 1), Mz, Mw - 1)
                            for m in (-1, 1))
-            sigma = partial(_signed_series, L=Mz, K=Mw - 1)
-            rho = sigma(minus) + sigma(plus) - 2 * sigma(table)  # table unperturbed
-            group = group - (12 * bn / beta) * rho.exponential()
+            centre = _signed_row(table, Mz, Mw - 1)  # table unperturbed
+            rho = DoubleSeries.from_row(*_second_differences(minus, plus, centre), (Mz, Mw - 1), -1)
+            group = group - rat(12 * bn, beta * bd) * rho.exponential()
         res = res + group.times(0, 1)
     # reported as the double Taylor coefficients res[l,k] / (l! k!)
     L, K = res.shape  # (Mz, Mw)
     keys = [(l, k) for l in range(L + 1) for k in range(K + 1)]
-    return _report("joint-pde", p.describe(), (Mz, Mw), zip(keys, res.taylor()))
+    return _report("joint-pde", p.describe(), (Mz, Mw), keys, res)
 
 
 # -- quadrature oracle ------------------------------------------------------------------

@@ -123,6 +123,19 @@ def test_help_prints_and_returns_zero(capsys, argv):
     assert out.startswith("usage: dotcumulants")
 
 
+@pytest.mark.parametrize("argv", [
+    ["cumulants", "wigner", "--beta", "2", "--n", "10", "--b", "1/2", "--max-order", "1"],
+    ["verify", "ode", "--which", "wigner", "--beta", "2", "--n", "10", "--b", "1/2",
+     "--order", "3"],
+])
+def test_a_non_integrable_delay_weight_is_invalid_parameters(capsys, argv):
+    # omega = b - 2 - beta*(n-1) = -39/2: z^omega e^(-z) cannot be normalised
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error: invalid parameters: b - 2 - beta*(n-1) must exceed -1")
+
+
 def test_missing_parameter_is_usage_error(capsys):
     code = dispatch(
         ["cumulants", "conductance", "--beta", "2", "--max-order", "2"]

@@ -58,3 +58,10 @@ def test_delay_params_validation():
         DelayParams(True, 20)
     with pytest.raises(ValueError, match="n must be"):
         DelayParams(1, True)
+    # omega = b - 2 - beta*(n-1) <= -1: the weight z^omega e^(-z) cannot be normalised
+    for beta, n, b in ((2, 10, rat(1, 2)), (2, 3, 1), (1, 1, 1), (4, 2, 5), (1, 20, rat(39, 2))):
+        with pytest.raises(ValueError, match="integrable"):
+            DelayParams(beta, n, b)
+    # just above the edge the record is valid, with no finite cumulant
+    edge = DelayParams(1, 1, rat(11, 10))
+    assert edge.omega == rat(-9, 10) and edge.q == -1

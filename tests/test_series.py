@@ -361,6 +361,32 @@ def test_double_series_exponential_matches_naive_fractions(fa):
     assert_double(to_double(a, shape).exponential(), naive_double_exp(a, shape), shape)
 
 
+@settings(max_examples=100, deadline=None)
+@given(taylor_dicts(), wide_rationals.filter(bool), st.data())
+def test_a_series_from_an_int_row_matches_naive_fractions(fa, s, data):
+    # from_row reads c[l,k] = nums/dens row by row, zero past the last value,
+    # and scales the z^l coefficient by s^l; truncated keeps a sub-rectangle
+    a, (L, K) = fa
+    cells = [(l, k) for l in range(L + 1) for k in range(K + 1)]
+    given_cells = cells[:data.draw(st.integers(0, len(cells)))]
+    egf = [a[lk] if lk in given_cells else Fraction(0) for lk in cells]
+    series = DoubleSeries.from_row(
+        [int(a[lk].numerator) for lk in given_cells], [int(a[lk].denominator) for lk in given_cells],
+        (L, K), rat(s.numerator, s.denominator),
+    )
+    assert series == DoubleSeries([rat(c * s**l) for c, (l, _) in zip(egf, cells)], (L, K))
+    l0, k0 = data.draw(st.integers(0, L)), data.draw(st.integers(0, K))
+    assert series.truncated(l0, k0) == DoubleSeries(
+        [rat(c * s**l) for c, (l, k) in zip(egf, cells) if l <= l0 and k <= k0], (l0, k0))
+
+
+def test_from_row_and_truncated_refuse_what_does_not_fit():
+    with pytest.raises(ValueError, match="do not fit"):
+        DoubleSeries.from_row([1, 2, 3], [1, 1, 1], (1, 0))
+    with pytest.raises(ValueError, match="cannot truncate"):
+        DoubleSeries.from_row([1], [1], (1, 1)).truncated(2, 0)
+
+
 def test_double_series_exponential_rejects_constant_term():
     with pytest.raises(ValueError, match="zero constant term"):
         DoubleSeries([1, 1], (1, 0)).exponential()

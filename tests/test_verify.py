@@ -283,8 +283,14 @@ def test_adaptive_quadrature_reports_achieved_bound():
 
 # -- oracle independence ----------------------------------------------------------------
 
-#: the engines' reduced-moment machinery, which an oracle must not reuse
-ENGINE_NAMES = {"bell_transform", "_reduced_walk", "_joint_reduced_moments"}
+#: the engines' reduced-moment machinery and their private constants and
+#: steps, which an oracle must not reuse: each residual keeps its own
+#: transcription of its equation
+ENGINE_NAMES = {
+    "bell_transform", "_reduced_walk", "_joint_reduced_moments",
+    "_dimension_constants", "_initial_row", "_leading", "_second_difference",
+    "_conductance_weights", "_delay_weights", "_paired",
+}
 
 
 def loaded_by(imports, candidates):
