@@ -4,6 +4,9 @@ exact moments and the limit series run on it; the engines never import it.
 ``DoubleSeries.from_row`` builds a series from an int row, the engines'
 (numerators, denominators) form, so the residual checks read the engines'
 values with no backend scalar in between; ``univariate`` builds through it.
+``DoubleSeries.combination`` sums terms c z^a w^b d^(i,j) f, each a scaled
+slice of f, over one denominator with one reduction: the residual checks
+assemble their equations through it.
 
 ``moments_to_cumulants``, the inverse of ``DoubleSeries.exponential``, is the
 one map from raw joint moments to joint cumulants: the quadrature oracle runs
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import add, mul, sub
+from operator import add, sub
 
 from .rational import ZERO, dot, int_row, rat
 
@@ -54,6 +57,19 @@ def _double(nums, den, shape):
     series = object.__new__(DoubleSeries)
     series._nums, series._den, series._shape = nums, den, shape
     return series
+
+
+def _shifted(nums, L, K, dl, dk, scale=1):
+    """The numerators of scale z^dl w^dk times the (L, K) series ``nums``,
+    on the (L + dl, K + dk) rectangle."""
+    nums = [scale * w * x for w, x in zip(_shift_weights(L, K, dl, dk), nums)]
+    if dk:  # dk zero columns open every row
+        rows, width, pad = nums, K + 1, [0] * dk
+        nums = []
+        for start in range(0, len(rows), width):
+            nums += pad
+            nums += rows[start:start + width]
+    return [0] * ((K + dk + 1) * dl) + nums
 
 
 class DoubleSeries:
@@ -204,14 +220,29 @@ class DoubleSeries:
         """Multiply by z^dl w^dk: c[l,k] (l + dl)!/l! (k + dk)!/k! moves to
         (l + dl, k + dk), and the shape grows to (L + dl, K + dk)."""
         L, K = self._shape
-        nums = list(map(mul, _shift_weights(L, K, dl, dk), self._nums))
-        if dk:  # dk zero columns open every row
-            rows, width, pad = nums, K + 1, [0] * dk
-            nums = []
-            for start in range(0, len(rows), width):
-                nums += pad
-                nums += rows[start:start + width]
-        return _double([0] * ((K + dk + 1) * dl) + nums, self._den, (L + dl, K + dk))
+        return _double(_shifted(self._nums, L, K, dl, dk), self._den, (L + dl, K + dk))
+
+    @staticmethod
+    def combination(terms, shape):
+        """sum c z^a w^b d^(i+j)f/dz^i dw^j over the terms (c, (a, b), f, (i, j)),
+        c an int or a rational, on the ``shape`` rectangle, which every term
+        must cover or lie outside of.  Each term is a slice of f, shifted and
+        scaled onto one denominator, and the sum is reduced once: a linear
+        differential expression in one pass, with no series in between."""
+        L, K = shape
+        terms = list(terms)
+        den = math.lcm(*(c.denominator * f._den for c, _, f, _ in terms))
+        rows = []
+        for c, (a, b), f, (i, j) in terms:
+            fL, fK = L - a, K - b  # the part of the derivative that lands in the rectangle
+            if fL < 0 or fK < 0:  # z^a w^b moves all of it out
+                continue
+            if fL > f._shape[0] - i or fK > f._shape[1] - j:
+                raise ValueError(f"z^{a} w^{b} d^({i}, {j}) of a {f._shape} series "
+                                 f"does not cover {tuple(shape)}")
+            scale = c.numerator * (den // (c.denominator * f._den))
+            rows.append(_shifted(f._block(i, j, fL, fK), fL, fK, a, b, scale))
+        return _double(list(map(sum, zip(*rows))) or [0] * ((L + 1) * (K + 1)), den, (L, K))
 
     def exponential(self):
         """exp(a) for a zero constant term: along l = 0 from e_w = a_w e, then

@@ -7,15 +7,17 @@ conductance and shot noise, one rectangle and key rule per statistic
 
 The residual operations read the engines' int rows (``kappas``,
 ``cumulants``, the joint table's columns) straight into ``DoubleSeries``
-(``DoubleSeries.from_row``), build their polynomial coefficients as integers
-from parameters scaled once (``ensembles._scaled``), take b_n and d_n as int
-pairs from the integer cores behind ``b_constant`` and ``d_constant``, and
-assert that the Taylor coefficients of the assembled equation are
-identically zero: the conductance and delay-time ODEs through one
-fourth-order assembly on (M, 0) rectangles, the joint PDE on a double
-rectangle.  Every product is taken on the rectangle the residual reads of
-it, no larger.  A report is read off the integer numerators; rationals are
-built only for the nonzero coefficients of a failing one.
+(``DoubleSeries.from_row``), build their polynomial coefficients from
+parameters scaled to integers once (``ensembles._scaled``), take b_n and d_n
+as int pairs from the integer cores behind ``b_constant`` and
+``d_constant``, and assert that the Taylor coefficients of the assembled
+equation are identically zero: the conductance and delay-time ODEs through
+one fourth-order assembly on (M, 0) rectangles, the joint PDE on a double
+rectangle.  Each equation is summed term by term, a coefficient times a
+monomial times a derivative of s, of a product or of exp(rho), in one
+``DoubleSeries.combination``; every product is taken on the rectangle its
+terms read, no larger.  A report is read off the integer numerators;
+rationals are built only for the nonzero coefficients of a failing one.
 Each checker accepts a ``perturb`` hook so tests can confirm it detects a
 corrupted cumulant (a residual checker that cannot see a fault is itself
 broken).
@@ -106,12 +108,12 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
         + z (p2/z) s'' + p1 s' + p0 - (12 c / beta) z^3 exp(rho),
 
     with s = sum_l v_l (scale z)^l / l! over the int row v = ``fetch(n, M + 1)``,
-    (p0, p1, p2/z) given as (D, rows), the integer numerators over D of their
-    exponential-generating coefficients (t_l l! for the Taylor coefficient
-    t_l), c the int pair ``coupling()``, taken after v, and rho the same
-    series of r_l = v_l(n - i) + v_l(n + i) - 2 v_l(n), l <= M - 3.
-    Grouped by the power of z in front, each group is a series of order M
-    once multiplied by it, and so is their sum.
+    (p0, p1, p2/z) given by their Taylor coefficients, ints or rationals,
+    c the int pair ``coupling()``, taken after v, and rho the same series of
+    r_l = v_l(n - i) + v_l(n + i) - 2 v_l(n), l <= M - 3.  Each term is a
+    coefficient times z^a times a derivative of s, of a product or of
+    exp(rho), and the terms are summed in one ``DoubleSeries.combination``
+    on the (M, 0) rectangle.
     """
     M, n, beta, eta = order, p.n, p.beta, p.eta14
     # order M+1 is exactly what a residual valid to order M consumes; going
@@ -122,16 +124,22 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
         values = _perturbed(values, perturb[0] - 1, perturb[1])
     nums, dens = values
     s = DoubleSeries.from_row([0, *nums], [1, *dens], (M + 1, 0), scale)
-    s1, s2, s3, s4 = (s.derivative(d) for d in (1, 2, 3, 4))
-    # each product is taken on the rectangle its group reads, from the
-    # derivatives of a shorter s: s''^2 to M - 3, s' s'' to M - 2, s'^2 to M - 1
-    t = s.truncated(M)
-    t1, t2 = t.derivative(1), t.derivative(2)
-    u2 = s.truncated(M - 1).derivative(2)
-    # p2 has no constant term; factoring out z keeps the product valid to M
-    den, rows = polynomials
-    p0, p1, p2_over_z = (DoubleSeries.from_row(row, [den] * len(row), (M, 0)) for row in rows)
-    cubic = eta * (s4 + 6 * (u2 * u2))
+    # each product is taken on the rectangle its terms read: s'^2 to M - 1
+    # (its derivative is 2 s' s''), s''^2 to M - 3
+    s1 = s.truncated(M).derivative(1)
+    s2 = s.truncated(M - 1).derivative(2)
+    s1_sq = s1 * s1
+    # p2 has no constant term; factoring out z keeps its terms valid to M
+    p0, p1, p2_over_z = polynomials
+    one = DoubleSeries.from_row([1], [1], (M, 0))
+    terms = [
+        (eta, (3, 0), s, (4, 0)), (6 * eta, (3, 0), s2 * s2, (0, 0)),
+        (2 * beta, (2, 0), s, (3, 0)), (2 * beta, (2, 0), s1_sq, (1, 0)),
+        (beta, (1, 0), s1_sq, (0, 0)),
+        *((c, (j + 1, 0), s, (2, 0)) for j, c in enumerate(p2_over_z)),
+        *((c, (j, 0), s, (1, 0)) for j, c in enumerate(p1)),
+        *((c, (j, 0), one, (0, 0)) for j, c in enumerate(p0)),
+    ]
     cn, cd = coupling()
     if cn:
         r = [], []
@@ -139,14 +147,8 @@ def _fourth_order_residual(equation, p, order, fetch, scale, polynomials, coupli
             minus, plus = (fetch(n + m * p.i_shift, M - 3) for m in (-1, 1))
             r = _second_differences(minus, plus, (nums[:M - 3], dens[:M - 3]))
         rho = DoubleSeries.from_row([0, *r[0]], [1, *r[1]], (M - 3, 0), scale)
-        cubic = cubic - rat(12 * cn, beta * cd) * rho.exponential()
-    res = (
-        cubic.times(3)
-        + (beta * (2 * s3 + 4 * (t1 * t2))).times(2)
-        + (beta * (t1 * t1) + p2_over_z * s2).times(1)
-        + p1 * s1
-        + p0
-    )
+        terms.append((rat(-12 * cn, beta * cd), (3, 0), rho.exponential(), (0, 0)))
+    res = DoubleSeries.combination(terms, (M, 0))
     return _report(equation, p.describe(), M, range(M + 1), res)
 
 
@@ -159,10 +161,10 @@ def ode_residual_conductance(p: TransportParams, order, perturb=None) -> Residua
     t = a + h + beta * n * q  # q (alpha + delta/2 + beta n)
     u = t + a - h + two  # q (beta n + 2 alpha + 2 - beta)
     m = t - 2 * h  # q (beta n + alpha - delta/2)
-    polynomials = 2 * q * q, (  # the z^2 coefficient of p2 is -1, times 2!
-        (-n * u * t, n * u * q),
-        (-2 * t * (t + two), 2 * m * q),
-        (2 * (beta * q * q - (t + 3 * two) * (t + two)), 4 * m * q, -4 * q * q),
+    polynomials = (
+        (rat(-n * u * t, 2 * q * q), rat(n * u, 2 * q)),
+        (rat(-t * (t + two), q * q), rat(m, q)),
+        (rat(beta * q * q - (t + 3 * two) * (t + two), q * q), rat(2 * m, q), -1),
     )
     return _fourth_order_residual(
         "conductance-ode", p, order, ConductanceEngine(beta, p.alpha, p.delta).kappas, -1,
@@ -181,10 +183,10 @@ def ode_residual_wigner(p: DelayParams, order, perturb=None) -> ResidualReport:
     # b = B/q and u = b - beta n = U/q, all ints
     q, (B,) = _scaled(p.b)
     U, two = B - beta * n * q, (2 - beta) * q
-    polynomials = q * q, (
-        (n * U * q,),
-        (-(U - two) * U, 2 * q * q),
-        (beta * q * q - (U - 3 * two) * (U - two), 4 * q * q),
+    polynomials = (
+        (rat(n * U, q),),
+        (rat(-(U - two) * U, q * q), 2),
+        (rat(beta * q * q - (U - 3 * two) * (U - two), q * q), 4),
     )
     # at n itself order M + 1 <= q, so naming n as the requester changes nothing
     fetch = partial(DelayEngine(beta, p.b).cumulants, requester=n)
@@ -228,27 +230,23 @@ def pde_residual_joint(p: TransportParams, order_z, order_w, perturb=None) -> Re
     c = rat(a + h + (p.n * beta + 2 - beta) * q, q)
     # 2 z s_zw + 2 s_w + 2c s_zz
     #   + w (eta s_zzzz + 6 eta s_zz^2 + 3 s_ww - s_zz - (12 b_n / beta) exp(rho)),
-    # each term on the rectangle the (Mz, Mw) residual reads: the group in
-    # front of w to column Mw - 1, so none of it when Mw = 0
-    res = (
-        2 * s.derivative(1, 1).times(1, 0)
-        + 2 * s.derivative(0, 1)
-        + 2 * c * s.truncated(Mz + 2, Mw).derivative(2, 0)
-    )
+    # summed on the (Mz, Mw) rectangle: the group in front of w to column
+    # Mw - 1, so none of it when Mw = 0
+    terms = [(2, (1, 0), s, (1, 1)), (2, (0, 0), s, (0, 1)), (2 * c, (0, 0), s, (2, 0))]
     if Mw > 0:
         s2 = s.truncated(Mz + 2, Mw - 1).derivative(2, 0)
-        group = eta * (s.derivative(4, 0) + 6 * (s2 * s2)) + 3 * s.derivative(0, 2) - s2
+        terms += [(eta, (0, 1), s, (4, 0)), (6 * eta, (0, 1), s2 * s2, (0, 0)),
+                  (3, (0, 1), s, (0, 2)), (-1, (0, 1), s, (2, 0))]
         bn, bd = _lattice_coupling(beta, q, a, h, p.n)
         if bn:
             minus, plus = (_signed_row(engine.table(p.n + m * p.i_shift, Mz, Mw - 1), Mz, Mw - 1)
                            for m in (-1, 1))
             centre = _signed_row(table, Mz, Mw - 1)  # table unperturbed
             rho = DoubleSeries.from_row(*_second_differences(minus, plus, centre), (Mz, Mw - 1), -1)
-            group = group - rat(12 * bn, beta * bd) * rho.exponential()
-        res = res + group.times(0, 1)
+            terms.append((rat(-12 * bn, beta * bd), (0, 1), rho.exponential(), (0, 0)))
+    res = DoubleSeries.combination(terms, (Mz, Mw))
     # reported as the double Taylor coefficients res[l,k] / (l! k!)
-    L, K = res.shape  # (Mz, Mw)
-    keys = [(l, k) for l in range(L + 1) for k in range(K + 1)]
+    keys = [(l, k) for l in range(Mz + 1) for k in range(Mw + 1)]
     return _report("joint-pde", p.describe(), (Mz, Mw), keys, res)
 
 

@@ -108,8 +108,8 @@ COUNTED = [
 @pytest.mark.parametrize("check, p, low, high", COUNTED)
 def test_a_passing_residual_builds_no_rational_per_coefficient(monkeypatch, check, p, low, high):
     """The series are assembled over integer numerators, and a zero residual
-    is read off them; the few backend scalars left (a scale, the coupling
-    factor) do not grow with the order."""
+    is read off them; the few backend scalars left (a scale, the polynomial
+    coefficients, the coupling factor) do not grow with the order."""
     built = []
     original = Fraction.__new__
 

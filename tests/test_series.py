@@ -371,13 +371,49 @@ def test_a_series_from_an_int_row_matches_naive_fractions(fa, s, data):
     given_cells = cells[:data.draw(st.integers(0, len(cells)))]
     egf = [a[lk] if lk in given_cells else Fraction(0) for lk in cells]
     series = DoubleSeries.from_row(
-        [int(a[lk].numerator) for lk in given_cells], [int(a[lk].denominator) for lk in given_cells],
+        [int(a[lk].numerator) for lk in given_cells],
+        [int(a[lk].denominator) for lk in given_cells],
         (L, K), rat(s.numerator, s.denominator),
     )
     assert series == DoubleSeries([rat(c * s**l) for c, (l, _) in zip(egf, cells)], (L, K))
     l0, k0 = data.draw(st.integers(0, L)), data.draw(st.integers(0, K))
     assert series.truncated(l0, k0) == DoubleSeries(
         [rat(c * s**l) for c, (l, k) in zip(egf, cells) if l <= l0 and k <= k0], (l0, k0))
+
+
+shifts = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.integers(-3, 3), wide_rationals), shifts, taylor_dicts(), shifts),
+        min_size=1, max_size=4,
+    ),
+    st.integers(0, 3), st.integers(0, 3),
+)
+def test_a_combination_matches_naive_fractions(terms, L, K):
+    # sum c z^a w^b d^(i,j) f on the (L, K) rectangle; a term moved wholly
+    # outside adds nothing, one that falls short of it is refused
+    expected = clip({}, (L, K))
+    fits = True
+    for c, (a, b), (f, shape), (i, j) in terms:
+        if a > L or b > K:
+            continue
+        if L - a > shape[0] - i or K - b > shape[1] - j:
+            fits = False
+            break
+        g = naive_double_derivative(f, shape, i, j)
+        for l, k in expected:
+            if l >= a and k >= b:
+                expected[(l, k)] += c * g[(l - a, k - b)]
+    built = [(c if type(c) is int else rat(c), shift, to_double(f, shape), d)
+             for c, shift, (f, shape), d in terms]
+    if fits:
+        assert_double(DoubleSeries.combination(built, (L, K)), expected, (L, K))
+    else:
+        with pytest.raises(ValueError, match="does not cover"):
+            DoubleSeries.combination(built, (L, K))
 
 
 def test_from_row_and_truncated_refuse_what_does_not_fit():
