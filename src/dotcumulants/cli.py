@@ -46,6 +46,15 @@ def _parsing(what):
         raise _UsageError(f"invalid {what}: a rational with zero denominator") from None
 
 
+@contextlib.contextmanager
+def _file_access(what):
+    """Reports an OSError on the ``--config`` or ``--out`` file as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot {what}: {exc.strerror}") from None
+
+
 def _positive(flag, value):
     """A dimension or weight that must be finite and > 0."""
     if not (math.isfinite(value) and value > 0):
@@ -69,10 +78,8 @@ def _load_config(ns):
     merged = {}
     if getattr(ns, "config", None):
         try:
-            with open(ns.config) as handle:
+            with _file_access(f"read --config {ns.config}"), open(ns.config) as handle:
                 document = json.load(handle)
-        except OSError as exc:
-            raise _UsageError(f"cannot read --config {ns.config}: {exc.strerror}") from None
         except ValueError as exc:
             raise _UsageError(f"--config {ns.config} is not valid JSON: {exc}") from None
         if not isinstance(document, dict):
@@ -138,7 +145,8 @@ def _emit_json(ns, payload, params_desc, argv):
     document = {"payload": payload, "manifest": manifest}
     text = json.dumps(document, indent=2) + "\n"
     if getattr(ns, "out", None):
-        atomic_write_text(ns.out, text)
+        with _file_access(f"write --out {ns.out}"):
+            atomic_write_text(ns.out, text)
     else:
         sys.stdout.write(text)
 
@@ -174,12 +182,13 @@ def _emit_csv(ns, header, rows, params_desc, argv):
     from .manifest import TextChecksum, atomic_write_text, atomic_writer, build_manifest
 
     checksum = TextChecksum()
-    with atomic_writer(ns.out) as handle:
-        for block in blocks:
-            checksum.update(block)
-            handle.write(block)
-    manifest = dict(build_manifest(argv, params_desc), payload_sha256=checksum.hexdigest())
-    atomic_write_text(ns.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    with _file_access(f"write --out {ns.out}"):
+        with atomic_writer(ns.out) as handle:
+            for block in blocks:
+                checksum.update(block)
+                handle.write(block)
+        manifest = dict(build_manifest(argv, params_desc), payload_sha256=checksum.hexdigest())
+        atomic_write_text(ns.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _rationals_payload(values):

@@ -22,9 +22,11 @@ step is one ``rational.dot`` of its quadratic, linear and coupling terms with
 the division by its leading coefficient folded in; the quadratic sum is
 symmetric under i <-> l-1-i, so each pair is multiplied once.
 ``ConductanceEngine`` and ``wigner.DelayEngine`` supply only their closed
-first values, per-dimension constants, step weights and coupling.  ``jointcsn.JointEngine`` is a
-``ConductanceEngine`` whose values are its k=0 row, so that row's reduced
-moments share the lattice memo.  ``_reduced_walk`` is the one
+first values, per-dimension constants, step weights and coupling.  Where an
+even-beta row degenerates, ``ConductanceEngine.kappas`` stores the exact
+determinant row (``exactmoments``) as its lattice values, the one fallback
+every reader of the row shares.  ``jointcsn.JointEngine`` is a
+``ConductanceEngine`` whose values are its k=0 row.  ``_reduced_walk`` is the one
 second-difference + Bell walk; ``reduced_moments`` runs it too.  Backend
 scalars are built from the rows only where values leave the engines
 (``rational.rationals``).
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 from .ensembles import _lattice_coupling, _scaled, b_constant
-from .errors import InvalidOrderError, PoleError, UnsupportedBetaError
+from .errors import CumulantError, InvalidOrderError, PoleError, UnsupportedBetaError
 from .params import TransportParams, eta_factor, lattice_step
 from .rational import dot, int_row, rat, rationals, reduced
 
@@ -339,8 +341,19 @@ class ConductanceEngine(_Lattice):
         return self.kappas
 
     def kappas(self, n, order):
-        """kappa_1..kappa_order at dimension n, as an int row."""
-        return self._fill(n, order)
+        """kappa_1..kappa_order at dimension n, as an int row: the exact
+        determinant row where an even-beta row degenerates (see ``exactmoments``);
+        a beta=1 failure passes through."""
+        try:
+            return self._fill(n, order)
+        except CumulantError:
+            if self.beta == 1:
+                raise
+            from .exactmoments import exact_conductance_cumulant_row
+
+            p = TransportParams(self.beta, self.alpha, self.delta, n)
+            self._values[n] = int_row(exact_conductance_cumulant_row(p, order))
+            return self._fill(n, order)
 
 
 def conductance_cumulants(p: TransportParams, max_order) -> CumulantSequence:

@@ -19,8 +19,8 @@ term of each pivot is a leading principal minor or Pfaffian, the partition
 function of fewer channels, which is positive for alpha > -1 and
 delta > -2, so no pivot search is needed.
 
-This is an oracle independent of the recurrences, and it supplies the joint
-engine's conductance row, stored as that engine's own lattice values, where
+This is an oracle independent of the recurrences, and it supplies the
+conductance engine's row, stored as that engine's own lattice values, where
 the recurrence's leading coefficient vanishes (for beta=2 that coefficient
 factors as (l+1)(l - t)(l + t) with t = alpha + delta/2 + beta*n, so the
 recurrence degenerates at order t whenever t is an integer).

@@ -10,13 +10,9 @@ at each dimension, and its joint reduced moments, are grown in place when a
 deeper staircase is requested.  Each is a list of columns, column k an int
 row (``rational.int_row``) indexed by l, and the backend rationals of a
 table are built only when it leaves the engine.  ``JointEngine`` is its k=0
-row's own conductance lattice (``conductance.ConductanceEngine``): where an
-even-beta row degenerates, its ``kappas`` supplies the exact determinant
-moments instead and stores them as the row, so the row's reduced moments,
-memoised once per dimension by the lattice, read the same fallback rows.  Dimension 0
-is the empty ensemble, whose row the lattice gives as all zero; negative
-lattice dimensions are evaluated by the same rational continuation the
-conductance row uses.  A table's k=0 column is that row behind the entry
+row's own conductance lattice (``conductance.ConductanceEngine``): the row,
+its even-beta fallback, dimension 0 and negative dimensions included, and its
+reduced moments are the lattice's.  A table's k=0 column is that row behind
 kappa_{0,0} = 0; ``JointCumulantTable`` holds no other copy of it.
 
 Each entry is one ``rational.dot`` with one reduction, with the division by
@@ -43,7 +39,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .params import TransportParams
-from .rational import dot, int_row, rat, rationals, reduced
+from .rational import dot, rat, rationals, reduced
 
 
 @dataclass(frozen=True)
@@ -83,24 +79,6 @@ class JointEngine(ConductanceEngine):
         # lattice's, so column 0 is None) and of mu_{l,k}
         self._r = {}
         self._mu = {}
-
-    def kappas(self, n, order):
-        """The conductance row at dimension n, as an int row.  Even-beta rows
-        degenerate at isolated orders (the leading coefficient vanishes at
-        l = t for beta=2 and l = t/2 - 1 for beta=4, t = alpha + delta/2 +
-        beta n); there the exact determinant moments are stored as the row.
-        A beta=1 failure passes through, for ``table`` to report."""
-        try:
-            return super().kappas(n, order)
-        except CumulantError:
-            if self.beta == 1:
-                raise
-            from .exactmoments import exact_conductance_cumulant_row
-
-            nums, dens = self._values[n] = int_row(exact_conductance_cumulant_row(
-                TransportParams(self.beta, self.alpha, self.delta, n), order
-            ))
-            return nums[:], dens[:]
 
     def table(self, n, max_l, max_k):
         """kappa_{l,k} at dimension n as columns of int rows; column k holds

@@ -224,6 +224,28 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cumulants", "conductance", "--beta", "1", "--n", "2", "--max-order", "3"],
+    ["cumulants", "conductance", "--beta", "1", "--n", "2", "--max-order", "3", "--format", "csv"],
+    ["mc", "sample", "--statistic", "G", "--beta", "1", "--n", "2", "--count", "10", "--seed", "1"],
+])
+@pytest.mark.parametrize("target", ["missing/x.out", "directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+    """An --out in a missing directory, or naming a directory, exits 2 with
+    one usage error line, through the JSON and the CSV emitter alike, and
+    leaves no temp file behind."""
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / target
+    code = dispatch([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write --out {out}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["directory"]
+
+
 def test_exact_verbs_load_neither_numpy_nor_scipy(tmp_path):
     """Only the Monte Carlo verbs, ``verify oracle`` and ``verify
     gauss-factor`` need numpy/scipy; the exact verbs must not import them."""

@@ -14,9 +14,10 @@ from dotcumulants.conductance import (
     reduced_moments,
 )
 from dotcumulants.errors import PoleError, UnsupportedBetaError
+from dotcumulants.exactmoments import exact_conductance_cumulant_row
 from dotcumulants.params import TransportParams
 from dotcumulants.rational import rat
-from dotcumulants.verify import quadrature_moments
+from dotcumulants.verify import ode_residual_conductance, quadrature_moments
 from introws import int_row, row_values
 
 COE_HALF = rat(-1, 2)
@@ -228,9 +229,53 @@ def test_lattice_radius_recorded():
 
 
 def test_pole_error_at_degenerate_order():
-    # beta=2, alpha=delta=0: leading coefficient vanishes at l = 2n
+    """A beta=1 row that degenerates raises ``pole``; an even-beta one (here
+    beta=2, alpha=delta=0, whose leading coefficient vanishes at l = 2n) is
+    the exact determinant row."""
     with pytest.raises(PoleError):
-        conductance_cumulants(TransportParams(2, 0, 0, 2), 6)
+        conductance_cumulants(TransportParams(1, COE_HALF, -1, 1), 8)
+    p = TransportParams(2, 0, 0, 2)
+    assert list(conductance_cumulants(p, 6).values) == exact_conductance_cumulant_row(p, 6)
+
+
+class _RecurrenceOnly(ConductanceEngine):
+    """The conductance engine without its even-beta fallback."""
+
+    def kappas(self, n, order):
+        return self._fill(n, order)
+
+
+def _recurrence_poles():
+    """The even-beta points of the sweep grid, n = 1..6, whose row to order 8
+    the recurrence alone cannot give."""
+    for beta, a, d, n in product((2, 4), DUALITY_ALPHAS, DUALITY_DELTAS, range(1, 7)):
+        try:
+            _RecurrenceOnly(beta, rat(a), rat(d)).kappas(n, 8)
+        except PoleError:
+            yield TransportParams(beta, rat(a), rat(d), n)
+
+
+@pytest.mark.parametrize("order", [6, 7])
+def test_every_fallback_row_satisfies_the_ode(order):
+    """Each even-beta grid row that the recurrence alone cannot give is the
+    exact determinant row; the fourth-order ODE, an oracle independent of
+    ``exactmoments``, checks it.  Order 7 consumes kappa_1..kappa_8, so it
+    reads the fallback at every point.  At beta=4, n=1 the ODE's own b_n
+    has a pole."""
+    points = list(_recurrence_poles())
+    assert len(points) == 43
+    coupling_poles = 0
+    for p in points:
+        try:
+            report = ode_residual_conductance(p, order)
+        except PoleError as exc:
+            assert (p.beta, p.n, exc.token) == (4, 1, "pole")
+            assert str(exc) == "b_n(beta=4): denominator factor vanishes"
+            coupling_poles += 1
+            continue
+        assert report.passed and report.max_abs_coefficient == 0, p
+        assert not ode_residual_conductance(p, order, perturb=(1 + p.n % 7, rat(1, 1000))).passed, p
+    assert coupling_poles == 4
 
 
 def test_coupling_evaluated_once_per_dimension_per_call(monkeypatch):

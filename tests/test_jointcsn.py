@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dotcumulants.conductance import conductance_cumulants, conductance_initial
+from dotcumulants.conductance import conductance_cumulants, conductance_initial, reduced_moments
 from dotcumulants.errors import CumulantError, InvalidOrderError, UnsupportedBetaError
 from dotcumulants.exactmoments import (
     exact_conductance_cumulant_row,
@@ -16,6 +16,7 @@ from dotcumulants.jointcsn import (
     altland_identity_check,
     gaussian_factorization_check,
     joint_cumulants,
+    joint_reduced_table,
     mean_shot_noise,
     shot_noise_variance_closed,
 )
@@ -135,9 +136,10 @@ def test_mixed_cumulants_match_exact_moments_beta4():
 def test_exact_boundary_beyond_five_channels(p, max_l):
     # the consumed conductance row (order max_l + 4) crosses the order where
     # the recurrence's leading coefficient vanishes; the exact determinant
-    # moments supply it at any n
-    with pytest.raises(CumulantError):
-        conductance_cumulants(p, max_l + 4)
+    # moments supply it at any n, to the conductance row and the table alike
+    assert list(conductance_cumulants(p, max_l + 4).values) == exact_conductance_cumulant_row(
+        p, max_l + 4
+    )
     t = joint_cumulants(p, max_l, 2)
     row = exact_conductance_cumulant_row(p, max_l)
     assert [t[(l, 0)] for l in range(1, max_l + 1)] == row
@@ -429,3 +431,36 @@ def test_a_row_table_is_the_conductance_row_at_a_coupling_pole(beta, alpha, delt
     p = TransportParams(beta, rat(alpha), rat(delta), 1)
     table = joint_cumulants(p, 3, 0)
     assert [table[(l, 0)] for l in (1, 2, 3)] == list(conductance_cumulants(p, 3).values)
+
+
+def test_one_row_and_one_failure_per_grid_point():
+    """On the sweep grid, n = 1..6, the conductance row to order 8 and the
+    k=0 column of the (8, 0) table are one row, or fail together at beta=1
+    only, as ``pole`` and ``boundary-unavailable``; at beta=4 the row's
+    reduced moments and the table's exist at every point, with the same k=0
+    mu."""
+    from itertools import product
+
+    from test_conductance import DUALITY_ALPHAS, DUALITY_DELTAS
+
+    failures = 0
+    for beta, a, d, n in product((1, 2, 4), DUALITY_ALPHAS, DUALITY_DELTAS, range(1, 7)):
+        p = TransportParams(beta, rat(a), rat(d), n)
+        try:
+            row = list(conductance_cumulants(p, 8).values)
+        except CumulantError as exc:
+            row = exc.token
+        try:
+            table = joint_cumulants(p, 8, 0)
+            column = [table[(l, 0)] for l in range(1, 9)]
+        except CumulantError as exc:
+            column = exc.token
+        if isinstance(row, str) or isinstance(column, str):
+            assert (beta, row, column) == (1, "pole", "boundary-unavailable"), p
+            failures += 1
+        else:
+            assert row == column, p
+        if beta == 4:
+            mu = joint_reduced_table(p, 8, 0).mu
+            assert list(reduced_moments(p, 8).mu_values) == [mu[(l, 0)] for l in range(9)], p
+    assert failures == 13

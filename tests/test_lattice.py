@@ -31,8 +31,11 @@ DELTAS = ("-1", "0", "1", "2")
 #: k = 2 stopped evaluating b_n, which changed exactly four records: the
 #: beta=4, n=2 joint (4, 2) tables at (alpha, delta) = (-1/2, -1), (-1/2, 1),
 #: (0, 0) and (1/2, -1) went from ``pole`` to the exact-moment oracle's values
-#: (``test_jointcsn.py::test_tables_that_reach_a_coupling_pole_only_below_k2_are_exact``)
-PROBE_DIGEST = "86a4582edc7c22512fd7c1d9f3516e32338b1d9fcc303c46be82bb9ee4fc5b20"
+#: (``test_jointcsn.py::test_tables_that_reach_a_coupling_pole_only_below_k2_are_exact``);
+#: re-taken (from 86a4582e...) when the even-beta exact-row fallback moved into
+#: the conductance engine, which changed exactly 60 records: even-beta
+#: conductance rows went from ``pole`` to the exact determinant row
+PROBE_DIGEST = "c11f2136816b65c0015652af306dd764bff6236cb01c7c4a9ed6c53ce98d5f03"
 
 
 def _text(values):
@@ -93,8 +96,12 @@ def test_lattice_probe_matches_its_pinned_digest():
 
 
 #: taken before the engines moved to integer rows, so that the move is pinned
-#: as bit-identical on every value and on every failure's token and message
-EXACT_OUTPUT_DIGEST = "11514ccf8a5e8c44411563cc0ad42c713b3795ec77a72717934615159f9021a0"
+#: as bit-identical on every value and on every failure's token and message;
+#: re-taken (from 11514ccf...) when the even-beta exact-row fallback moved into
+#: the conductance engine, which changed exactly 44 records from ``pole``: 43
+#: even-beta conductance rows, now the exact determinant row, and the beta=4
+#: reduced moments at (alpha, delta, n) = (0, 0, 5), now those of the exact rows
+EXACT_OUTPUT_DIGEST = "2f6691bb421539d989c1a958e278369f9cf416db50b4d31356d79d63b52978c2"
 
 
 def _exact_output_records():
@@ -139,8 +146,8 @@ def test_an_engine_fill_builds_no_backend_scalar(monkeypatch):
     """An engine scales its parameters to integers when it is constructed and
     takes every per-dimension constant from those ints as a reduced int pair,
     so the fills of the deep benchmark points build no backend scalar.  (The
-    even-beta joint rows that fall back on exact moments do; none is filled
-    here.)"""
+    even-beta conductance rows that fall back on exact moments do; none is
+    filled here.)"""
     fills = [
         partial(ConductanceEngine(1, rat(-1, 2), 0).kappas, 64, 40),
         partial(ConductanceEngine(4, 0, 0).kappas, 32, 40),

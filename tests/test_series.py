@@ -559,8 +559,11 @@ def digest(lines):
 
 #: digests of the 870 ODE reports, the 120 Chazy payloads (n = 2..16, every
 #: order 1..q-1), the values of limit_wigner(40), and (command, exit code,
-#: payload SHA-256) of four edge commands
-ODE_REPORTS = "d9fcca1c3b9cab044e791dbb146b346b30ac6045a74bb4cbe53b94d8349ac6d7"
+#: payload SHA-256) of four edge commands.  ODE_REPORTS was re-taken (from
+#: d9fcca1c...) when the even-beta exact-row fallback moved into the
+#: conductance engine: 60 reports, at 30 even-beta points, went from ``pole``
+#: to a pass unperturbed and a failure perturbed
+ODE_REPORTS = "62d12ccd15e75f7fc1d276ea8f19d14c9632f8a754d05a535707c4fcfbe605c1"
 CHAZY_PAYLOADS = "55f83218318df1a6c4af80e7890d20f9ff68ebab8127bbb25f3d217333193cec"
 WIGNER_LIMITS = "e0555dd851c003dd8a889593e196968c34df0d59fa0c4e2778185d59d98744d6"
 EDGE_COMMANDS = [
