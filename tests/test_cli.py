@@ -665,6 +665,16 @@ def test_verify_oracle_payload_digests_are_pinned(capsys, statistic):
     assert doc["manifest"]["payload_sha256"] == ORACLE_DIGESTS[statistic]
 
 
+#: payload SHA-256 of the README command ``verify gauss-factor --n 2 --w 0.5``
+GAUSS_FACTOR_DIGEST = "d2bbc566893a30af626983af2bdfca441523c001b8f84d5c2a02af79b91cf83f"
+
+
+def test_verify_gauss_factor_payload_digest_is_pinned(capsys):
+    code, doc = run_json(capsys, "verify", "gauss-factor", "--n", "2", "--w", "0.5")
+    assert code == 0
+    assert doc["manifest"]["payload_sha256"] == GAUSS_FACTOR_DIGEST
+
+
 def test_verify_oracle_command_with_reference(capsys):
     code, doc = run_json(
         capsys, "verify", "oracle",

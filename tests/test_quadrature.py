@@ -7,6 +7,7 @@ the rule memo is checked too.  The two must agree to the last bit: each
 point goes through the same float operations in the same order.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,8 +15,9 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 from dotcumulants import quadrature
+from dotcumulants.errors import CumulantError
 from dotcumulants.params import TransportParams
-from dotcumulants.rational import rat
+from dotcumulants.rational import parse_rational, rat
 from dotcumulants.verify import quadrature_moments
 
 
@@ -133,3 +135,43 @@ def test_memoised_rules_are_shared_and_read_only():
     nodes, weights = quadrature.gauss_jacobi_01(12, 0.5, 1.0)
     nodes[0] = weights[0] = 0.0  # the mapped rule is the caller's own copy
     assert quadrature.gauss_jacobi_01(12, 0.5, 1.0)[0][0] != 0.0
+
+
+def quadrature_record(beta, alpha, delta, n, statistic, order):
+    """One ``quadrature_moments`` outcome as text: the keys in order, the
+    values and the error estimate bit for bit, or a failure's token and
+    message."""
+    head = (beta, alpha, delta, n, statistic, order)
+    p = TransportParams(beta, parse_rational(alpha), parse_rational(delta), n)
+    try:
+        kappa, err = quadrature_moments(p, statistic, order)
+    except CumulantError as exc:
+        return repr((head, exc.token, str(exc)))
+    return repr((head, [(repr(key), v.hex()) for key, v in kappa.items()], err.hex()))
+
+
+#: the (alpha, delta) grid of the benchmark sweep
+SWEEP_ALPHAS = ("-1/2", "0", "1/2", "1", "3/2")
+SWEEP_DELTAS = ("-1", "0", "1", "2")
+
+#: every n = 3 point of the sweep grid for beta in {1, 2, 4} and every
+#: statistic at order 3; at beta = 1 the adaptive rule reaches 48 nodes a side
+N3_RECORDS = [
+    (beta, alpha, delta, 3, statistic, 3)
+    for beta in (1, 2, 4)
+    for alpha in SWEEP_ALPHAS
+    for delta in SWEEP_DELTAS
+    for statistic in ("G", "P", "mixed")
+]
+
+#: SHA-256 of the newline-terminated ``quadrature_record`` of each of
+#: ``N3_RECORDS``, in order
+N3_QUADRATURE_SHA256 = "634a7645392c43dc3ac300c045ecaf2c33b6990786fd6ad1b47add1789fca2d8"
+
+
+def test_n3_quadrature_moments_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for record in N3_RECORDS:
+        digest.update((quadrature_record(*record) + "\n").encode())
+    assert len(N3_RECORDS) == 180
+    assert digest.hexdigest() == N3_QUADRATURE_SHA256
