@@ -35,10 +35,22 @@ read-only arrays.  The memo is bounded (least recently used first out): an
 adaptive pass needs at most the eight sizes of ``_SIZES`` per parameter
 set, and a whole benchmark sweep asks for 66 distinct rules, so 256 entries
 of at most 96 nodes keep every repeat a hit at a fixed, small memory cost.
+
+The beta=1 pass depends on (alpha, delta) only through s_j^(2 alpha + 1)
+and c_j^(delta + 1).  Everything else (the sines and cosines, the
+Vandermonde factors, n! times the product weight, the Jacobian, and the
+powers of G and P that the statistics read) is built once per (size, n) as
+read-only arrays and kept in a second memo, ``_GRIDS``, bounded by
+``GRID_MEMO_BYTES`` (least recently used first out; a grid larger than the
+ceiling alone is used for its call and not kept).  Each pass then runs its
+density chain in place in one fresh array, with the same ufuncs in the same
+order as a pass that builds everything anew, so a cold memo, a warm memo
+and any call order give the same bits.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -98,33 +110,128 @@ def _box_pass(p, size, stats_fn):
     nodes, weights = gauss_jacobi_01(size, a, b)
     T, wprod = _grids(nodes, weights, p.n)
     base = wprod * _vandermonde_power(T, p.beta)
-    return stats_fn(T, base)
+    return stats_fn(_Sums(lambda: T, keep_powers=False), base)
+
+
+class _Sums:
+    """G = sum_j T_j and P = sum_j T_j (1 - T_j) on one grid, and the powers
+    of them that the statistics read; ``nodes()`` gives the T_j.
+
+    The sums are kept once built.  With ``keep_powers`` every power is kept
+    too, as a memoised grid holds them; without it each power is built at
+    every call, as one pass needs them."""
+
+    def __init__(self, nodes, keep_powers):
+        self._nodes = nodes
+        self._keep_powers = keep_powers
+        self.arrays = {}
+        self.nbytes = 0
+
+    def __call__(self, name, power=1):
+        """The sum ``name`` ("G" or "P") to ``power``; read-only if kept
+        (the first power is the sum itself: x**1 is x, bit for bit)."""
+        key = (name, power)
+        if key not in self.arrays:
+            total = self.arrays.get((name, 1))
+            if total is None:
+                T = self._nodes()
+                total = self._keep((name, 1), _sum_axes(
+                    T if name == "G" else [Tj * (1.0 - Tj) for Tj in T]))
+            if power != 1:
+                if not self._keep_powers:
+                    return total**power
+                self._keep(key, total**power)
+        return self.arrays[key]
+
+    def _keep(self, key, array):
+        array.setflags(write=False)
+        self.arrays[key] = array
+        self.nbytes += array.nbytes
+        return array
+
+
+class _SectorGrid:
+    """Everything of a beta=1 ordered-sector pass that depends on the rule
+    size and n alone: the sines and cosines of theta_j, the Vandermonde
+    factors T_j - T_i, the product weight times n!, the Jacobian, and the
+    statistics' sums and powers (``sums``).  All arrays are read-only."""
+
+    def __init__(self, size, n):
+        x, w = _rule("legendre", size)
+        t, wprod = _grids((x + 1.0) / 2.0, w / 2.0, n)
+        # theta_j = t_j * theta_{j+1} lives on axes j..n-1 only
+        theta = [None] * n
+        theta[n - 1] = (math.pi / 2.0) * t[n - 1]
+        for j in range(n - 2, -1, -1):
+            theta[j] = t[j] * theta[j + 1]
+        jac = math.pi / 2.0
+        for j in range(1, n):
+            jac = jac * theta[j]
+        self.s = [np.sin(th) for th in theta]
+        self.c = [np.cos(th) for th in theta]
+        T = self.nodes()
+        # ordered: T_i <= T_j, so (T_j - T_i)^beta needs no abs, and beta = 1
+        self.vandermonde = [T[j] - T[i] for i in range(n) for j in range(i + 1, n)]
+        self.weight = math.factorial(n) * wprod
+        self.jac = np.asarray(jac)
+        own = self.s + self.c + self.vandermonde + [self.weight, self.jac]
+        for array in own:
+            array.setflags(write=False)
+        self._own_bytes = sum(array.nbytes for array in own)
+        # a grid the memo cannot keep holds one power at a time
+        self.sums = _Sums(self.nodes, keep_powers=self._own_bytes <= GRID_MEMO_BYTES)
+
+    def nodes(self):
+        return [sj * sj for sj in self.s]
+
+    def nbytes(self):
+        return self._own_bytes + self.sums.nbytes
+
+
+#: byte ceiling of the beta=1 grid memo: it holds the grids of the benchmark
+#: sweep (n <= 3, up to 48 nodes a side, 10.2 MiB with the powers of G to
+#: order 3), not one of 64 or more nodes at n = 3 with its powers
+GRID_MEMO_BYTES = 16 * 2**20
+
+#: (size, n) -> _SectorGrid, least recently used first
+_GRIDS = collections.OrderedDict()
+
+
+def _grid_memo_bytes():
+    return sum(grid.nbytes() for grid in _GRIDS.values())
+
+
+def _keep_grid(key, grid):
+    """Make ``grid`` the memo's newest entry and evict the least recently
+    used ones down to the ceiling; a grid above the ceiling alone is not kept
+    and evicts nothing."""
+    _GRIDS.pop(key, None)
+    if grid.nbytes() <= GRID_MEMO_BYTES:
+        _GRIDS[key] = grid
+        while _grid_memo_bytes() > GRID_MEMO_BYTES:
+            _GRIDS.popitem(last=False)
 
 
 def _ordered_pass(p, size, stats_fn):
-    n = p.n
+    key = (size, p.n)
+    grid = _GRIDS.get(key) or _SectorGrid(*key)
     a2, d1 = 2.0 * float(p.alpha) + 1.0, float(p.delta) + 1.0
-    x, w = _rule("legendre", size)
-    t, wprod = _grids((x + 1.0) / 2.0, w / 2.0, n)
-    # theta_j = t_j * theta_{j+1} lives on axes j..n-1 only
-    theta = [None] * n
-    theta[n - 1] = (math.pi / 2.0) * t[n - 1]
-    for j in range(n - 2, -1, -1):
-        theta[j] = t[j] * theta[j + 1]
-    jac = math.pi / 2.0
-    for j in range(1, n):
-        jac = jac * theta[j]
-    s = [np.sin(th) for th in theta]
-    c = [np.cos(th) for th in theta]
-    T = [sj * sj for sj in s]
-    dens = 1.0
-    for j in range(n):
-        dens = dens * 2.0 * s[j] ** a2 * c[j] ** d1
-    for i in range(n):
-        for j in range(i + 1, n):
-            dens = dens * (T[j] - T[i]) ** p.beta  # ordered: T_i <= T_j
-    base = math.factorial(n) * wprod * dens * jac
-    return stats_fn(T, base)
+    # the density chain runs in place in one fresh array: the same products
+    # in the same order as 2 s_j^a2 c_j^d1 ... (T_j - T_i) n! wprod jac
+    dens = grid.s[0] ** a2
+    dens *= 2.0
+    dens *= grid.c[0] ** d1
+    for j in range(1, p.n):
+        dens *= 2.0
+        dens *= grid.s[j] ** a2
+        dens *= grid.c[j] ** d1
+    for factor in grid.vandermonde:
+        dens *= factor
+    dens *= grid.weight
+    dens *= grid.jac
+    out = stats_fn(grid.sums, dens)
+    _keep_grid(key, grid)  # after the statistics, which may add sums
+    return out
 
 
 def _transport_pass(p, size, stats_fn):
@@ -177,16 +284,16 @@ def transport_raw_moments(p: TransportParams, pairs):
     100x the tolerance is reported as a quadrature failure.
     """
     pairs = [t for t in pairs if t != (0, 0)]
-    need_g, need_p = any(l for l, _ in pairs), any(k for _, k in pairs)
 
-    def stats(T, base):
+    def stats(sums, base):
         # a zeroth power is a factor 1.0 and is left out, which changes no bit
-        G = _sum_axes(T) if need_g else None
-        P = _sum_axes([Tj * (1.0 - Tj) for Tj in T]) if need_p else None
         out = [base.sum()]
+        scratch = np.empty_like(base)
         for l, k in pairs:
-            term = base * G**l if l else base
-            out.append((term * P**k if k else term).sum())
+            term = np.multiply(base, sums("G", l), out=scratch) if l else base
+            if k:
+                term = np.multiply(term, sums("P", k), out=scratch)
+            out.append(term.sum())
         return out
 
     vals, err = _adaptive(lambda size: _transport_pass(p, size, stats), RAW_MOMENTS_REL_TOL,
@@ -209,9 +316,8 @@ def transport_raw_moments(p: TransportParams, pairs):
 def transport_mgf_value(p: TransportParams, z, w, rel_tol=1e-8):
     """E[exp(-z G - w P)] by quadrature (the joint moment generating function)."""
 
-    def stats(T, base):
-        G = _sum_axes(T)
-        P = _sum_axes([Tj * (1.0 - Tj) for Tj in T])
+    def stats(sums, base):
+        G, P = sums("G"), sums("P")
         return [base.sum(), (base * np.exp(-z * G - w * P)).sum()]
 
     vals, _ = _adaptive(lambda size: _transport_pass(p, size, stats), rel_tol, f"mgf {p.describe()}")

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -577,6 +578,63 @@ def test_mc_edgeworth_csv_columns(capsys, tmp_path):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert header == "x,edgeworth,gaussian,histogram_density"
+
+
+#: payload SHA-256 of the README command ``mc edgeworth --beta 1 --n 20
+#: --grid 0.4:1.8:81``
+README_EDGEWORTH_PAYLOAD = "54e8ba1b6fc0de2dda79d85bcabf3cf6f2bdfbc27cec0ab0c995db29086adf3c"
+
+
+def test_mc_edgeworth_readme_command_is_pinned(tmp_path):
+    out = tmp_path / "curve.csv"
+    argv = ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", "0.4:1.8:81"]
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+    assert sidecar["payload_sha256"] == README_EDGEWORTH_PAYLOAD
+
+
+@pytest.mark.parametrize("steps", [cli.EDGEWORTH_MAX_STEPS + 1, 100_000_000])
+def test_mc_edgeworth_refuses_a_grid_above_its_ceiling_before_building_it(
+    capsys, tmp_path, steps
+):
+    out = tmp_path / "curve.csv"
+    argv = ["mc", "edgeworth", "--beta", "1", "--n", "20", "--grid", f"0.4:1.8:{steps}",
+            "--out", str(out)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = dispatch(argv)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: unsupported-parameter: --grid has {steps} steps; "
+        f"mc edgeworth takes at most {cli.EDGEWORTH_MAX_STEPS}\n"
+    )
+    assert peak < 2**20, peak  # one grid array alone would take 8 bytes a step
+    assert seconds < 1.0
+    assert not out.exists()
+
+
+def test_mc_edgeworth_streams_its_rows(tmp_path):
+    """The rows go to the CSV emitter one block at a time: the peak is the
+    float arrays and a fixed few MB, about 120 bytes a step at 50k steps,
+    where the rows held whole as text took about 500."""
+    steps = 50_000
+    argv = ["mc", "edgeworth", "--beta", "1", "--n", "20", "--count", "1000",
+            "--out", str(tmp_path / "curve.csv"), "--grid"]
+    assert dispatch(argv + ["0.4:1.8:3"]) == 0  # imports stay out of the peak
+    tracemalloc.start()
+    try:
+        code = dispatch(argv + [f"0.4:1.8:{steps}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len((tmp_path / "curve.csv").read_text().splitlines()) == steps + 1
+    assert peak < 250 * steps, peak
 
 
 def test_asymptotic_wigner_command(capsys):

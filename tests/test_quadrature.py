@@ -9,6 +9,7 @@ point goes through the same float operations in the same order.
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -175,3 +176,71 @@ def test_n3_quadrature_moments_match_their_pinned_digest():
         digest.update((quadrature_record(*record) + "\n").encode())
     assert len(N3_RECORDS) == 180
     assert digest.hexdigest() == N3_QUADRATURE_SHA256
+
+
+#: the beta=1 points of the benchmark sweep that run quadrature (n <= 3),
+#: with the statistic it reads
+SWEEP_BETA1 = [
+    (1, alpha, delta, n, "G", 3)
+    for alpha in SWEEP_ALPHAS for delta in SWEEP_DELTAS for n in (1, 2, 3)
+]
+
+
+def test_results_do_not_depend_on_the_grid_memo():
+    records = SWEEP_BETA1 + [(1, "1", "2", 3, "mixed", 3), (1, "-1/2", "1", 3, "P", 3)]
+    cold = {}
+    for record in records:
+        quadrature._GRIDS.clear()
+        cold[record] = quadrature_record(*record)
+    warm = {record: quadrature_record(*record) for record in records}
+    shuffled = list(reversed(records))
+    random.Random(5).shuffle(shuffled)
+    again = {record: quadrature_record(*record) for record in shuffled}
+    assert warm == cold
+    assert again == cold
+
+
+def test_grid_memo_stays_under_its_ceiling_and_serves_the_sweep(monkeypatch):
+    quadrature._GRIDS.clear()
+    for record in SWEEP_BETA1:
+        quadrature_record(*record)
+        assert quadrature._grid_memo_bytes() <= quadrature.GRID_MEMO_BYTES
+    held = quadrature._grid_memo_bytes()
+    built = []
+    monkeypatch.setattr(quadrature, "_SectorGrid",
+                        lambda size, n: built.append((size, n)) or pytest.fail("rebuilt"))
+    for record in SWEEP_BETA1:  # a second sweep pass finds every grid
+        quadrature_record(*record)
+    assert built == []
+    assert quadrature._grid_memo_bytes() == held
+    monkeypatch.undo()
+    # non-integer exponents: the rule grows to 96 nodes a side, whose grid
+    # alone is above the ceiling
+    failed = quadrature_record(1, "1/4", "0", 3, "G", 3)
+    assert "quadrature-failure" in failed
+    assert quadrature._grid_memo_bytes() <= quadrature.GRID_MEMO_BYTES
+    assert (96, 3) not in quadrature._GRIDS
+    # with G alone the 64-node grid fits: it is kept, and the oldest grids
+    # make room for it
+    quadrature_record(1, "1/4", "0", 3, "G", 1)
+    assert quadrature._grid_memo_bytes() <= quadrature.GRID_MEMO_BYTES
+    assert list(quadrature._GRIDS)[-1] == (64, 3)
+    assert (8, 1) not in quadrature._GRIDS
+
+
+def test_a_pass_owns_its_density_and_the_memo_is_read_only():
+    quadrature._GRIDS.clear()
+    base, sums = quadrature._ordered_pass(
+        TransportParams(1, rat(1, 2), rat(1), 3), 12, lambda sums, base: (base, sums)
+    )
+    kept = base.copy()
+    grid = quadrature._GRIDS[(12, 3)]
+    memo = grid.s + grid.c + grid.vandermonde + [grid.weight, grid.jac, sums("G", 2)]
+    for array in memo:
+        assert not array.flags.writeable
+        assert not np.shares_memory(array, base)
+    quadrature._ordered_pass(
+        TransportParams(1, rat(3, 2), rat(0), 3), 12, lambda sums, base: base.fill(0.0)
+    )
+    assert np.array_equal(base, kept)
+    assert quadrature._GRIDS[(12, 3)] is grid
