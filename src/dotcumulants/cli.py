@@ -523,8 +523,8 @@ def _cmd_mc_sample(ns, argv):
     return 0
 
 
-#: most ``mc edgeworth --grid`` steps.  A step costs about 9 us (its four CSV
-#: fields dominate; 2-core VM), so the largest grid adds about 2 s to the
+#: most ``mc edgeworth --grid`` steps.  A step costs 7-9 us (its four CSV
+#: fields dominate; 2-core VM), so the largest grid adds under 2 s to the
 #: command, and each of its float arrays (grid, density, histogram and the
 #: density's temporaries) holds 1.6 MB
 EDGEWORTH_MAX_STEPS = 200_000

@@ -184,6 +184,7 @@ class _SectorGrid:
     def nodes(self):
         return [sj * sj for sj in self.s]
 
+    @property
     def nbytes(self):
         return self._own_bytes + self.sums.nbytes
 
@@ -198,7 +199,7 @@ _GRIDS = collections.OrderedDict()
 
 
 def _grid_memo_bytes():
-    return sum(grid.nbytes() for grid in _GRIDS.values())
+    return sum(grid.nbytes for grid in _GRIDS.values())
 
 
 def _keep_grid(key, grid):
@@ -206,7 +207,7 @@ def _keep_grid(key, grid):
     used ones down to the ceiling; a grid above the ceiling alone is not kept
     and evicts nothing."""
     _GRIDS.pop(key, None)
-    if grid.nbytes() <= GRID_MEMO_BYTES:
+    if grid.nbytes <= GRID_MEMO_BYTES:
         _GRIDS[key] = grid
         while _grid_memo_bytes() > GRID_MEMO_BYTES:
             _GRIDS.popitem(last=False)
